@@ -1,28 +1,20 @@
 """Scheduler benchmark: serial vs parallel wall-clock plus cache stats.
 
 Runs the Table 1 workload (3-layer ``sst-small`` transformer, DeepT-Fast,
-all three norms, several word positions per sentence) four times through
+all three norms, several word positions per sentence) three times through
 :class:`repro.scheduler.CertScheduler`:
 
 1. **serial**   — ``workers=0``, no cache (the classic harness path);
-2. **batched**  — ``workers=0, batch_size=N``: compatible queries coalesce
-                  into stacked lockstep radius searches on one core;
-3. **parallel** — ``--workers`` fork processes against a cold cache;
-4. **warm**     — the same scheduler again: every query must come from the
+2. **parallel** — ``--workers`` fork processes against a cold cache;
+3. **warm**     — the same scheduler again: every query must come from the
                   cache with zero recomputed queries.
 
-The certified radii of all four runs are asserted identical (the query
-executor is a pure function of weights and query, so batching, parallelism
-and caching change wall-clock only). The ≥1.5x speedup floor is carried by
-a *batched-engine throughput probe* — a compact dispatch-bound model where
-one stacked ``certify_regions_batched`` pass is timed against the serial
-per-query loop — because that comparison holds on a single core; the
-fork-pool floor stays gated on a multi-core host, and the scheduler-level
-batched number on the Table 1 model is recorded without an assertion (its
-per-query state is bandwidth-bound; see DESIGN.md §12). Results land in
-``benchmarks/results/BENCH_scheduler.json``: per-run wall time, both
-speedups, the engine probe, cache hit/miss/executed stats, and the host
-CPU count.
+The certified radii of all three runs are asserted identical (the query
+executor is a pure function of weights and query, so parallelism and
+caching change wall-clock only). The ≥1.5x fork-pool speedup floor is
+gated on a multi-core host. Results land in
+``benchmarks/results/BENCH_scheduler.json``: per-run wall time, the
+speedup, cache hit/miss/executed stats, and the host CPU count.
 
 Run standalone (not through pytest):
 
@@ -50,73 +42,6 @@ RESULTS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 
 _NORMS = {"l1": 1.0, "l2": 2.0, "linf": np.inf}
 
-# Single-core floor for the batched-engine throughput probe (one stacked
-# propagation vs the serial per-query loop on a dispatch-bound model).
-ENGINE_PROBE_MIN_SPEEDUP = {"full": 1.5, "quick": 1.05}
-
-
-def engine_probe(quick=False):
-    """Time the batched engine against the serial loop on one core.
-
-    Uses a compact transformer whose per-query propagation state is
-    dispatch-bound (numpy call overhead dominates), the regime the stacked
-    engine targets; margins must be bitwise identical.
-    """
-    from repro.nlp import make_corpus
-    from repro.nn import TransformerClassifier, train_transformer
-    from repro.verify import DeepTVerifier, word_perturbation_region
-
-    mode = "quick" if quick else "full"
-    batch = 8 if quick else 32
-    corpus = make_corpus("sst-small", n_train=80, n_test=20, seed=1)
-    sentence = [s for s in corpus.test_sequences if len(s) == 5][0]
-    model = TransformerClassifier(len(corpus.vocab), max_len=16,
-                                  embed_dim=4, n_heads=2, hidden_dim=4,
-                                  n_layers=1, seed=0)
-    train_transformer(model, corpus.train_sequences, corpus.train_labels,
-                      epochs=1, lr=2e-3)
-    label = model.predict(sentence)
-    verifier = DeepTVerifier(model, FAST(noise_symbol_cap=16))
-
-    def regions():
-        return [word_perturbation_region(
-                    model, sentence, 1 + (i % (len(sentence) - 1)),
-                    0.01 + 0.001 * i, 2)
-                for i in range(batch)]
-
-    labels = [label] * batch
-    verifier.certify_regions_batched(regions()[:2], labels[:2])  # warm-up
-
-    work = regions()
-    start = time.perf_counter()
-    serial_out = [verifier.certify_region(region, label) for region in work]
-    serial_seconds = time.perf_counter() - start
-    work = regions()
-    start = time.perf_counter()
-    batched_out = verifier.certify_regions_batched(work, labels)
-    batched_seconds = time.perf_counter() - start
-
-    diff = float(np.abs(
-        np.array([r.margin_lower for r in serial_out])
-        - np.array([r.margin_lower for r in batched_out])).max())
-    speedup = serial_seconds / batched_seconds
-    print(f"engine probe: {speedup:.2f}x at batch {batch} "
-          f"(max |margin diff| {diff:.1e})")
-    assert diff == 0.0, "batched engine changed probe margins"
-    assert speedup >= ENGINE_PROBE_MIN_SPEEDUP[mode], \
-        (f"batched-engine throughput {speedup:.2f}x under the "
-         f"{ENGINE_PROBE_MIN_SPEEDUP[mode]}x floor")
-    return {
-        "model": "micro 4d L1",
-        "batch": batch,
-        "serial_seconds": serial_seconds,
-        "batched_seconds": batched_seconds,
-        "speedup": speedup,
-        "min_speedup": ENGINE_PROBE_MIN_SPEEDUP[mode],
-        "bounds_max_abs_diff": diff,
-    }
-
-
 def build_workload(model, sentences, norms, n_positions):
     """The Table 1 query bag: every (norm, sentence, position) combo."""
     config = FAST(noise_symbol_cap=SCALE.noise_symbol_cap)
@@ -138,27 +63,18 @@ def timed_run(scheduler, model, queries):
 
 
 def run_benchmark(workers=4, n_sentences=1, n_positions=4,
-                  norms=("l1", "l2", "linf"), assert_speedup=True,
-                  batch_size=4, quick=False):
+                  norms=("l1", "l2", "linf"), assert_speedup=True):
     model, dataset, accuracy = get_transformer("sst-small", n_layers=3)
     sentences = evaluation_sentences(model, dataset, n_sentences)
     queries = build_workload(model, sentences, norms, n_positions)
     print(f"workload: {len(queries)} queries "
           f"({len(sentences)} sentences x {n_positions} positions x "
           f"{len(norms)} norms), workers={workers}, "
-          f"batch_size={batch_size}, cpus={os.cpu_count()}")
+          f"cpus={os.cpu_count()}")
 
     serial_radii, serial_seconds, _ = timed_run(
         CertScheduler(workers=0), model, queries)
     print(f"serial  : {serial_seconds:.2f}s")
-
-    batched_radii, batched_seconds, batched_stats = timed_run(
-        CertScheduler(workers=0, batch_size=batch_size), model, queries)
-    batched_speedup = serial_seconds / batched_seconds
-    print(f"batched : {batched_seconds:.2f}s "
-          f"(speedup {batched_speedup:.2f}x, "
-          f"{batched_stats['batched_queries']} queries in "
-          f"{batched_stats['batches']} stacked searches)")
 
     with tempfile.TemporaryDirectory(prefix="bench_cert_cache_") as cache:
         parallel = CertScheduler(workers=workers, cache_dir=cache)
@@ -172,20 +88,11 @@ def run_benchmark(workers=4, n_sentences=1, n_positions=4,
         print(f"warm    : {warm_seconds:.2f}s "
               f"({warm_stats['cache_hits']}/{len(queries)} cache hits)")
 
-    identical = (serial_radii == batched_radii == parallel_radii
-                 == warm_radii)
+    identical = serial_radii == parallel_radii == warm_radii
     recomputed = sum(warm_stats["executed"].values())
-    assert identical, "batched/parallel/cached radii differ from serial"
+    assert identical, "parallel/cached radii differ from serial"
     assert recomputed == 0, f"warm run recomputed {recomputed} queries"
     assert warm_stats["cache_hits"] == len(queries)
-    assert batched_stats["batched_queries"] > 0, \
-        "no queries coalesced — batch grouping broke"
-
-    # The single-core speedup claim belongs to the batched engine, probed
-    # on a dispatch-bound model where stacking actually pays; the Table 1
-    # model above is bandwidth-bound per query, so its scheduler-level
-    # batched number is recorded without a floor.
-    probe = engine_probe(quick=quick)
 
     # The parallel-speedup floor only holds where parallelism is possible:
     # on a single-CPU host fork workers time-slice one core and the fork +
@@ -210,20 +117,15 @@ def run_benchmark(workers=4, n_sentences=1, n_positions=4,
         "n_sentences": len(sentences),
         "n_positions": n_positions,
         "workers": workers,
-        "batch_size": batch_size,
         "cpu_count": os.cpu_count(),
         "serial_seconds": serial_seconds,
-        "batched_seconds": batched_seconds,
-        "batched_speedup": batched_speedup,
         "parallel_seconds": parallel_seconds,
         "speedup": speedup,
         "speedup_asserted": speedup_asserted,
-        "engine_probe": probe,
         "warm_seconds": warm_seconds,
         "warm_recomputed_queries": recomputed,
         "radii_identical": identical,
         "cold_stats": cold_stats,
-        "batched_stats": batched_stats,
         "warm_stats": warm_stats,
         "min_radius": float(min(serial_radii)),
         "avg_radius": float(np.mean(serial_radii)),
@@ -235,18 +137,15 @@ def main(argv=None):
     parser.add_argument("--quick", action="store_true",
                         help="small workload (CI smoke mode)")
     parser.add_argument("--workers", type=int, default=4)
-    parser.add_argument("--batch-size", type=int, default=4)
     parser.add_argument("--out", default=os.path.join(
         RESULTS_DIR, "BENCH_scheduler.json"))
     args = parser.parse_args(argv)
 
     if args.quick:
         result = run_benchmark(workers=args.workers, n_positions=2,
-                               norms=("l2",), assert_speedup=False,
-                               batch_size=args.batch_size, quick=True)
+                               norms=("l2",), assert_speedup=False)
     else:
-        result = run_benchmark(workers=args.workers,
-                               batch_size=args.batch_size)
+        result = run_benchmark(workers=args.workers)
     result["quick"] = args.quick
     result["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
 
@@ -255,10 +154,7 @@ def main(argv=None):
         json.dump(result, f, indent=2)
 
     print(f"speedup : fork {result['speedup']:.2f}x at "
-          f"{result['workers']} workers on {result['cpu_count']} cpus, "
-          f"batched {result['batched_speedup']:.2f}x at batch "
-          f"{result['batch_size']}, engine probe "
-          f"{result['engine_probe']['speedup']:.2f}x "
+          f"{result['workers']} workers on {result['cpu_count']} cpus "
           f"(radii identical: {result['radii_identical']}, warm recompute: "
           f"{result['warm_recomputed_queries']})")
     print(f"wrote {args.out}")

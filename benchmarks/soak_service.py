@@ -3,20 +3,19 @@
 Starts a real :class:`repro.service.CertService` on an ephemeral port and
 fires 50 queries (CI smoke scale) at it concurrently over HTTP from three
 tenants. The workload deliberately mixes duplicates (exercising in-flight
-dedup) with distinct compatible queries (exercising batch-key coalescing),
-then injects one worker death to exercise the IBP rescue rung. The soak
-asserts the service's acceptance criteria before reporting numbers:
+dedup) with distinct queries, then injects one worker death to exercise
+the IBP rescue rung. The soak asserts the service's acceptance criteria
+before reporting numbers:
 
 * every request resolves within its timeout — **zero hangs**;
 * every certified radius is **bitwise identical** to a serial
   ``execute_query`` run of the same query;
-* the metrics show **in-flight dedup** (> 0 hits) and at least one
-  **coalesced batch**;
+* the metrics show **in-flight dedup** (> 0 hits);
 * the injected fault resolves its waiter **degraded-or-error**, never
   silently and never as a full-precision answer.
 
 Results land in ``benchmarks/results/BENCH_service.json`` (request latency
-percentiles, dedup/coalescing counters, the rescue outcome) and feed the
+percentiles, dedup counters, the rescue outcome) and feed the
 ``service`` regression gates of ``python -m repro.experiments report``.
 
 Run standalone (not through pytest):
@@ -64,7 +63,7 @@ def build_model(seed=0):
 
 def make_payloads(vocab_size, n_queries, n_distinct, length=6, seed=7):
     """``n_queries`` submissions cycling ``n_distinct`` same-length
-    sentences across the tenants (duplicates dedup, distinct coalesce)."""
+    sentences across the tenants (duplicates dedup)."""
     rng = np.random.default_rng(seed)
     distinct = []
     seen = set()
@@ -89,8 +88,7 @@ def make_payloads(vocab_size, n_queries, n_distinct, length=6, seed=7):
 
 async def soak(model, payloads, fault_payload, wait_timeout=120.0):
     """Run the concurrent soak plus the fault phase against one service."""
-    config = ServiceConfig(batch_window=0.25, batch_size=8,
-                           default_rate=200.0,
+    config = ServiceConfig(default_rate=200.0,
                            default_burst=max(64, len(payloads)),
                            degrade_fast_at=1000, degrade_ibp_at=1000,
                            reject_at=1000, query_timeout=wait_timeout)
@@ -160,7 +158,6 @@ def run_soak(n_queries=50, n_distinct=8, quick=False):
     counters = metrics["counters"]
     dedup_hits = counters.get("dedup_hits", 0) \
         + counters.get("result_hits", 0)
-    coalesced = counters.get("coalesced_batches", 0)
     rescue_resolved = (rescue.get("status") == "error"
                        or (rescue.get("status") == "done"
                            and rescue.get("degraded")))
@@ -168,7 +165,6 @@ def run_soak(n_queries=50, n_distinct=8, quick=False):
     assert hangs == 0, f"{hangs} requests hung past their timeout"
     assert radii_identical, "service radii diverged from serial execution"
     assert dedup_hits > 0, "soak produced no dedup hits"
-    assert coalesced >= 1, "soak produced no coalesced batch"
     assert rescue_resolved, \
         f"fault phase resolved unsoundly: {rescue.get('status')}"
 
@@ -179,8 +175,6 @@ def run_soak(n_queries=50, n_distinct=8, quick=False):
           f"hangs {hangs}")
     print(f"dedup   : {counters.get('dedup_hits', 0)} in-flight + "
           f"{counters.get('result_hits', 0)} answered, "
-          f"{coalesced} coalesced batch(es) covering "
-          f"{counters.get('coalesced_queries', 0)} queries, "
           f"{counters.get('executed_queries', 0)} executed")
     print(f"rescue  : {rescue.get('status')} "
           f"(degraded={rescue.get('degraded')}, "
@@ -200,8 +194,6 @@ def run_soak(n_queries=50, n_distinct=8, quick=False):
         "radii_identical": radii_identical,
         "dedup_hits": int(counters.get("dedup_hits", 0)),
         "result_hits": int(counters.get("result_hits", 0)),
-        "coalesced_batches": int(coalesced),
-        "coalesced_queries": int(counters.get("coalesced_queries", 0)),
         "executed_queries": int(counters.get("executed_queries", 0)),
         "rescue_status": rescue.get("status"),
         "rescue_degraded": bool(rescue.get("degraded")),

@@ -14,9 +14,6 @@ Usage::
                                                    # trace, one JSONL per
                                                    # table, diffable with
                                                    # python -m repro.trace
-    python -m repro.experiments 1 --batch-size 8   # coalesce compatible
-                                                   # queries into stacked
-                                                   # batched propagations
     python -m repro.experiments 1 --workers 2 --supervised
                                                    # leased worker fleet:
                                                    # heartbeats, requeue,
@@ -31,11 +28,8 @@ Usage::
                                                    # quick-start")
 
 ``--workers N`` fans the certification queries of every radius report
-across N worker processes (N=0 keeps the classic serial path);
-``--batch-size N`` instead coalesces up to N compatible queries into one
-stacked batched propagation per search round (single-process, best on
-compact dispatch-bound models — see DESIGN.md §12); the certified radii
-are bitwise identical either way. ``--cache`` (or
+across N worker processes (N=0 keeps the classic serial path); the
+certified radii are bitwise identical either way. ``--cache`` (or
 ``--cache-dir PATH``) memoizes completed queries on disk keyed by model
 weights, corpus fingerprint and query config, so re-runs and extended
 sweeps only pay for new queries. ``--journal PATH`` appends every
@@ -87,10 +81,6 @@ def _build_parser():
         help="graceful-drain deadline after SIGTERM (or POST /drain): "
              "in-flight work gets this long to finish before being left "
              "for --resume (default 30)")
-    parser.add_argument(
-        "--batch-size", type=int, default=1, metavar="N",
-        help="coalesce up to N compatible queries into one stacked "
-             "batched propagation (1 = serial, default)")
     parser.add_argument(
         "--cache", action="store_true",
         help="memoize completed queries in the default .cert_cache dir")
@@ -243,8 +233,7 @@ def main(argv=None):
                                    else None)
     scheduler = configure(workers=args.workers, cache_dir=cache_dir,
                           timeout=args.timeout, journal_path=args.journal,
-                          resume=args.resume, batch_size=args.batch_size,
-                          supervised=args.supervised,
+                          resume=args.resume, supervised=args.supervised,
                           drain_timeout=args.drain_timeout)
     if args.supervised:
         # SIGTERM drains the supervised run instead of killing it: the
@@ -258,14 +247,12 @@ def main(argv=None):
             signal.signal(signal.SIGTERM, _on_sigterm)
         except (ValueError, OSError):
             pass  # not the main thread / unsupported platform
-    verbose = bool(args.workers or args.batch_size > 1 or cache_dir
-                   or scheduler.journal)
+    verbose = bool(args.workers or cache_dir or scheduler.journal)
     if verbose:
         journal_path = scheduler.journal.path if scheduler.journal \
             else "off"
         print(f"scheduler: workers={args.workers}"
               f"{' (supervised)' if args.supervised else ''}, "
-              f"batch_size={args.batch_size}, "
               f"cache={cache_dir or 'off'}, journal={journal_path}"
               f"{' (resume)' if args.resume else ''}")
 

@@ -248,8 +248,7 @@ def radius_report_adaptive(model, sentences, p, config, scale=None,
     ``config`` is the DeepT-Fast floor configuration; the escalation knobs
     (``adaptive_max_rounds`` / ``adaptive_top_k`` / ``adaptive_cap_boost``)
     ride on it. Queries run as ``verifier="adaptive"`` through the same
-    scheduler as every other report (cache, journal, workers all apply;
-    adaptive queries never coalesce into stacked batches).
+    scheduler as every other report (cache, journal, workers all apply).
     """
     return _radius_report(model, sentences, p, scale, name, seed, scheduler,
                           verifier="adaptive", config=config)

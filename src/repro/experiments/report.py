@@ -8,15 +8,12 @@ With ``--check`` the exit code turns nonzero when any regression gate
 fails, so CI can run the report as a quality bar:
 
 * engine        — fast-vs-dense bounds bitwise identical, fast not slower;
-* batched       — stacked-pass bounds bitwise identical, speedup floors
-                  met (the floors travel inside the results file);
 * resilience    — guard overhead under budget, healthy runs untouched;
-* scheduler     — radii identical across serial/batched/parallel/warm,
-                  warm cache recomputes nothing, engine probe over floor;
+* scheduler     — radii identical across serial/parallel/warm, warm
+                  cache recomputes nothing;
 * service       — the concurrency soak: zero hung requests, radii
-                  identical to serial execution, in-flight dedup and
-                  coalescing actually observed, injected faults resolved
-                  degraded-or-error;
+                  identical to serial execution, in-flight dedup actually
+                  observed, injected faults resolved degraded-or-error;
 * pool          — the supervised-pool crash soak: zero hangs, radii
                   bitwise identical to serial for non-poisoned queries,
                   every injected worker death requeued or poisoned, the
@@ -84,21 +81,6 @@ def build_checks(results):
         _check(rows, "engine", "fast path not slower than dense",
                speedup >= 1.0, f"{speedup:.2f}x")
 
-    batched = results.get("batched")
-    if batched:
-        diff = batched.get("bounds_max_abs_diff")
-        _check(rows, "batched", "stacked bounds bitwise identical",
-               diff == 0.0, f"max abs diff {diff:.1e}")
-        for key, floor_key in (("speedup", "min_speedup_vs_fast"),
-                               ("speedup_vs_dense", "min_speedup_vs_dense")):
-            speedup = batched.get(key, 0.0)
-            floor = batched.get(floor_key, 1.0)
-            _check(rows, "batched", f"{key} >= {floor}x",
-                   speedup >= floor, f"{speedup:.2f}x")
-        fallbacks = batched.get("micro", {}).get("batched_fallbacks", 0)
-        _check(rows, "batched", "no serial fallbacks in stacked pass",
-               fallbacks == 0, str(fallbacks))
-
     resilience = results.get("resilience")
     if resilience:
         overhead = resilience.get("guard_overhead_fraction", 1.0)
@@ -115,20 +97,12 @@ def build_checks(results):
 
     scheduler = results.get("scheduler")
     if scheduler:
-        _check(rows, "scheduler",
-               "radii identical (serial/batched/parallel/warm)",
+        _check(rows, "scheduler", "radii identical (serial/parallel/warm)",
                scheduler.get("radii_identical"),
                str(scheduler.get("radii_identical")))
         recomputed = scheduler.get("warm_recomputed_queries", -1)
         _check(rows, "scheduler", "warm cache recomputes nothing",
                recomputed == 0, str(recomputed))
-        probe = scheduler.get("engine_probe") or {}
-        if probe:
-            floor = probe.get("min_speedup", 1.0)
-            speedup = probe.get("speedup", 0.0)
-            _check(rows, "scheduler",
-                   f"batched-engine probe >= {floor}x on one core",
-                   speedup >= floor, f"{speedup:.2f}x")
         if scheduler.get("speedup_asserted"):
             speedup = scheduler.get("speedup", 0.0)
             _check(rows, "scheduler", "fork-pool speedup >= 1.5x",
@@ -145,9 +119,6 @@ def build_checks(results):
         dedup = service.get("dedup_hits", 0) + service.get("result_hits", 0)
         _check(rows, "service", "in-flight dedup observed", dedup > 0,
                str(dedup))
-        coalesced = service.get("coalesced_batches", 0)
-        _check(rows, "service", "coalesced batch observed", coalesced >= 1,
-               str(coalesced))
         _check(rows, "service", "injected fault resolved degraded-or-error",
                service.get("rescue_resolved"),
                str(service.get("rescue_status")))
@@ -211,23 +182,17 @@ def build_checks(results):
 def _headline(key, data):
     if key == "engine":
         return f"fast {data.get('speedup', 0):.2f}x vs dense"
-    if key == "batched":
-        return (f"stacked {data.get('speedup', 0):.2f}x vs fast serial, "
-                f"{data.get('speedup_vs_dense', 0):.2f}x vs dense")
     if key == "resilience":
         return (f"guard overhead "
                 f"{data.get('guard_overhead_fraction', 0):+.1%}")
     if key == "scheduler":
-        return (f"fork {data.get('speedup', 0):.2f}x, lockstep "
-                f"{data.get('batched_speedup', 0):.2f}x, engine probe "
-                f"{(data.get('engine_probe') or {}).get('speedup', 0):.2f}x")
+        return f"fork {data.get('speedup', 0):.2f}x vs serial"
     if key == "service":
         return (f"{data.get('n_queries', 0)} queries / "
                 f"{data.get('n_tenants', 0)} tenants, "
                 f"{data.get('hangs', '?')} hangs, p95 "
                 f"{data.get('latency_p95', 0):.2f}s, "
-                f"dedup {data.get('dedup_hits', 0)}, "
-                f"{data.get('coalesced_batches', 0)} coalesced")
+                f"dedup {data.get('dedup_hits', 0)}")
     if key == "pool":
         return (f"{data.get('n_queries', 0)} queries, "
                 f"{data.get('worker_deaths', 0)} deaths -> "

@@ -8,6 +8,7 @@ wins, how trends move with depth) rather than absolute numbers.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import replace
 
@@ -76,6 +77,25 @@ def _record(name):
 _NORMS = {"l1": 1.0, "l2": 2.0, "linf": np.inf}
 
 
+def ratio_column(numerator, denominator, change=False):
+    """Value and table cell of the ratio ``numerator / denominator``.
+
+    With ``change=True`` the value is the percent change
+    ``(numerator / denominator - 1) * 100``. A zero denominator has no
+    finite ratio: the value is ``inf`` and the cell ``∞`` when only the
+    denominator is 0, and ``nan`` and ``—`` when both are.
+    """
+    if denominator == 0:
+        if numerator == 0:
+            return math.nan, f"{'—':>8}"
+        return math.inf, f"{'∞':>8}"
+    value = numerator / denominator
+    if change:
+        value = (value - 1.0) * 100.0
+        return value, f"{value:+6.2f} %"
+    return value, f"{value:8.2f}"
+
+
 def _fast_vs_baf(preset, scale, layers, norms, divide_by_std=False,
                  title=""):
     """Shared engine for Tables 1, 2 and 7: DeepT-Fast vs CROWN-BaF."""
@@ -98,12 +118,12 @@ def _fast_vs_baf(preset, scale, layers, norms, divide_by_std=False,
             crown = radius_report_crown(model, sentences, p,
                                         scale.baf_depth, scale=scale,
                                         name="CROWN-BaF")
-            ratio = deept.avg_radius / max(crown.avg_radius, 1e-12)
+            ratio, cell = ratio_column(deept.avg_radius, crown.avg_radius)
             rows.append(dict(n_layers=n_layers, p=norm_name,
                              accuracy=accuracy, deept=deept, crown=crown,
                              ratio=ratio))
             print(format_radius_row(f"M={n_layers} {norm_name}",
-                                    [deept, crown]) + f" | {ratio:8.2f}")
+                                    [deept, crown]) + f" | {cell}")
     return {"rows": rows}
 
 
@@ -172,10 +192,9 @@ def run_table3(scale=None, crown_budget_seconds=60.0):
                       f"({deept.seconds:.1f}s) | CROWN-BaF - (budget "
                       f"exceeded, est {estimated:.0f}s)")
             else:
-                ratio = deept.avg_radius / max(crown.avg_radius, 1e-12)
+                _, cell = ratio_column(deept.avg_radius, crown.avg_radius)
                 print(format_radius_row(f"M={n_layers} {norm_name}",
-                                        [deept, crown])
-                      + f" | {ratio:8.2f}")
+                                        [deept, crown]) + f" | {cell}")
             rows.append(dict(n_layers=n_layers, p=norm_name,
                              accuracy=accuracy, deept=deept, crown=crown))
     return {"rows": rows}
@@ -263,11 +282,10 @@ def run_table6(scale=None, layers=(3, 6, 12)):
                 FAST(noise_symbol_cap=scale.noise_symbol_cap,
                      dual_norm_order="lp_first"), scale=scale,
                 name="lp-first")
-            change = (first.avg_radius / max(second.avg_radius, 1e-12)
-                      - 1.0) * 100.0
+            change, cell = ratio_column(first.avg_radius,
+                                        second.avg_radius, change=True)
             print(format_radius_row(f"M={n_layers} {norm_name}",
-                                    [first, second])
-                  + f" | {change:+6.2f} %")
+                                    [first, second]) + f" | {cell}")
             rows.append(dict(n_layers=n_layers, p=norm_name, first=first,
                              second=second, change_percent=change))
     return {"rows": rows}
@@ -508,11 +526,10 @@ def run_table13(scale=None, layers=(3, 6, 12)):
                 FAST(noise_symbol_cap=scale.noise_symbol_cap,
                      softmax_sum_refinement=False), scale=scale,
                 name="without")
-            change = (with_ref.avg_radius / max(without.avg_radius, 1e-12)
-                      - 1.0) * 100.0
+            change, cell = ratio_column(with_ref.avg_radius,
+                                        without.avg_radius, change=True)
             print(format_radius_row(f"M={n_layers} {norm_name}",
-                                    [with_ref, without])
-                  + f" | {change:+6.2f} %")
+                                    [with_ref, without]) + f" | {cell}")
             rows.append(dict(n_layers=n_layers, p=norm_name,
                              with_refinement=with_ref,
                              without_refinement=without,

@@ -55,16 +55,14 @@ def set_default_scheduler(scheduler):
 
 
 def configure(workers=0, cache_dir=None, timeout=None, journal_path=None,
-              resume=False, batch_size=1, supervised=False,
-              lease_timeout=None, drain_timeout=30.0):
+              resume=False, supervised=False, lease_timeout=None,
+              drain_timeout=30.0):
     """Install a fresh default scheduler from knob values; returns it.
 
     ``journal_path`` enables the crash-safe run journal there (``resume``
     keeps and replays an existing journal; otherwise a leftover file is
     truncated for a fresh run). ``resume`` alone journals at the default
-    :func:`default_journal_path`. ``batch_size > 1`` coalesces compatible
-    queries into stacked batched propagations (see
-    :class:`CertScheduler`). ``supervised=True`` (with ``workers > 0``)
+    :func:`default_journal_path`. ``supervised=True`` (with ``workers > 0``)
     swaps the fork pool for the leased, heartbeat-monitored
     :class:`WorkerSupervisor`; ``lease_timeout`` / ``drain_timeout``
     tune its liveness and graceful-drain deadlines.
@@ -77,7 +75,6 @@ def configure(workers=0, cache_dir=None, timeout=None, journal_path=None,
                                                cache_dir=cache_dir,
                                                timeout=timeout,
                                                journal=journal,
-                                               batch_size=batch_size,
                                                supervised=supervised,
                                                lease_timeout=lease_timeout,
                                                drain_timeout=drain_timeout))

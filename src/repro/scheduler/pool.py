@@ -21,17 +21,15 @@ module replaces that engine with a supervised fleet:
   duplicate from a worker presumed dead is counted and dropped, and the
   caller's journal append (driven by ``on_result``) therefore happens
   exactly once per answered query.
-* A query whose singleton lease kills its worker ``poison_threshold``
-  times (default 2) is **poisoned**: quarantined in a per-query circuit
-  breaker and answered in-process from the PR-3 ladder's IBP floor under
-  an explicitly rewritten query (``verifier="ibp"``) — sound by
-  construction (IBP never flips uncertified to certified) and journaled/
-  cached only under the rewritten key, so the looser radius can never
-  impersonate the full-precision answer. The typed
-  :class:`PoisonedQueryError` detail travels in the outcome's ``fault``
-  field. Coalesced (multi-query) leases that die are split back into
-  singleton leases first, so a poison member kills alone and innocent
-  batch-mates are never mis-attributed.
+* A lease carries exactly one query. A query whose lease kills its worker
+  ``poison_threshold`` times (default 2) is **poisoned**: quarantined in a
+  per-query circuit breaker and answered in-process from the verifier
+  ladder's IBP floor under the query rewritten by
+  :func:`~repro.scheduler.queries.degrade_query` — sound by construction
+  (IBP never flips uncertified to certified) and journaled/cached only
+  under the rewritten key, so the looser radius can never impersonate the
+  full-precision answer. The typed :class:`PoisonedQueryError` detail
+  travels in the outcome's ``fault`` field.
 * **Graceful drain**: :meth:`WorkerSupervisor.request_drain` (safe to
   call from a signal handler) stops leasing; in-flight leases finish
   under a drain deadline, then :meth:`run` raises :class:`DrainedRun`
@@ -60,6 +58,7 @@ from ..faults import (KILL_EXIT_CODE, fault_lease_directives,
                       fault_spawn_directive)
 from ..perf import PERF
 from ..trace import TRACER
+from .queries import degrade_query, rung_for_query
 
 __all__ = ["WorkerSupervisor", "PoolResult", "PoisonedQueryError",
            "DrainedRun"]
@@ -120,26 +119,16 @@ class PoolResult:
     poisoned: bool = False
 
 
-def _rung(query):
-    """The QoS rung a query sits at (for poisoned fallback chains)."""
-    if query.verifier == "ibp":
-        return "ibp"
-    if query.verifier == "deept" \
-            and dict(query.config).get("dot_product_variant") == "fast":
-        return "fast"
-    return "full"
-
-
 # --------------------------------------------------------------- worker side
 
 def _worker_main(conn, model, worker_id, heartbeat_interval,
                  boot_directive):  # pragma: no cover - forked child
     """Long-lived worker loop (runs in the forked child).
 
-    Protocol (parent -> worker): ``("run", lease_id, queries, directives)``
+    Protocol (parent -> worker): ``("run", lease_id, query, directives)``
     or ``("exit",)``. Worker -> parent: ``("heartbeat", lease_id,
-    progress)``, ``("result", lease_id, [(radius, seconds, perf, meta),
-    ...])`` or ``("error", lease_id, message)``. A ``suppress`` directive
+    progress)``, ``("result", lease_id, (radius, seconds, perf, meta))``
+    or ``("error", lease_id, message)``. A ``suppress`` directive
     silences *every* outgoing message (partition simulation); ``kill``
     exits with :data:`KILL_EXIT_CODE`; ``stall`` sleeps at lease start
     with heartbeats flowing but zero progress.
@@ -196,7 +185,7 @@ def _worker_main(conn, model, worker_id, heartbeat_interval,
             os._exit(0)
         if message[0] == "exit":
             os._exit(0)
-        _, lease_id, queries, directives = message
+        _, lease_id, query, directives = message
         directives = directives or {}
         state["suppress"] = bool(directives.get("suppress"))
         state["lease"] = lease_id
@@ -205,13 +194,9 @@ def _worker_main(conn, model, worker_id, heartbeat_interval,
         if directives.get("stall"):
             time.sleep(float(directives["stall"]))
         try:
-            if len(queries) == 1:
-                payloads = [worker_mod.execute_query(model, queries[0])]
-            else:
-                payloads = worker_mod.execute_query_batch(model,
-                                                          list(queries))
+            payload = worker_mod.execute_query(model, query)
             state["lease"] = None
-            send(("result", lease_id, payloads))
+            send(("result", lease_id, payload))
         except BaseException as error:
             state["lease"] = None
             send(("error", lease_id, f"{type(error).__name__}: {error}"))
@@ -221,13 +206,13 @@ def _worker_main(conn, model, worker_id, heartbeat_interval,
 # ----------------------------------------------------------- parent-side run
 
 class _Task:
-    """Unit of leased work: one or more queries bound to input indices."""
+    """Unit of leased work: one query bound to its input index."""
 
-    __slots__ = ("indices", "queries", "attempts")
+    __slots__ = ("index", "query", "attempts")
 
-    def __init__(self, indices, queries, attempts=0):
-        self.indices = tuple(indices)
-        self.queries = tuple(queries)
+    def __init__(self, index, query, attempts=0):
+        self.index = index
+        self.query = query
         self.attempts = attempts
 
 
@@ -281,7 +266,7 @@ class WorkerSupervisor:
         whose progress counter has not *changed* for ``lease_timeout``
         seconds is declared dead (worker killed, lease requeued).
     poison_threshold:
-        Singleton-lease worker kills after which a query is quarantined.
+        Worker kills after which a query is quarantined.
     respawn_backoff / respawn_cap / max_boot_failures:
         Exponential backoff (seeded jitter) between respawns of a slot
         that keeps dying at boot; after ``max_boot_failures`` consecutive
@@ -389,16 +374,13 @@ class WorkerSupervisor:
         self._drain.set()
 
     # ------------------------------------------------------------------- run
-    def run(self, queries, *, coalesce=False, on_result=None):
+    def run(self, queries, *, on_result=None):
         """Execute ``queries``; returns :class:`PoolResult` in input order.
 
-        ``coalesce=True`` leases all queries as one batched execution
-        (the caller guarantees batch-key compatibility); a batch lease
-        that dies is split into singleton leases on requeue.
-        ``on_result`` fires once per committed result, in completion
-        order — the journaling hook that makes commitment at-most-once
-        durable. Raises :class:`DrainedRun` if a drain request lands
-        mid-run.
+        Each query is leased on its own. ``on_result`` fires once per
+        committed result, in completion order — the journaling hook that
+        makes commitment at-most-once durable. Raises :class:`DrainedRun`
+        if a drain request lands mid-run.
         """
         self.start()
         queries = list(queries)
@@ -418,9 +400,9 @@ class WorkerSupervisor:
             key = query.key()
             memo = self._poison_memo.get(key)
             if memo is None:
-                twin = dataclasses.replace(query, verifier="ibp")
+                twin = degrade_query(query, "ibp")
                 radius, seconds, perf, meta = self._execute_inprocess(twin)
-                chain = tuple(dict.fromkeys((_rung(query), "ibp")))
+                chain = tuple(dict.fromkeys((rung_for_query(query), "ibp")))
                 meta = dict(meta)
                 meta["degraded"] = True
                 meta["fallback_chain"] = chain
@@ -434,24 +416,14 @@ class WorkerSupervisor:
                 source="poisoned", attempts=task_attempts, poisoned=True))
 
         def requeue_or_poison(task):
-            if len(task.indices) > 1:
-                # Split a dead coalesced lease into singletons; blame is
-                # only ever attributed to a query that was leased alone.
-                self.stats["requeued_leases"] += 1
-                for index, query in zip(reversed(task.indices),
-                                        reversed(task.queries)):
-                    pending.appendleft(_Task((index,), (query,),
-                                             attempts=task.attempts))
-                return
-            key = task.queries[0].key()
+            key = task.query.key()
             kills = self._kill_counts.get(key, 0) + 1
             self._kill_counts[key] = kills
             if kills >= self.poison_threshold:
                 error = PoisonedQueryError(key, kills)
                 self._poisoned[key] = f"PoisonedQueryError: {error}"
                 self.stats["poisoned_queries"] += 1
-                poison_answer(task.indices[0], task.queries[0],
-                              task.attempts)
+                poison_answer(task.index, task.query, task.attempts)
             else:
                 self.stats["requeued_leases"] += 1
                 pending.appendleft(task)
@@ -494,15 +466,11 @@ class WorkerSupervisor:
         # Seed the work list; quarantined keys never touch a worker again.
         pending = deque()
         active = {}
-        if coalesce and len(queries) > 1 \
-                and not any(q.key() in self._poisoned for q in queries):
-            pending.append(_Task(range(len(queries)), queries))
-        else:
-            for index, query in enumerate(queries):
-                if query.key() in self._poisoned:
-                    poison_answer(index, query, 0)
-                else:
-                    pending.append(_Task((index,), (query,)))
+        for index, query in enumerate(queries):
+            if query.key() in self._poisoned:
+                poison_answer(index, query, 0)
+            else:
+                pending.append(_Task(index, query))
 
         drain_started = None
         drain_deadline = None
@@ -547,25 +515,19 @@ class WorkerSupervisor:
                             or slot.lease_id is not None:
                         continue
                     task = pending.popleft()
-                    if len(task.indices) == 1 \
-                            and task.queries[0].key() in self._poisoned:
-                        poison_answer(task.indices[0], task.queries[0],
-                                      task.attempts)
+                    if task.query.key() in self._poisoned:
+                        poison_answer(task.index, task.query, task.attempts)
                         continue
                     task.attempts += 1
                     self._lease_seq += 1
                     lease = _Lease(self._lease_seq, task, slot,
                                    deadline=now + self.lease_timeout)
-                    directives = None
-                    for query in task.queries:
-                        directives = fault_lease_directives(query.key())
-                        if directives:
-                            break
+                    directives = fault_lease_directives(task.query.key())
                     active[lease.id] = lease
                     slot.lease_id = lease.id
                     self.stats["leases"] += 1
                     try:
-                        slot.conn.send(("run", lease.id, task.queries,
+                        slot.conn.send(("run", lease.id, task.query,
                                         directives))
                     except (BrokenPipeError, OSError):
                         pass  # death will be reaped; the lease requeues
@@ -575,15 +537,7 @@ class WorkerSupervisor:
                     and all(slot.disabled for slot in self._slots):
                 self.stats["fallbacks"] += 1
                 while pending:
-                    task = pending.popleft()
-                    for index, query in zip(task.indices, task.queries):
-                        radius, seconds, perf, meta = \
-                            self._execute_inprocess(query)
-                        commit(index, PoolResult(
-                            index=index, query=query, executed_query=query,
-                            radius=radius, seconds=seconds, perf=perf,
-                            meta=meta, source="inprocess",
-                            attempts=task.attempts))
+                    self._commit_inprocess(pending.popleft(), commit)
                 continue
 
             if state["remaining"] <= 0:
@@ -625,8 +579,8 @@ class WorkerSupervisor:
         return results
 
     def run_batch(self, queries):
-        """Service-executor entry: one coalesced lease when len > 1."""
-        return self.run(queries, coalesce=len(queries) > 1)
+        """Service-executor entry: :meth:`run` without a commit hook."""
+        return self.run(queries)
 
     # --------------------------------------------------------------- helpers
     def _handle_message(self, slot, message, active, pending, commit):
@@ -653,13 +607,12 @@ class WorkerSupervisor:
             active.pop(lease.id, None)
             lease.slot.lease_id = None
             source = "worker" if task.attempts == 1 else "worker-retry"
-            for index, query, payload in zip(task.indices, task.queries,
-                                             message[2]):
-                radius, seconds, perf, meta = payload
-                commit(index, PoolResult(
-                    index=index, query=query, executed_query=query,
-                    radius=radius, seconds=seconds, perf=perf, meta=meta,
-                    source=source, attempts=task.attempts))
+            radius, seconds, perf, meta = message[2]
+            commit(task.index, PoolResult(
+                index=task.index, query=task.query,
+                executed_query=task.query, radius=radius, seconds=seconds,
+                perf=perf, meta=meta, source=source,
+                attempts=task.attempts))
         elif kind == "error":
             # The worker survived but the engine raised: retry once on a
             # (possibly different) worker, then fall back in-process.
@@ -670,14 +623,15 @@ class WorkerSupervisor:
                 self.stats["requeued_leases"] += 1
                 pending.appendleft(task)
             else:
-                for index, query in zip(task.indices, task.queries):
-                    radius, seconds, perf, meta = \
-                        self._execute_inprocess(query)
-                    commit(index, PoolResult(
-                        index=index, query=query, executed_query=query,
-                        radius=radius, seconds=seconds, perf=perf,
-                        meta=meta, source="inprocess",
-                        attempts=task.attempts))
+                self._commit_inprocess(task, commit)
+
+    def _commit_inprocess(self, task, commit):
+        """Answer a task in this process (no worker will serve it)."""
+        radius, seconds, perf, meta = self._execute_inprocess(task.query)
+        commit(task.index, PoolResult(
+            index=task.index, query=task.query, executed_query=task.query,
+            radius=radius, seconds=seconds, perf=perf, meta=meta,
+            source="inprocess", attempts=task.attempts))
 
     def _execute_inprocess(self, query):
         # Through the module attribute so monkeypatched engines (tests)

@@ -11,17 +11,28 @@ A query is *self-describing*: it carries the model weight hash and the
 corpus fingerprint alongside the per-query parameters, so two runs against
 retrained weights or a regenerated corpus never collide in the cache even
 when the sentences and configs look identical.
+
+The module also holds the one query-rewrite rule for degraded answers:
+:func:`degrade_query` moves a query down the QoS ladder
+(:data:`QOS_RUNGS`) under a new content key, and :func:`rung_for_query`
+names the rung a query sits at. The service's load shedding and rescue
+rung and the pool's poison quarantine all use it.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, fields, asdict
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
 __all__ = ["CertQuery", "model_weight_hash", "corpus_fingerprint",
-           "verifier_config_items", "positions_for", "expand_word_queries"]
+           "verifier_config_items", "positions_for", "expand_word_queries",
+           "QOS_RUNGS", "rung_for_query", "degrade_query"]
+
+# QoS levels, loosest last; the order mirrors the verifier's degradation
+# ladder (precise -> fast -> IBP).
+QOS_RUNGS = ("full", "fast", "ibp")
 
 
 def model_weight_hash(model):
@@ -74,11 +85,7 @@ class CertQuery:
         :mod:`repro.verify.refine`), ``"crown"`` (linear-bounds
         baseline) or ``"ibp"`` (pure interval propagation — the
         degradation ladder's floor, used by the certification service as
-        its deepest quality-of-service rung). Adaptive queries never
-        share a ``batch_key`` with plain deept queries (the verifier
-        field is part of the key) and the scheduler runs them solo — the
-        escalation diverges per query, so there is no stacked pass to
-        coalesce into.
+        its deepest quality-of-service rung).
     model_hash / corpus_fingerprint:
         Content hashes tying the query to specific weights and sentences.
     sentence:
@@ -120,23 +127,6 @@ class CertQuery:
                 f"len={len(self.sentence)} iters={self.n_iterations} "
                 f"model={self.model_hash}")
 
-    def batch_key(self):
-        """Coalescing key: queries sharing it may run as one stacked batch.
-
-        Two queries coalesce only when a stacked propagation is
-        well-defined (same weights, same token count so the regions stack,
-        same norm/config so one verifier serves all) and their radius
-        searches run in lockstep (same bracketing parameters). Position
-        and sentence content are deliberately excluded — those vary within
-        a batch — and so is the corpus fingerprint: execution depends only
-        on the tokens each query itself carries, so queries from different
-        corpora (e.g. independent service submissions, which fingerprint
-        each sentence on its own) stack safely as long as the fields above
-        agree.
-        """
-        return (self.verifier, self.model_hash, len(self.sentence),
-                self.p, self.config, self.initial, self.n_iterations)
-
 
 def expand_word_queries(model, sentences, p, *, verifier="deept",
                         config=None, backsub_depth=None, n_positions=1,
@@ -172,3 +162,49 @@ def expand_word_queries(model, sentences, p, *, verifier="deept",
                 position=position, p=float(p), config=config_items,
                 initial=float(initial), n_iterations=int(n_iterations)))
     return queries
+
+
+def rung_for_query(query):
+    """The QoS rung a query is already at (used to report, not decide).
+
+    An ``"adaptive"`` query is "full" work: its floor is DeepT-Fast, but
+    the escalation may run full-precise passes, which is exactly the
+    spend the fast rung sheds.
+    """
+    if query.verifier == "ibp":
+        return "ibp"
+    if query.verifier == "deept" \
+            and dict(query.config).get("dot_product_variant") == "fast" \
+            and not dict(query.config).get("refinement_plan"):
+        return "fast"
+    return "full"
+
+
+def degrade_query(query, rung):
+    """Rewrite ``query`` to run at QoS ``rung``; returns a new CertQuery.
+
+    The rewrite changes the query's content (and therefore its sha256
+    key): a fast- or IBP-degraded answer lives under its own cache/journal
+    key and can never masquerade as the full-precision result. Queries
+    already at or below the requested rung are returned unchanged — the
+    ladder only ever moves downwards.
+    """
+    if rung not in QOS_RUNGS:
+        raise ValueError(f"unknown QoS rung {rung!r}")
+    if rung == "full" or query.verifier == "ibp":
+        return query
+    if rung == "ibp":
+        return replace(query, verifier="ibp")
+    # rung == "fast": meaningful for deept queries above "fast" and for
+    # adaptive queries (drop the escalation to its DeepT-Fast floor).
+    if query.verifier not in ("deept", "adaptive"):
+        return query
+    config = dict(query.config)
+    if query.verifier == "deept" \
+            and config.get("dot_product_variant") == "fast" \
+            and not config.get("refinement_plan"):
+        return query
+    config["dot_product_variant"] = "fast"
+    config["refinement_plan"] = ()
+    return replace(query, verifier="deept",
+                   config=tuple(sorted(config.items())))

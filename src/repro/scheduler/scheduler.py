@@ -34,8 +34,7 @@ from ..perf import PerfRecorder
 from ..trace import TRACER
 from .cache import ResultCache
 from .pool import DrainedRun, WorkerSupervisor
-from .worker import (_pool_init, _pool_run, execute_query,
-                     execute_query_batch)
+from .worker import _pool_init, _pool_run, execute_query
 
 __all__ = ["QueryOutcome", "CertScheduler", "merge_outcome_perf"]
 
@@ -46,12 +45,12 @@ class QueryOutcome:
 
     ``source`` records how the radius was obtained: ``"journal"`` (this
     run's crash-recovery record), ``"cache"``, ``"worker"``,
-    ``"worker-retry"``, ``"batched"`` (a coalesced stacked propagation),
-    ``"poisoned"`` (a quarantined query answered from the IBP floor under
-    a rewritten key — always degraded, with the
-    ``PoisonedQueryError`` detail in ``fault``),
-    or ``"inprocess"`` (the serial path and every fallback). ``degraded`` is True when any certification of
-    the query's binary search fell down the verifier's precision ladder;
+    ``"worker-retry"``, ``"poisoned"`` (a quarantined query answered from
+    the IBP floor under a rewritten key — always degraded, with the
+    ``PoisonedQueryError`` detail in ``fault``), or ``"inprocess"`` (the
+    serial path and every fallback). ``degraded`` is True when any
+    certification of the query's binary search fell down the verifier's
+    precision ladder;
     ``fallback_chain`` / ``fault`` carry the first such event's detail.
 
     ``trace`` carries the query's certification-trace spans when
@@ -113,14 +112,6 @@ class CertScheduler:
     drain_timeout:
         Supervised mode: seconds granted to in-flight leases after a
         drain request before they are killed and left for ``--resume``.
-    batch_size:
-        Coalesce up to this many compatible cache-missed queries (same
-        :meth:`CertQuery.batch_key`: weights, token count, norm, config,
-        search parameters) into one stacked batched propagation per radius
-        round. ``1`` — the default — disables coalescing. Batched
-        execution runs in-process and takes precedence over the fork pool
-        (on the workloads it targets the stacked engine beats process
-        parallelism); radii stay bitwise identical either way.
     cache_dir:
         Directory for the persistent result cache; ``None`` disables
         memoization entirely.
@@ -141,15 +132,12 @@ class CertScheduler:
     """
 
     def __init__(self, workers=0, cache_dir=None, timeout=None,
-                 journal=None, batch_size=1, supervised=False,
-                 lease_timeout=None, heartbeat_interval=None,
-                 poison_threshold=2, drain_timeout=30.0):
+                 journal=None, supervised=False, lease_timeout=None,
+                 heartbeat_interval=None, poison_threshold=2,
+                 drain_timeout=30.0):
         if workers < 0:
             raise ValueError("workers must be >= 0")
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         self.workers = int(workers)
-        self.batch_size = int(batch_size)
         self.timeout = timeout
         self.supervised = bool(supervised)
         self.lease_timeout = 30.0 if lease_timeout is None \
@@ -172,12 +160,10 @@ class CertScheduler:
         outcomes = [None] * len(queries)
         stats = {
             "queries": len(queries), "workers": self.workers,
-            "batch_size": self.batch_size,
             "cache_hits": 0, "cache_misses": 0, "journal_hits": 0,
             "executed": {"worker": 0, "worker-retry": 0, "inprocess": 0,
-                         "batched": 0, "poisoned": 0},
+                         "poisoned": 0},
             "retries": 0, "fallbacks": 0, "degraded": 0,
-            "batches": 0, "batched_queries": 0,
         }
 
         journaled = self.journal.replay() if self.journal else {}
@@ -214,10 +200,7 @@ class CertScheduler:
                 miss_indices.append(index)
 
         if miss_indices:
-            if self.batch_size > 1 and len(miss_indices) > 1:
-                self._run_batched(model, queries, miss_indices, outcomes,
-                                  stats)
-            elif self.supervised and self.workers > 0 and _fork_available():
+            if self.supervised and self.workers > 0 and _fork_available():
                 self._run_supervised(model, queries, miss_indices,
                                      outcomes, stats)
             elif self.workers > 0 and len(miss_indices) > 1 \
@@ -270,41 +253,6 @@ class CertScheduler:
                                 fault=outcome.fault)
 
     # ------------------------------------------------------------ execution
-    def _run_batched(self, model, queries, miss_indices, outcomes, stats):
-        """Coalesce compatible misses into stacked batched executions.
-
-        Misses group by :meth:`CertQuery.batch_key` (insertion order is
-        preserved, so outcomes are deterministic), each group is chunked
-        to ``batch_size``, and singleton chunks fall through to the plain
-        in-process path. Non-DeepT queries never coalesce.
-        """
-        groups = {}
-        for index in miss_indices:
-            query = queries[index]
-            key = query.batch_key() if query.verifier == "deept" \
-                else ("solo", index)
-            groups.setdefault(key, []).append(index)
-        for indices in groups.values():
-            for at in range(0, len(indices), self.batch_size):
-                chunk = indices[at:at + self.batch_size]
-                if len(chunk) == 1:
-                    outcomes[chunk[0]] = self._run_inprocess(
-                        model, queries[chunk[0]], stats)
-                    self._journal_append(outcomes[chunk[0]])
-                    continue
-                results = execute_query_batch(
-                    model, [queries[index] for index in chunk])
-                stats["batches"] += 1
-                stats["batched_queries"] += len(chunk)
-                for index, (radius, seconds, perf, meta) in zip(chunk,
-                                                                results):
-                    stats["executed"]["batched"] += 1
-                    outcomes[index] = QueryOutcome(
-                        query=queries[index], radius=radius,
-                        seconds=seconds, perf=perf, source="batched",
-                        **meta)
-                    self._journal_append(outcomes[index])
-
     def _run_inprocess(self, model, query, stats):
         radius, seconds, perf, meta = execute_query(model, query)
         stats["executed"]["inprocess"] += 1

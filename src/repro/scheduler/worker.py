@@ -26,7 +26,7 @@ from ..faults import fault_worker_entry
 from ..perf import PERF
 from ..trace import TRACER
 
-__all__ = ["execute_query", "execute_query_batch"]
+__all__ = ["execute_query"]
 
 _WORKER_MODEL = None
 
@@ -89,72 +89,6 @@ def execute_query(model, query):
         perf = recorder.snapshot()
     meta["trace"] = tuple(spans)
     return radius, time.perf_counter() - start, perf, meta
-
-
-def execute_query_batch(model, queries):
-    """Run coalesced queries as one lockstep batched radius search.
-
-    ``queries`` must share a :meth:`CertQuery.batch_key` (the scheduler's
-    grouping guarantees this). Each query's binary search is replayed
-    probe-for-probe by :func:`lockstep_radius_search`, and every round's
-    active probes are certified in one stacked propagation
-    (:meth:`DeepTVerifier.certify_word_perturbation_batch`) — so the radii
-    are bitwise identical to :func:`execute_query` per query, only the
-    wall clock is shared.
-
-    Returns a list of ``(radius, seconds, perf, meta)`` in input order.
-    Per-query ``seconds`` is the batch wall clock divided by the batch
-    size. The perf snapshot and trace cover the whole batch and ride on
-    the *first* query's result (the rest carry ``None`` perf and empty
-    traces), so merged totals count each propagation exactly once.
-    """
-    from ..verify.radius import lockstep_radius_search
-
-    queries = list(queries)
-    if len(queries) == 1:
-        return [execute_query(model, queries[0])]
-    if any(query.verifier != "deept" for query in queries):
-        raise ValueError("only deept queries can run batched")
-
-    start = time.perf_counter()
-    first = queries[0]
-    metas = [{"degraded": False, "fallback_chain": (), "fault": None}
-             for _ in queries]
-    with PERF.collecting() as recorder, \
-            TRACER.query_scope(first.key()) as spans:
-        verifier = _build_verifier(model, first)
-        token_lists = [list(query.sentence) for query in queries]
-        true_labels = [model.predict(tokens) for tokens in token_lists]
-
-        def certify_batch(probes):
-            indices = [i for i, _ in probes]
-            results = verifier.certify_word_perturbation_batch(
-                [token_lists[i] for i in indices],
-                [queries[i].position for i in indices],
-                [radius for _, radius in probes],
-                first.p,
-                true_labels=[true_labels[i] for i in indices])
-            verdicts = []
-            for i, result in zip(indices, results):
-                if getattr(result, "degraded", False) \
-                        and not metas[i]["degraded"]:
-                    metas[i]["degraded"] = True
-                    metas[i]["fallback_chain"] = tuple(result.fallback_chain)
-                    metas[i]["fault"] = result.fault
-                verdicts.append(bool(result))
-            return verdicts
-
-        radii = lockstep_radius_search(
-            certify_batch, len(queries), initial=first.initial,
-            n_iterations=first.n_iterations)
-        perf = recorder.snapshot()
-    seconds = (time.perf_counter() - start) / len(queries)
-    results = []
-    for i, (query, radius) in enumerate(zip(queries, radii)):
-        meta = dict(metas[i])
-        meta["trace"] = tuple(spans) if i == 0 else ()
-        results.append((radius, seconds, perf if i == 0 else None, meta))
-    return results
 
 
 def _pool_init(model):

@@ -2,8 +2,8 @@
 
 Wraps the batch-harness stack (pure query execution, result cache, run
 journal, tracer) in a long-running HTTP server with per-tenant rate
-limits, in-flight dedup, batch-key coalescing and load-shedding admission
-control that reuses the verifier's degradation ladder as a QoS knob. See
+limits, in-flight dedup and load-shedding admission control that reuses
+the verifier's degradation ladder as a QoS knob. See
 :mod:`repro.service.server` for the request path and DESIGN.md §13 for
 the invariants.
 

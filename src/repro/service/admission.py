@@ -18,9 +18,10 @@ Two independent gates stand between a submission and the execution queue:
       depth >= degrade_ibp_at    any verifier -> interval IBP  ("ibp")
       depth >= reject_at         typed 503, nothing enqueued
 
-  :func:`degrade_query` rewrites the :class:`CertQuery` itself (new
-  config / verifier ⇒ new sha256 key), so a degraded answer can never be
-  cached or deduplicated under the full-precision key. Every rung is a
+  :func:`~repro.scheduler.queries.degrade_query` rewrites the
+  :class:`CertQuery` itself (new config / verifier ⇒ new sha256 key), so a
+  degraded answer can never be cached or deduplicated under the
+  full-precision key. Every rung is a
   sound verifier — degradation only loses certified radius, it never flips
   an uncertifiable query to certified — which is what makes "serve a
   looser answer" an acceptable overload response at all.
@@ -28,15 +29,12 @@ Two independent gates stand between a submission and the execution queue:
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
+
+from ..scheduler.queries import QOS_RUNGS, degrade_query, rung_for_query
 
 __all__ = ["TokenBucket", "AdmissionController", "QOS_RUNGS",
            "degrade_query", "rung_for_query"]
-
-# Service QoS levels, loosest last; the order mirrors the verifier's
-# degradation ladder (precise -> fast -> IBP).
-QOS_RUNGS = ("full", "fast", "ibp")
 
 
 class TokenBucket:
@@ -114,49 +112,3 @@ class AdmissionController:
         if depth >= self.degrade_fast_at:
             return ("admit", "fast")
         return ("admit", "full")
-
-
-def rung_for_query(query):
-    """The QoS rung a query is already at (used to report, not decide).
-
-    An ``"adaptive"`` query is "full" work: its floor is DeepT-Fast, but
-    the escalation may run full-precise passes, which is exactly the
-    spend the fast rung sheds.
-    """
-    if query.verifier == "ibp":
-        return "ibp"
-    if query.verifier == "deept" \
-            and dict(query.config).get("dot_product_variant") == "fast" \
-            and not dict(query.config).get("refinement_plan"):
-        return "fast"
-    return "full"
-
-
-def degrade_query(query, rung):
-    """Rewrite ``query`` to run at QoS ``rung``; returns a new CertQuery.
-
-    The rewrite changes the query's content (and therefore its sha256
-    key): a fast- or IBP-degraded answer lives under its own cache/journal
-    key and can never masquerade as the full-precision result. Queries
-    already at or below the requested rung are returned unchanged — the
-    ladder only ever moves downwards.
-    """
-    if rung not in QOS_RUNGS:
-        raise ValueError(f"unknown QoS rung {rung!r}")
-    if rung == "full" or query.verifier == "ibp":
-        return query
-    if rung == "ibp":
-        return dataclasses.replace(query, verifier="ibp")
-    # rung == "fast": meaningful for deept queries above "fast" and for
-    # adaptive queries (drop the escalation to its DeepT-Fast floor).
-    if query.verifier not in ("deept", "adaptive"):
-        return query
-    config = dict(query.config)
-    if query.verifier == "deept" \
-            and config.get("dot_product_variant") == "fast" \
-            and not config.get("refinement_plan"):
-        return query
-    config["dot_product_variant"] = "fast"
-    config["refinement_plan"] = ()
-    return dataclasses.replace(query, verifier="deept",
-                               config=tuple(sorted(config.items())))

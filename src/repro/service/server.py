@@ -18,11 +18,8 @@ answers them with certified radii. The request path, in order:
    :class:`~repro.service.admission.AdmissionController`: under load the
    query itself is rewritten down the degradation ladder
    (full -> fast -> IBP) or shed with a typed 503;
-4. **coalescing** — the dispatcher groups queued queries that share
-   :meth:`CertQuery.batch_key` into one stacked
-   :func:`~repro.scheduler.worker.execute_query_batch` call (radii bitwise
-   identical to serial execution, per the PR-5 guarantee);
-5. **execution** — on a worker thread so the event loop keeps serving;
+4. **execution** — the dispatcher pops the oldest queued query and runs
+   it on a worker thread so the event loop keeps serving;
    a deadline (``query_timeout``) plus an IBP *rescue* rung guarantee
    every waiter resolves with a done, degraded or typed-error payload —
    never a hang.
@@ -36,11 +33,11 @@ previously answered queries are served without recomputation.
 Concurrency note: query execution is deliberately serialized on one
 executor thread. The engine is single-core CPU-bound numpy, and the
 process-global ``PERF``/``TRACER`` recorders are not thread-safe; the
-service's concurrency win is in dedup, coalescing and admission, not in
-parallel propagation. The rescue rung runs on its own thread so a stalled
+service's concurrency win is in dedup and admission, not in parallel
+propagation. The rescue rung runs on its own thread so a stalled
 execution cannot wedge recovery.
 
-With ``ServiceConfig.workers > 0`` the executor thread hands batches to
+With ``ServiceConfig.workers > 0`` the executor thread hands each query to
 the supervised multi-process pool
 (:class:`~repro.scheduler.pool.WorkerSupervisor`): leased worker
 processes with heartbeat liveness, requeue-on-death, and poison-query
@@ -67,10 +64,11 @@ from ..perf import PerfRecorder
 from ..scheduler.cache import ResultCache
 from ..scheduler.journal import RunJournal
 from ..scheduler.pool import WorkerSupervisor
-from ..scheduler.queries import model_weight_hash
-from ..scheduler.worker import execute_query, execute_query_batch
+from ..scheduler.queries import (degrade_query, model_weight_hash,
+                                 rung_for_query)
+from ..scheduler.worker import execute_query
 from ..trace import TRACER
-from .admission import AdmissionController, degrade_query, rung_for_query
+from .admission import AdmissionController
 from .protocol import (BadRequest, Draining, NotFound, Overloaded,
                        RateLimited, ServiceError, error_payload,
                        outcome_payload, parse_submission)
@@ -81,13 +79,11 @@ __all__ = ["ServiceConfig", "CertService"]
 
 @dataclass
 class ServiceConfig:
-    """Service knobs (admission thresholds, coalescing, deadlines)."""
+    """Service knobs (admission thresholds, deadlines, pool)."""
 
     degrade_fast_at: int = 8       # queue depth that degrades to "fast"
     degrade_ibp_at: int = 16       # ... to the IBP floor
     reject_at: int = 32            # ... sheds with a typed 503
-    batch_size: int = 8            # coalescing cap per stacked execution
-    batch_window: float = 0.02     # seconds to linger forming a batch
     query_timeout: float = 120.0   # execution deadline before rescue
     default_rate: float = 50.0     # tenant bucket: tokens per second
     default_burst: int = 20        # tenant bucket: capacity
@@ -415,46 +411,10 @@ class CertService:
                 self._wakeup.clear()
                 await self._wakeup.wait()
                 continue
-            head = self._pending[0]
-            if (self.config.batch_window > 0 and self.config.batch_size > 1
-                    and head.query.verifier == "deept"
-                    and self._compatible_queued(head)
-                    < self.config.batch_size):
-                # Linger one window so near-simultaneous compatible
-                # queries coalesce instead of executing one by one.
-                await asyncio.sleep(self.config.batch_window)
-            batch = self._take_batch()
-            if batch:
-                await self._execute(batch)
-
-    def _compatible_queued(self, head):
-        key = head.query.batch_key()
-        return sum(1 for entry in self._pending
-                   if entry.query.verifier == "deept"
-                   and entry.query.batch_key() == key)
-
-    def _take_batch(self):
-        """Pop the oldest entry plus every coalescible twin (FIFO kept)."""
-        if not self._pending:
-            return []
-        head = self._pending.pop(0)
-        batch = [head]
-        if head.query.verifier != "deept" or self.config.batch_size < 2:
-            return batch
-        key = head.query.batch_key()
-        remaining = []
-        for entry in self._pending:
-            if (len(batch) < self.config.batch_size
-                    and entry.query.verifier == "deept"
-                    and entry.query.batch_key() == key):
-                batch.append(entry)
-            else:
-                remaining.append(entry)
-        self._pending[:] = remaining
-        return batch
+            await self._execute(self._pending.pop(0))
 
     # ------------------------------------------------------------- execution
-    def _run_queries(self, queries):
+    def _run_query(self, query):
         """Executor-thread entry: the pure engine call (chaos-hooked).
 
         Supervised mode routes through the worker fleet instead — there
@@ -464,54 +424,43 @@ class CertService:
         the service.
         """
         if self._supervisor is not None:
-            return self._supervisor.run_batch(queries)
+            return self._supervisor.run_batch([query])[0]
         fault_service_entry()
-        if len(queries) == 1:
-            return [execute_query(self.model, queries[0])]
-        return execute_query_batch(self.model, queries)
+        return execute_query(self.model, query)
 
-    async def _execute(self, batch):
-        now = self._now()
-        for entry in batch:
-            entry.state = "running"
-            entry.started_at = now
-        queries = [entry.query for entry in batch]
+    async def _execute(self, entry):
+        entry.state = "running"
+        entry.started_at = self._now()
         try:
-            results = await asyncio.wait_for(
+            result = await asyncio.wait_for(
                 self._loop.run_in_executor(self._executor,
-                                           self._run_queries, queries),
+                                           self._run_query, entry.query),
                 timeout=self.config.query_timeout)
         except asyncio.TimeoutError:
             self._count("execution_timeouts")
-            await self._rescue(batch, "execution deadline exceeded")
+            await self._rescue(entry, "execution deadline exceeded")
             return
         except Exception as error:
             self._count("execution_errors")
-            await self._rescue(batch,
-                               f"{type(error).__name__}: {error}")
+            await self._rescue(entry, f"{type(error).__name__}: {error}")
             return
-        if len(batch) > 1:
-            self._count("coalesced_batches")
-            self._count("coalesced_queries", len(batch))
-        self._count("executed_queries", len(batch))
+        self._count("executed_queries")
         if self._supervisor is not None:
-            self._finish_pool_results(batch, results)
+            self._finish_pool_result(entry, result)
             return
-        for entry, (radius, seconds, perf, meta) in zip(batch, results):
-            key = entry.query.key()
-            payload = outcome_payload(
-                key, radius=radius, seconds=seconds,
-                source="batched" if len(batch) > 1 else "executed",
-                tenant=entry.tenant, qos_rung=entry.rung,
-                degraded=meta.get("degraded", False),
-                fallback_chain=meta.get("fallback_chain") or (),
-                fault=meta.get("fault"))
-            self._finish(key, payload, query=entry.query,
-                         journal_source=payload["source"], perf=perf,
-                         entry=entry)
+        radius, seconds, perf, meta = result
+        key = entry.query.key()
+        payload = outcome_payload(
+            key, radius=radius, seconds=seconds, source="executed",
+            tenant=entry.tenant, qos_rung=entry.rung,
+            degraded=meta.get("degraded", False),
+            fallback_chain=meta.get("fallback_chain") or (),
+            fault=meta.get("fault"))
+        self._finish(key, payload, query=entry.query,
+                     journal_source="executed", perf=perf, entry=entry)
 
-    def _finish_pool_results(self, batch, results):
-        """Commit supervised-pool results; poisoned ones mirror rescue.
+    def _finish_pool_result(self, entry, result):
+        """Commit a supervised-pool result; a poisoned one mirrors rescue.
 
         A poisoned answer came from the IBP floor under the rewritten
         query — it is cached/journaled under *that* key only (the
@@ -519,72 +468,70 @@ class CertService:
         degraded with the ``PoisonedQueryError`` detail), exactly the
         rescue rung's impersonation rule.
         """
-        for entry, result in zip(batch, results):
-            key = entry.query.key()
-            meta = result.meta
-            if result.poisoned:
-                self._count("poisoned_queries")
-                self.tenants.count(entry.tenant, "poisoned")
-                payload = outcome_payload(
-                    key, radius=result.radius, seconds=result.seconds,
-                    source="poisoned", tenant=entry.tenant,
-                    qos_rung="ibp", degraded=True,
-                    fallback_chain=meta.get("fallback_chain") or (),
-                    fault=meta.get("fault"))
-                self._finish(key, payload, query=result.executed_query,
-                             journal_source="poisoned", perf=result.perf,
-                             entry=entry)
-                continue
-            if result.source == "worker-retry":
-                self._count("requeued_leases_served")
+        key = entry.query.key()
+        meta = result.meta
+        if result.poisoned:
+            self._count("poisoned_queries")
+            self.tenants.count(entry.tenant, "poisoned")
             payload = outcome_payload(
                 key, radius=result.radius, seconds=result.seconds,
-                source=result.source, tenant=entry.tenant,
-                qos_rung=entry.rung,
-                degraded=meta.get("degraded", False),
+                source="poisoned", tenant=entry.tenant,
+                qos_rung="ibp", degraded=True,
                 fallback_chain=meta.get("fallback_chain") or (),
                 fault=meta.get("fault"))
-            self._finish(key, payload, query=entry.query,
-                         journal_source=result.source, perf=result.perf,
+            self._finish(key, payload, query=result.executed_query,
+                         journal_source="poisoned", perf=result.perf,
                          entry=entry)
+            return
+        if result.source == "worker-retry":
+            self._count("requeued_leases_served")
+        payload = outcome_payload(
+            key, radius=result.radius, seconds=result.seconds,
+            source=result.source, tenant=entry.tenant,
+            qos_rung=entry.rung,
+            degraded=meta.get("degraded", False),
+            fallback_chain=meta.get("fallback_chain") or (),
+            fault=meta.get("fault"))
+        self._finish(key, payload, query=entry.query,
+                     journal_source=result.source, perf=result.perf,
+                     entry=entry)
 
-    async def _rescue(self, batch, reason):
-        """Degraded-or-error: every waiter of a failed batch resolves.
+    async def _rescue(self, entry, reason):
+        """Degraded-or-error: the waiters of a failed execution resolve.
 
-        Each query is retried once on the IBP floor — on a dedicated
+        The query is retried once on the IBP floor — on a dedicated
         executor thread, so a stalled primary execution cannot block
         recovery, and without the chaos entry hook (mirroring the
         scheduler, whose in-process fallback also bypasses
-        ``fault_worker_entry``). Queries already at the floor, or whose
-        rescue also fails, resolve with a typed error payload.
+        ``fault_worker_entry``). A query already at the floor, or whose
+        rescue also fails, resolves with a typed error payload.
         """
-        for entry in batch:
-            key = entry.query.key()
-            if entry.query.verifier == "ibp":
-                self._fail(entry, key, reason)
-                continue
-            rescue_query = degrade_query(entry.query, "ibp")
-            try:
-                radius, seconds, perf, meta = await asyncio.wait_for(
-                    self._loop.run_in_executor(
-                        self._rescue_executor, execute_query, self.model,
-                        rescue_query),
-                    timeout=self.config.query_timeout)
-            except Exception:
-                self._fail(entry, key, reason)
-                continue
-            self._count("rescued_queries")
-            payload = outcome_payload(
-                key, radius=radius, seconds=seconds, source="rescue",
-                tenant=entry.tenant, qos_rung="ibp", degraded=True,
-                fallback_chain=(entry.rung, "ibp"), fault=reason,
-                rescued=reason)
-            # Cache/journal under the *rescue* query's key — an IBP
-            # radius must never be replayable as the original query's
-            # answer; only this process's in-memory result map (where the
-            # payload is flagged degraded) serves it for the original key.
-            self._finish(key, payload, query=rescue_query,
-                         journal_source="rescue", perf=perf, entry=entry)
+        key = entry.query.key()
+        if entry.query.verifier == "ibp":
+            self._fail(entry, key, reason)
+            return
+        rescue_query = degrade_query(entry.query, "ibp")
+        try:
+            radius, seconds, perf, meta = await asyncio.wait_for(
+                self._loop.run_in_executor(
+                    self._rescue_executor, execute_query, self.model,
+                    rescue_query),
+                timeout=self.config.query_timeout)
+        except Exception:
+            self._fail(entry, key, reason)
+            return
+        self._count("rescued_queries")
+        payload = outcome_payload(
+            key, radius=radius, seconds=seconds, source="rescue",
+            tenant=entry.tenant, qos_rung="ibp", degraded=True,
+            fallback_chain=(entry.rung, "ibp"), fault=reason,
+            rescued=reason)
+        # Cache/journal under the *rescue* query's key — an IBP radius must
+        # never be replayable as the original query's answer; only this
+        # process's in-memory result map (where the payload is flagged
+        # degraded) serves it for the original key.
+        self._finish(key, payload, query=rescue_query,
+                     journal_source="rescue", perf=perf, entry=entry)
 
     def _fail(self, entry, key, reason, code="execution-failed"):
         self._count("failed_queries")

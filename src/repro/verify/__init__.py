@@ -15,8 +15,7 @@ from .verifier import (DeepTVerifier, CertificationResult, IBPVerifier,
 from .refine import (RefinementPlan, AdaptiveVerifier, rank_layers,
                      escalation_plan, ceiling_plan)
 from .radius import (
-    binary_search_radius, lockstep_radius_search, max_certified_radius,
-    max_certified_image_radius,
+    binary_search_radius, max_certified_radius, max_certified_image_radius,
 )
 from .mlp import MlpZonotopeVerifier, propagate_mlp
 
@@ -31,7 +30,7 @@ __all__ = [
     "ibp_certify_region",
     "RefinementPlan", "AdaptiveVerifier", "rank_layers",
     "escalation_plan", "ceiling_plan",
-    "binary_search_radius", "lockstep_radius_search",
-    "max_certified_radius", "max_certified_image_radius",
+    "binary_search_radius", "max_certified_radius",
+    "max_certified_image_radius",
     "MlpZonotopeVerifier", "propagate_mlp",
 ]

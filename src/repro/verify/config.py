@@ -87,13 +87,6 @@ class VerifierConfig:
         Hard backstop on the eps-symbol count of any intermediate zonotope
         (``SymbolBudgetExceeded`` on violation); ``None`` disables. Unlike
         ``noise_symbol_cap`` this never reduces — it aborts runaway growth.
-    guard_stride:
-        Run the guard's full finiteness pass only on every N-th checked
-        stage (the O(1) symbol-budget comparison always runs). 1 — the
-        default — checks every stage, preserving the original trip
-        semantics exactly; larger strides trade trip latency for less
-        checking overhead. Guards still never modify the zonotope, so
-        bounds are bitwise identical at any stride.
     degradation_ladder:
         On a guard trip, retry the query down the sound-but-looser ladder
         (precise dot-product -> fast dot-product -> pure interval
@@ -133,7 +126,6 @@ class VerifierConfig:
     reduction_strategy: str = "mass"
     guards: bool = True
     symbol_budget: int = None
-    guard_stride: int = 1
     degradation_ladder: bool = True
     refinement_plan: tuple = ()
     adaptive_max_rounds: int = 2
@@ -141,8 +133,6 @@ class VerifierConfig:
     adaptive_cap_boost: int = 2
 
     def __post_init__(self):
-        if self.guard_stride < 1:
-            raise ValueError("guard_stride must be >= 1")
         self.refinement_plan = normalize_plan(self.refinement_plan)
         if self.adaptive_max_rounds < 0:
             raise ValueError("adaptive_max_rounds must be >= 0")

@@ -35,7 +35,6 @@ import numpy as np
 
 from ..perf import PERF
 from ..trace import TRACER
-from ..zonotope.batch import active_batch
 
 __all__ = [
     "CertificationFault", "NumericalBlowupError", "SymbolBudgetExceeded",
@@ -87,26 +86,15 @@ class PropagationGuard:
         Hard upper bound on the eps-symbol count of any intermediate
         zonotope; ``None`` disables the budget check. (This is a runaway
         backstop, not the per-layer reduction cap — see
-        ``VerifierConfig.noise_symbol_cap`` for the latter.) Under an
-        active batch scope whose ledger frontier matches the zonotope, the
-        budget is applied to each query's *live* symbol count — a stacked
-        pass never trips earlier than its serial equivalents would.
-    stride:
-        Run the full finiteness pass only on every ``stride``-th
-        invocation; the O(1) symbol-budget comparison still runs on every
-        call. The default of 1 preserves the original trip semantics
-        exactly (every stage fully checked).
+        ``VerifierConfig.noise_symbol_cap`` for the latter.)
 
     ``checks`` and ``trips`` count invocations and violations; a tripped
     guard raises, so ``trips`` is 0 or 1 per propagation unless the caller
     swallows the error.
     """
 
-    def __init__(self, symbol_budget=None, stride=1):
-        if stride < 1:
-            raise ValueError("guard stride must be >= 1")
+    def __init__(self, symbol_budget=None):
         self.symbol_budget = symbol_budget
-        self.stride = stride
         self.checks = 0
         self.trips = 0
 
@@ -127,34 +115,25 @@ class PropagationGuard:
         checked and no per-variable mass vector is allocated.
         """
         self.checks += 1
-        if (self.checks - 1) % self.stride == 0:
-            if not self._finite(z.center):
+        if not self._finite(z.center):
+            self._trip(NumericalBlowupError, stage,
+                       "non-finite zonotope center")
+        if z.n_phi and not self._finite(z.phi):
+            self._trip(NumericalBlowupError, stage,
+                       "non-finite phi coefficients")
+        if z.n_eps:
+            if not self._finite(z._dense_rows()):
                 self._trip(NumericalBlowupError, stage,
-                           "non-finite zonotope center")
-            if z.n_phi and not self._finite(z.phi):
+                           "non-finite eps coefficients")
+            tail = z._eps_tail
+            if tail is not None and len(tail) \
+                    and not self._finite(tail.mag):
                 self._trip(NumericalBlowupError, stage,
-                           "non-finite phi coefficients")
-            if z.n_eps:
-                if not self._finite(z._dense_rows()):
-                    self._trip(NumericalBlowupError, stage,
-                               "non-finite eps coefficients")
-                tail = z._eps_tail
-                if tail is not None and len(tail) \
-                        and not self._finite(tail.mag):
-                    self._trip(NumericalBlowupError, stage,
-                               "non-finite eps tail magnitudes")
+                           "non-finite eps tail magnitudes")
         if self.symbol_budget is not None and z.n_eps > self.symbol_budget:
-            ledger = active_batch()
-            if ledger is not None and ledger.count == z.n_eps:
-                worst = int(ledger.live_counts().max(initial=0))
-                if worst > self.symbol_budget:
-                    self._trip(SymbolBudgetExceeded, stage,
-                               f"{worst} live eps symbols exceed the "
-                               f"budget of {self.symbol_budget}")
-            else:
-                self._trip(SymbolBudgetExceeded, stage,
-                           f"{z.n_eps} eps symbols exceed the budget of "
-                           f"{self.symbol_budget}")
+            self._trip(SymbolBudgetExceeded, stage,
+                       f"{z.n_eps} eps symbols exceed the budget of "
+                       f"{self.symbol_budget}")
         return z
 
     def _trip(self, error, stage, detail):

@@ -135,32 +135,20 @@ def propagate_attention(z, attention, config, dot_config,
         refine_softmax = config.softmax_sum_refinement
     heads = attention.heads
     n_heads = len(heads)
-    n_tokens = z.shape[-2]
+    n_tokens = z.shape[0]
     d_k = heads[0].d_k
     d_v = heads[0].w_v.weight.data.shape[1]
-    batched = z.ndim == 3                              # (B, n, E) stacked
     x = z
 
-    queries = _stacked_projection(x, heads, "w_q")     # (..., n, H*dk)
+    queries = _stacked_projection(x, heads, "w_q")     # (n, H*dk)
     keys = _stacked_projection(x, heads, "w_k")
-    values = _stacked_projection(x, heads, "w_v")      # (..., n, H*dv)
+    values = _stacked_projection(x, heads, "w_v")      # (n, H*dv)
 
-    if batched:
-        n_queries = z.shape[0]
-        qh = (queries.reshape(n_queries, n_tokens, n_heads, d_k)
-              .transpose_vars(0, 2, 1, 3))             # (B, H, n, dk)
-        kh = (keys.reshape(n_queries, n_tokens, n_heads, d_k)
-              .transpose_vars(0, 2, 3, 1))             # (B, H, dk, n)
-        vh = (values.reshape(n_queries, n_tokens, n_heads, d_v)
-              .transpose_vars(0, 2, 1, 3))             # (B, H, n, dv)
-    else:
-        qh = queries.reshape(n_tokens, n_heads, d_k).transpose_vars(1, 0, 2)
-        kh = keys.reshape(n_tokens, n_heads, d_k).transpose_vars(1, 2, 0)
-        vh = values.reshape(n_tokens, n_heads, d_v).transpose_vars(1, 0, 2)
+    qh = queries.reshape(n_tokens, n_heads, d_k).transpose_vars(1, 0, 2)
+    kh = keys.reshape(n_tokens, n_heads, d_k).transpose_vars(1, 2, 0)
+    vh = values.reshape(n_tokens, n_heads, d_v).transpose_vars(1, 0, 2)
 
     scores = zonotope_matmul(qh, kh, dot_config).scale(1.0 / np.sqrt(d_k))
-    # Row-flattening keeps queries contiguous in the batched layout, so
-    # the row-wise softmax (and its refinement) stays batch-local.
     flat_scores = scores.reshape(-1, n_tokens)
     if refine_softmax:
         weights, rewrites = zonotope_softmax(flat_scores, refine_sum=True)
@@ -170,56 +158,9 @@ def propagate_attention(z, attention, config, dot_config,
         weights = zonotope_softmax(flat_scores)
     weights = weights.reshape(scores.shape)
 
-    mixed = zonotope_matmul(weights, vh, dot_config)   # (..., H, n, dv)
-    if batched:
-        stacked = (mixed.transpose_vars(0, 2, 1, 3)
-                   .reshape(n_queries, n_tokens, n_heads * d_v))
-    else:
-        stacked = mixed.transpose_vars(1, 0, 2).reshape(n_tokens,
-                                                        n_heads * d_v)
+    mixed = zonotope_matmul(weights, vh, dot_config)   # (H, n, dv)
+    stacked = mixed.transpose_vars(1, 0, 2).reshape(n_tokens, n_heads * d_v)
     return propagate_linear(stacked, attention.w_o), x
-
-
-def _batched_head_linear(z, linear, ledger):
-    """Affine head on a stacked ``(B, E)`` zonotope, serial call shapes.
-
-    A serial head multiplies an ``(E,)`` vector by the weight — a gemv —
-    while the stacked ``(B, E)`` form would issue one gemm; BLAS gemv and
-    gemm may reduce over ``E`` in different orders, which is enough to
-    break bitwise equality with the serial path. The head is a negligible
-    share of the propagation, so each query replays the serial shapes:
-    vector-matrix for the center, ``(P, E)`` / ``(live, E)`` matrices for
-    the coefficients (a query's dead slots stay exactly zero), and the
-    lazy tail contributes by scatter exactly as in ``matmul_const``.
-    """
-    from ..zonotope.multinorm import MultiNormZonotope
-    from ..zonotope.storage import EpsBuffer
-
-    start = time.perf_counter() if TRACER.enabled else 0.0
-    weight = linear.weight.data
-    out_shape = z.shape[:-1] + (weight.shape[1],)
-    center = np.empty(out_shape)
-    phi = np.zeros((z.n_phi,) + out_shape)
-    count = z._eps_count
-    eps = np.zeros((z.n_eps,) + out_shape)
-    live = ledger.live_matrix()
-    for b in range(ledger.batch):
-        center[b] = z.center[b] @ weight
-        if z.n_phi:
-            phi[:, b] = z.phi[:, b] @ weight
-        rows = np.flatnonzero(live[:count, b])
-        if len(rows):
-            eps[rows, b] = z._dense_rows()[rows, b] @ weight
-    tail = z._eps_tail
-    if tail is not None and len(tail):
-        tail.scatter_matmul(eps, count, z.shape, weight)
-    out = MultiNormZonotope._build(center, phi, EpsBuffer.from_rows(eps),
-                                   eps.shape[0], None, z.p)
-    if linear.bias is not None:
-        out = out + linear.bias.data
-    if TRACER.enabled:
-        TRACER.record_op("affine", out, time.perf_counter() - start)
-    return out
 
 
 def propagate_feed_forward(z, ffn):
@@ -298,15 +239,7 @@ def propagate_classifier(model, input_zonotope, config=None):
                     config.softmax_refine_for_layer(index))
                 PERF.gauge_max("peak_eps_rows", z.n_eps)
         with PERF.stage("classifier_head"), TRACER.layer_scope(n_layers):
-            from ..zonotope import active_batch
-            ledger = active_batch()
-            if ledger is not None and z.ndim == 3:
-                first_token = z[:, 0]                  # (B, E)
-                pooled = tanh(_batched_head_linear(first_token, model.pool,
-                                                   ledger))
-                out = _batched_head_linear(pooled, model.classifier, ledger)
-            else:
-                pooled = tanh(propagate_linear(z[0], model.pool))
-                out = propagate_linear(pooled, model.classifier)
+            pooled = tanh(propagate_linear(z[0], model.pool))
+            out = propagate_linear(pooled, model.classifier)
             check_zonotope(out, "classifier_head")
     return out

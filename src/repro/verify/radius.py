@@ -9,10 +9,8 @@ finds an uncertifiable upper end, then bisection narrows the bracket.
 
 from __future__ import annotations
 
-import numpy as np
-
-__all__ = ["binary_search_radius", "lockstep_radius_search",
-           "max_certified_radius", "max_certified_image_radius"]
+__all__ = ["binary_search_radius", "max_certified_radius",
+           "max_certified_image_radius"]
 
 
 def binary_search_radius(certify, initial=0.01, max_radius=1e6,
@@ -50,80 +48,6 @@ def binary_search_radius(certify, initial=0.01, max_radius=1e6,
         else:
             hi = mid
     return lo
-
-
-def _radius_probe_gen(initial=0.01, max_radius=1e6, n_iterations=14):
-    """Generator twin of :func:`binary_search_radius`.
-
-    Yields the radius to probe next and receives the certification verdict
-    via ``send``; the generator's return value is the final radius. The
-    control flow mirrors ``binary_search_radius`` statement for statement
-    (same probes, same floating-point updates, same order), so driving one
-    generator to completion reproduces the serial search bitwise.
-    """
-    if initial <= 0:
-        raise ValueError("initial radius must be positive")
-    if not (yield initial):
-        hi = initial
-        lo = 0.0
-        for _ in range(n_iterations):
-            mid = hi / 2.0
-            if (yield mid):
-                lo = mid
-                break
-            hi = mid
-        else:
-            return 0.0
-        hi = 2.0 * lo
-    else:
-        lo = initial
-        hi = initial * 2.0
-        while hi <= max_radius and (yield hi):
-            lo = hi
-            hi *= 2.0
-    for _ in range(n_iterations):
-        mid = 0.5 * (lo + hi)
-        if (yield mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-def lockstep_radius_search(certify_batch, n_queries, initial=0.01,
-                           max_radius=1e6, n_iterations=14):
-    """Run ``n_queries`` binary radius searches in lockstep.
-
-    Each query's search replays :func:`binary_search_radius` exactly (via
-    :func:`_radius_probe_gen`), but the *active* probes of every round are
-    evaluated together through one ``certify_batch(probes)`` call —
-    ``probes`` is a list of ``(query_index, radius)`` pairs and the return
-    value a matching list of booleans. Searches retire independently
-    (shrink-phase early exits leave the round smaller), so the returned
-    radii are bitwise identical to ``n_queries`` serial searches while the
-    probe evaluations are batched.
-    """
-    gens = [_radius_probe_gen(initial=initial, max_radius=max_radius,
-                              n_iterations=n_iterations)
-            for _ in range(n_queries)]
-    radii = [0.0] * n_queries
-    pending = [(i, next(gen)) for i, gen in enumerate(gens)]
-    while pending:
-        verdicts = certify_batch(pending)
-        if len(verdicts) != len(pending):
-            raise ValueError("certify_batch must return one verdict "
-                             "per probe")
-        next_round = []
-        for (i, _), verdict in zip(pending, verdicts):
-            try:
-                probe = gens[i].send(bool(verdict))
-            except StopIteration as stop:
-                radii[i] = float(stop.value) if stop.value is not None \
-                    else 0.0
-            else:
-                next_round.append((i, probe))
-        pending = next_round
-    return radii
 
 
 def max_certified_radius(verifier, token_ids, position, p, true_label=None,

@@ -336,15 +336,6 @@ class AdaptiveVerifier(DeepTVerifier):
             return None
         return replace(result, plan=plan.entries, refinement_rounds=rounds)
 
-    # -------------------------------------------------------- batching
-    def certify_regions_batched(self, regions, true_labels):
-        """Adaptive escalation diverges per query, so the stacked pass
-        does not apply; each region runs the serial adaptive loop. (The
-        scheduler never coalesces ``verifier="adaptive"`` queries — this
-        override keeps direct callers on the same semantics.)"""
-        return [self.certify_region(region, label)
-                for region, label in zip(regions, true_labels)]
-
 
 @contextmanager
 def _capture_spans(out):

@@ -151,8 +151,7 @@ class DeepTVerifier:
 
     def _certify_region_once(self, region, true_label, config):
         """One guarded zonotope propagation + margin check (no retry)."""
-        guard = PropagationGuard(symbol_budget=config.symbol_budget,
-                                 stride=config.guard_stride) \
+        guard = PropagationGuard(symbol_budget=config.symbol_budget) \
             if config.guards else None
         with PERF.stage("propagation"), guard_scope(guard):
             logits = propagate_classifier(self.model, region, config)
@@ -172,69 +171,6 @@ class DeepTVerifier:
     def _certify_region_ibp(self, region, true_label):
         """The ladder's floor: pure interval propagation of the region."""
         return ibp_certify_region(self.model, region, true_label)
-
-    # ------------------------------------------------------------- batching
-    def certify_regions_batched(self, regions, true_labels):
-        """Certify N same-shape regions in one stacked propagation.
-
-        All regions must share the variable shape, norm order and symbol
-        counts (:func:`~repro.zonotope.batch.stack_regions` validates
-        this). Bounds are bitwise identical to certifying each region
-        serially — the batch axis never mixes queries. If the stacked pass
-        fails for *any* reason (a guard trip poisons the whole stack, a
-        shape mismatch, a numerical precondition), the batch falls back to
-        per-query :meth:`certify_region`, which preserves the serial
-        degradation ladder bitwise; ``PERF`` counts ``batched_fallbacks``.
-        """
-        regions = list(regions)
-        true_labels = [int(t) for t in true_labels]
-        if len(regions) != len(true_labels):
-            raise ValueError("one true label per region required")
-        if not regions:
-            return []
-        if len(regions) == 1:
-            return [self.certify_region(regions[0], true_labels[0])]
-        try:
-            worsts = self._certify_batch_once(regions, true_labels,
-                                              self.config)
-        except Exception:
-            PERF.count("batched_fallbacks")
-            return [self.certify_region(region, label)
-                    for region, label in zip(regions, true_labels)]
-        return [CertificationResult(certified=certified_from_margin(worst),
-                                    margin_lower=worst, true_label=label)
-                for worst, label in zip(worsts, true_labels)]
-
-    def _certify_batch_once(self, regions, true_labels, config):
-        """One stacked guarded propagation; per-query worst margins."""
-        from ..zonotope import batch_scope, batched_margins, stack_regions
-        stacked, ledger = stack_regions(regions)
-        guard = PropagationGuard(symbol_budget=config.symbol_budget,
-                                 stride=config.guard_stride) \
-            if config.guards else None
-        with batch_scope(ledger):
-            with PERF.stage("propagation"), guard_scope(guard):
-                logits = propagate_classifier(self.model, stacked, config)
-            with PERF.stage("margin_check"):
-                worsts = batched_margins(logits, true_labels, ledger)
-        return [float(worst) for worst in worsts]
-
-    def certify_word_perturbation_batch(self, token_ids_list, positions,
-                                        radii, p, true_labels=None):
-        """Batched T1: one ℓp word-ball query per (sentence, position,
-        radius) triple, certified in a single stacked propagation. All
-        sentences must have the same token count (the scheduler's
-        coalescing key guarantees this)."""
-        token_ids_list = list(token_ids_list)
-        if true_labels is None:
-            true_labels = [self.model.predict(token_ids)
-                           for token_ids in token_ids_list]
-        regions = [
-            word_perturbation_region(self.model, token_ids, position,
-                                     radius, p)
-            for token_ids, position, radius
-            in zip(token_ids_list, positions, radii)]
-        return self.certify_regions_batched(regions, true_labels)
 
     # -------------------------------------------------------------- T1 / T2
     def certify_word_perturbation(self, token_ids, position, radius, p,

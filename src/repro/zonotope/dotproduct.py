@@ -31,7 +31,6 @@ import time
 import numpy as np
 
 from ..trace import TRACER
-from .batch import active_batch
 from .multinorm import MultiNormZonotope, dual_exponent, norm_along_axis0
 from .numeric import under_propagation_errstate
 from .storage import fast_path_enabled
@@ -145,30 +144,6 @@ def _precise_eps_bounds_batched(x_eps, y_eps, block=8):
             upper.reshape(batch_shape + (n, m)))
 
 
-def _precise_eps_bounds_per_query(x, y, ledger):
-    """Eq. (6) bounds inside a batch scope, query by query.
-
-    The pairwise analysis sums |M_ab| over the *last* tensor axes, which
-    numpy computes with pairwise summation — interleaved dead-slot zeros
-    would change the reduction tree and break bitwise equality with the
-    serial engine. Gathering each query's live rows first makes the 2D
-    routine see exactly the operands the serial propagation sees.
-    """
-    if x.n_eps > ledger.count or y.n_eps > ledger.count:
-        raise RuntimeError(
-            f"zonotope has {max(x.n_eps, y.n_eps)} eps symbols but the "
-            f"batch ledger frontier is {ledger.count}")
-    live = ledger.live_matrix()[:x.n_eps]
-    x_eps, y_eps = x.eps, y.eps            # (E, B, ..., n, k) / (..., k, m)
-    lower = np.zeros(x.shape[:-1] + (y.shape[-1],))
-    upper = np.zeros_like(lower)
-    for b in range(ledger.batch):
-        rows = np.flatnonzero(live[:, b])
-        lower[b], upper[b] = _precise_eps_bounds_batched(
-            x_eps[rows, b], y_eps[rows, b])
-    return lower, upper
-
-
 def _quadratic_bounds(x, y, config):
     """Interval bounds of the full quadratic interaction term, per output.
 
@@ -201,11 +176,7 @@ def _quadratic_bounds(x, y, config):
     # eps-eps: fast cascade or the precise pairwise analysis.
     if x.n_eps and y.n_eps:
         if config.variant == "precise":
-            ledger = active_batch()
-            if ledger is not None:
-                l_ee, u_ee = _precise_eps_bounds_per_query(x, y, ledger)
-            else:
-                l_ee, u_ee = _precise_eps_bounds_batched(x.eps, y.eps)
+            l_ee, u_ee = _precise_eps_bounds_batched(x.eps, y.eps)
         else:
             b_ee = _fast_case_bound(y.eps, 1.0, x.eps, 1.0, "row-col")
             l_ee, u_ee = -b_ee, b_ee

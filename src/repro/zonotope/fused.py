@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..perf import PERF
-from .multinorm import MultiNormZonotope, _fresh_eps_tail
+from .multinorm import MultiNormZonotope
 from .storage import EpsBuffer, EpsTail
 
 __all__ = ["fused_affine_response", "fused_layer_norm"]
@@ -38,10 +38,8 @@ def fused_affine_response(x, lam, mu, beta_new, tol=0.0):
     if tail is not None:
         lam_flat = np.broadcast_to(lam, x.shape).reshape(-1)
         tail = tail.scale_flat(lam_flat)
-    fresh, live, ledger = _fresh_eps_tail(beta_new, tol)
+    fresh = EpsTail.from_magnitudes(beta_new, tol=tol)
     if len(fresh):
-        if ledger is not None:
-            ledger.append(live, at_count=x.n_eps)
         if PERF.enabled:
             PERF.gauge_max("peak_eps_rows", x.n_eps + len(fresh))
         tail = EpsTail.concatenated(tail, fresh)

@@ -35,29 +35,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..perf import PERF
-from .batch import active_batch
 from .numeric import propagation_errstate
-from .storage import BatchedEpsTail, EpsBuffer, EpsTail, fast_path_enabled
+from .storage import EpsBuffer, EpsTail, fast_path_enabled
 
 __all__ = ["MultiNormZonotope", "dual_exponent", "norm_along_axis0"]
 
 _SUPPORTED_P = (1.0, 2.0, np.inf)
-
-
-def _fresh_eps_tail(magnitudes, tol):
-    """Build the fresh-symbol tail for an ``append_fresh_eps``-style append.
-
-    Returns ``(fresh, live, ledger)``: inside a batch scope the tail is
-    batched and ``live`` is its per-query liveness block (to be recorded
-    via ``ledger.append`` at the appender's frontier); otherwise ``live``
-    and ``ledger`` are ``None``.
-    """
-    ledger = active_batch()
-    if ledger is not None:
-        fresh, live = BatchedEpsTail.from_magnitudes(
-            magnitudes, ledger.batch, tol=tol)
-        return fresh, live, ledger
-    return EpsTail.from_magnitudes(magnitudes, tol=tol), None, None
 
 
 def dual_exponent(p):
@@ -327,7 +310,7 @@ class MultiNormZonotope:
             return self
         extra = n_total - self.n_eps
         if self._eps_tail is not None:
-            tail = self._eps_tail.padded(extra)
+            tail = EpsTail.concatenated(self._eps_tail, EpsTail.zeros(extra))
             return MultiNormZonotope._build(self.center, self.phi,
                                             self._eps_buf, self._eps_count,
                                             tail, self.p)
@@ -361,18 +344,10 @@ class MultiNormZonotope:
         every non-linear transformer introduces its ``beta_new eps_new``
         term.  On the fast path the fresh block is kept as a lazy
         one-nonzero-per-variable tail instead of densified rows.
-
-        Inside a :func:`~repro.zonotope.batch.batch_scope` the fresh block
-        is batched: one slot per variable live for *any* query, with
-        per-query liveness recorded in the ledger. The ledger refuses
-        appends off the global symbol frontier, which is what makes
-        cross-query symbol aliasing impossible by construction.
         """
-        fresh, live, ledger = _fresh_eps_tail(magnitudes, tol)
+        fresh = EpsTail.from_magnitudes(magnitudes, tol=tol)
         if len(fresh) == 0:
             return self
-        if ledger is not None:
-            ledger.append(live, at_count=self.n_eps)
         if PERF.enabled:
             PERF.gauge_max("peak_eps_rows", self.n_eps + len(fresh))
         if fast_path_enabled():

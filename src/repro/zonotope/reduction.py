@@ -21,7 +21,6 @@ import time
 import numpy as np
 
 from ..trace import TRACER
-from .batch import active_batch
 from .multinorm import MultiNormZonotope
 
 __all__ = ["reduce_noise_symbols", "symbol_scores", "REDUCTION_STRATEGIES"]
@@ -46,29 +45,11 @@ def _spread_rows(rows):
     return flat.sum(axis=1) * np.count_nonzero(flat, axis=1)
 
 
-def _mass_scores(z):
-    return _mass_rows(z.eps)
-
-
-def _peak_scores(z):
-    return _peak_rows(z.eps)
-
-
-def _spread_scores(z):
-    return _spread_rows(z.eps)
-
-
-_ROW_STRATEGIES = {
+# Row scorers: each maps an eps block (E, *S) to one score per symbol.
+REDUCTION_STRATEGIES = {
     "mass": _mass_rows,
     "peak": _peak_rows,
     "spread": _spread_rows,
-}
-
-
-REDUCTION_STRATEGIES = {
-    "mass": _mass_scores,
-    "peak": _peak_scores,
-    "spread": _spread_scores,
 }
 
 
@@ -76,7 +57,7 @@ def symbol_scores(z, strategy="mass"):
     """Per-symbol heuristic scores (see :data:`REDUCTION_STRATEGIES`)."""
     if z.n_eps == 0:
         return np.zeros(0)
-    return REDUCTION_STRATEGIES[strategy](z)
+    return REDUCTION_STRATEGIES[strategy](z.eps)
 
 
 def reduce_noise_symbols(z, k, tol=0.0, strategy="mass"):
@@ -91,27 +72,12 @@ def reduce_noise_symbols(z, k, tol=0.0, strategy="mass"):
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    ledger = active_batch()
-    if ledger is not None:
-        impl = _reduce_batched
-        # A query is reduced iff its own live-symbol count exceeds k —
-        # exactly the serial early-exit, applied per query.
-        if z.n_eps != ledger.count:
-            raise RuntimeError(
-                f"reduction input has {z.n_eps} eps symbols but the batch "
-                f"ledger frontier is {ledger.count}")
-        if ledger.live_counts().max(initial=0) <= k:
-            return z
-        args = (z, k, tol, strategy, ledger)
-    else:
-        impl = _reduce_impl
-        if z.n_eps <= k:
-            return z
-        args = (z, k, tol, strategy)
+    if z.n_eps <= k:
+        return z
     if not TRACER.enabled:
-        return impl(*args)
+        return _reduce_impl(z, k, tol, strategy)
     start = time.perf_counter()
-    out = impl(*args)
+    out = _reduce_impl(z, k, tol, strategy)
     TRACER.record_op("reduce", out, time.perf_counter() - start,
                      eps_before=z.n_eps)
     return out
@@ -124,44 +90,4 @@ def _reduce_impl(z, k, tol, strategy):
     drop_mask[keep] = False
     dropped_mass = np.abs(z.eps[drop_mask]).sum(axis=0)
     reduced = MultiNormZonotope(z.center, z.phi, z.eps[keep], z.p)
-    return reduced.append_fresh_eps(dropped_mass, tol=tol)
-
-
-def _reduce_batched(z, k, tol, strategy, ledger):
-    """Per-query DecorrelateMin_k over one stacked ``(B, *S)`` zonotope.
-
-    Each query's live rows are gathered and scored exactly as the serial
-    engine scores its own eps block (same reshape, same reductions), the
-    serial top-k selection is replayed per query, and the kept rows are
-    repacked into a fresh slot layout. Queries whose live count is at most
-    ``k`` keep all their rows and contribute no dropped mass — the serial
-    early-exit, per query. The ledger is rebased to the repacked layout
-    *before* the dropped-mass append so the fresh slots land on the new
-    frontier.
-    """
-    score_rows = _ROW_STRATEGIES[strategy]
-    live = ledger.live_matrix()
-    eps = z.eps
-    kept_per_query = []
-    dropped_mass = np.zeros(z.shape)
-    for b in range(ledger.batch):
-        rows = np.flatnonzero(live[:, b])
-        if len(rows) <= k:
-            kept_per_query.append(rows)
-            continue
-        scores = score_rows(eps[rows, b])
-        keep = np.sort(np.argsort(scores)[::-1][:k])
-        kept = rows[keep]
-        drop = np.setdiff1d(rows, kept)
-        dropped_mass[b] = np.abs(eps[drop, b]).sum(axis=0)
-        kept_per_query.append(kept)
-
-    new_count = max(len(kept) for kept in kept_per_query)
-    new_eps = np.zeros((new_count,) + z.shape)
-    new_live = np.zeros((new_count, ledger.batch), dtype=bool)
-    for b, kept in enumerate(kept_per_query):
-        new_eps[:len(kept), b] = eps[kept, b]
-        new_live[:len(kept), b] = True
-    reduced = MultiNormZonotope(z.center, z.phi, new_eps, z.p)
-    ledger.rebase(new_live)
     return reduced.append_fresh_eps(dropped_mass, tol=tol)

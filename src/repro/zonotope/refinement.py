@@ -42,7 +42,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..trace import TRACER
-from .batch import active_batch
 from .multinorm import MultiNormZonotope
 
 __all__ = ["EpsRewrite", "apply_eps_rewrites", "refine_softmax_rows",
@@ -56,18 +55,11 @@ _SHRINK_TOL = 1e-6
 
 @dataclass(frozen=True)
 class EpsRewrite:
-    """Replace eps symbol ``index`` by ``mid + half * eps_fresh``.
-
-    ``query`` is ``None`` for serial rewrites; in a batched propagation it
-    names the query whose symbol was tightened, and the rewrite applies
-    only to that query's block of the stacked variable axis (other queries
-    share the slot but own independent symbols).
-    """
+    """Replace eps symbol ``index`` by ``mid + half * eps_fresh``."""
 
     index: int
     mid: float
     half: float
-    query: int = None
 
 
 def apply_eps_rewrites(zonotope, rewrites):
@@ -76,9 +68,7 @@ def apply_eps_rewrites(zonotope, rewrites):
     For each rewrite, the center absorbs ``coeff * mid`` and the symbol's
     coefficient row is scaled by ``half``; the row then represents the
     fresh [-1, 1] symbol. Symbol indices beyond the zonotope's eps block
-    (fresh symbols it never saw) are ignored. Batched rewrites touch only
-    the owning query's slice of the leading (batch-carrying) variable
-    axis.
+    (fresh symbols it never saw) are ignored.
     """
     if not rewrites:
         return zonotope
@@ -87,20 +77,9 @@ def apply_eps_rewrites(zonotope, rewrites):
     for rewrite in rewrites:
         if rewrite.index >= eps.shape[0]:
             continue
-        if rewrite.query is None:
-            row = eps[rewrite.index]
-            center += row * rewrite.mid
-            eps[rewrite.index] = row * rewrite.half
-        else:
-            ledger = active_batch()
-            if ledger is None:
-                raise RuntimeError(
-                    "per-query eps rewrite applied outside a batch scope")
-            width = zonotope.shape[0] // ledger.batch
-            block = slice(rewrite.query * width, (rewrite.query + 1) * width)
-            row = eps[rewrite.index, block]
-            center[block] += row * rewrite.mid
-            eps[rewrite.index, block] = row * rewrite.half
+        row = eps[rewrite.index]
+        center += row * rewrite.mid
+        eps[rewrite.index] = row * rewrite.half
     return MultiNormZonotope(center, zonotope.phi, eps, zonotope.p)
 
 
@@ -240,24 +219,19 @@ def _minimize_mass_rows(r, s, is_phi):
     return result
 
 
-def _tightenings_from_constraint(d_center, d_phi_mass, d_eps, live_idx=None):
+def _tightenings_from_constraint(d_center, d_phi_mass, d_eps):
     """Step 2: per-symbol range restrictions from ``D = 0``.
 
     Solving ``0 = c_D + alpha_D.phi + beta_D.eps`` for ``eps_m`` restricts
     its range to ``[(-c_D - R_m)/beta_m, (-c_D + R_m)/beta_m]`` (sorted),
     where ``R_m`` is the dual-norm mass of the remaining terms. Returns a
-    dict ``index -> (a, b)`` intersected with [-1, 1]. ``live_idx``
-    (batched propagation) restricts the total-mass sum to the owning
-    query's live slots so the pairwise summation sees the serial operand
-    sequence.
+    dict ``index -> (a, b)`` intersected with [-1, 1].
     """
     abs_coeffs = np.abs(d_eps)
     significant = np.flatnonzero(abs_coeffs > _PIVOT_TOL)
     if not len(significant):
         return {}
-    total = (abs_coeffs.sum() if live_idx is None
-             else abs_coeffs[live_idx].sum())
-    rest = d_phi_mass + total - abs_coeffs[significant]
+    rest = d_phi_mass + abs_coeffs.sum() - abs_coeffs[significant]
     a = (-d_center - rest) / d_eps[significant]
     b = (-d_center + rest) / d_eps[significant]
     lo = np.maximum(np.minimum(a, b), -1.0)
@@ -285,8 +259,8 @@ def refine_softmax_rows(z):
 
 
 # Upper bound on stacked slope-walk temporaries (elements per chunk): keeps
-# the grouped refinement's working set around a few MB regardless of batch
-# size or symbol cap.
+# the grouped refinement's working set around a few MB regardless of the
+# row count or symbol cap.
 _GROUP_CHUNK_ELEMS = 1 << 21
 
 
@@ -328,7 +302,7 @@ def _refine_group_step1(center, phi, eps, d_phi_all, d_eps_all,
 
 
 def _combined_tightenings(refinable, d_center_all, d_phi_mass_all,
-                          d_eps_all, rows_per_query, live_idx_of, ledger):
+                          d_eps_all):
     """Step 2 over all refinable rows: intersected per-symbol ranges.
 
     Stacked evaluation of :func:`_tightenings_from_constraint`'s
@@ -345,24 +319,7 @@ def _combined_tightenings(refinable, d_center_all, d_phi_mass_all,
     # per-row routine sees on its freshly-allocated |d_eps| vectors.
     abs_all = np.ascontiguousarray(np.abs(d_eps_all[:, refinable]).T)
     sig_mask = abs_all > _PIVOT_TOL
-    owners = [int(i) // rows_per_query for i in refinable]
-    if ledger is None:
-        totals = abs_all.sum(axis=1)
-    else:
-        # Live-slot-gathered masses, grouped by live count so each group
-        # is one contiguous (rows, L) gather + pairwise row sum — bitwise
-        # the per-row ``abs[live_idx].sum()``.
-        totals = np.empty(len(refinable))
-        live_groups = {}
-        for r, owner in enumerate(owners):
-            live_groups.setdefault(len(live_idx_of[owner]), []).append(r)
-        for live_count, members in live_groups.items():
-            members = np.asarray(members)
-            if not live_count:
-                totals[members] = 0.0
-                continue
-            idx = np.stack([live_idx_of[owners[r]] for r in members])
-            totals[members] = abs_all[members[:, None], idx].sum(axis=1)
+    totals = abs_all.sum(axis=1)
     sig_groups = {}
     for r, count in enumerate(sig_mask.sum(axis=1)):
         if count:
@@ -382,7 +339,7 @@ def _combined_tightenings(refinable, d_center_all, d_phi_mass_all,
         hi = np.minimum(np.maximum(a, b), 1.0)
         keep = hi - lo < 2.0 - _SHRINK_TOL
         for local, k in zip(*np.nonzero(keep)):
-            key = (owners[members[local]], int(sig_idx[local, k]))
+            key = int(sig_idx[local, k])
             pair = (float(lo[local, k]), float(hi[local, k]))
             if key in combined:
                 prev_lo, prev_hi = combined[key]
@@ -399,20 +356,6 @@ def _refine_impl(z):
     eps = z.eps.copy()
     n_phi = z.n_phi
     from .multinorm import norm_along_axis0
-
-    # In a batched propagation the flattened softmax rows are
-    # query-contiguous: row i belongs to query i // rows_per_query, and
-    # symbol tightenings must stay per-query (queries share symbol slots
-    # but own independent symbols).
-    ledger = active_batch()
-    if ledger is not None:
-        rows_per_query = z.shape[0] // ledger.batch
-        live = ledger.live_matrix()[:z.n_eps]
-        live_idx_of = [np.flatnonzero(live[:, b])
-                       for b in range(ledger.batch)]
-    else:
-        rows_per_query = z.shape[0]
-        live_idx_of = [None]
 
     # Affine form of every row's D at once; each row then gathers only the
     # symbols that actually touch it (the per-row sparsity is what makes
@@ -446,8 +389,8 @@ def _refine_impl(z):
         # Chunk wide groups so the stacked (rows, active, vars) slope-walk
         # temporaries stay cache-sized — each row's computation is
         # independent, so chunking never changes a bit, only the peak
-        # working set (a stacked batch at a large symbol cap would
-        # otherwise materialize hundreds of MB and thrash).
+        # working set (a large symbol cap would otherwise materialize
+        # hundreds of MB and thrash).
         per_row = max(1, (len_phi + len_eps) * n_vars)
         chunk = max(1, _GROUP_CHUNK_ELEMS // per_row)
         for start in range(0, len(row_list), chunk):
@@ -462,21 +405,17 @@ def _refine_impl(z):
     # operations and the per-row (pairwise) mass sums are identical, so
     # the intervals are bitwise the per-row results.
     combined = _combined_tightenings(refinable, d_center_all, d_phi_mass_all,
-                                     d_eps_all, rows_per_query, live_idx_of,
-                                     ledger)
+                                     d_eps_all)
 
     rewrites = []
-    for (owner, idx), (lo, hi) in sorted(combined.items()):
+    for idx, (lo, hi) in sorted(combined.items()):
         if hi < lo:  # numerically empty; collapse to the midpoint
             lo = hi = 0.5 * (lo + hi)
         rewrites.append(EpsRewrite(
-            index=idx, mid=0.5 * (lo + hi), half=0.5 * (hi - lo),
-            query=owner if ledger is not None else None))
+            index=idx, mid=0.5 * (lo + hi), half=0.5 * (hi - lo)))
         # Applied in place on the copied arrays (same update
-        # apply_eps_rewrites performs, minus a second full-block copy),
-        # restricted to the owning query's contiguous row block.
-        block = slice(owner * rows_per_query, (owner + 1) * rows_per_query)
-        row = eps[idx, block]
-        center[block] += row * rewrites[-1].mid
-        eps[idx, block] = row * rewrites[-1].half
+        # apply_eps_rewrites performs, minus a second full-block copy).
+        row = eps[idx]
+        center += row * rewrites[-1].mid
+        eps[idx] = row * rewrites[-1].half
     return MultiNormZonotope(center, phi, eps, z.p), rewrites

@@ -43,9 +43,9 @@ import numpy as np
 
 from ..perf import PERF
 
-__all__ = ["EpsBuffer", "EpsTail", "BatchedEpsTail", "EpsCapacityPool",
-           "capacity_pool", "reset_capacity_pool", "fast_path_enabled",
-           "set_fast_path", "dense_engine"]
+__all__ = ["EpsBuffer", "EpsTail", "EpsCapacityPool", "capacity_pool",
+           "reset_capacity_pool", "fast_path_enabled", "set_fast_path",
+           "dense_engine"]
 
 _MIN_CAPACITY = 16
 
@@ -261,19 +261,8 @@ class EpsTail:
             return second
         if second is None:
             return first
-        if type(first) is not type(second):
-            raise TypeError("cannot mix batched and serial eps tails")
-        return first._concat(second)
-
-    def _concat(self, other):
-        return EpsTail(np.concatenate([self.idx, other.idx]),
-                       np.concatenate([self.mag, other.mag]))
-
-    def padded(self, extra):
-        """This tail followed by ``extra`` all-zero symbols."""
-        if extra == 0:
-            return self
-        return self._concat(type(self).zeros(extra))
+        return EpsTail(np.concatenate([first.idx, second.idx]),
+                       np.concatenate([first.mag, second.mag]))
 
     # -------------------------------------------------------------- queries
     def l1_per_variable(self, n_flat):
@@ -364,159 +353,4 @@ class EpsTail:
             if not coords:  # all axes summed away -> scalar variable
                 return np.zeros(len(self), dtype=np.intp)
             return np.ravel_multi_index(tuple(coords), new_shape)
-        return self.remap(old_shape, new_index_of)
-
-
-class BatchedEpsTail(EpsTail):
-    """An eps tail shared by ``batch`` stacked queries (leading batch axis).
-
-    Slot ``s`` holds one fresh symbol *per query*: ``idx[s]`` is the
-    within-query flat variable index (identical across the batch because the
-    stacked propagation appends fresh symbols at the same program point for
-    every query) and ``mag[s, b]`` is query ``b``'s magnitude — zero when
-    query ``b`` has no live symbol in that slot, so the coefficient block
-    stays block-diagonal across queries by construction.
-
-    Variable shapes seen by a batched zonotope always carry the batch as the
-    outermost C-order axis (possibly fused into the leading dimension, e.g.
-    ``(B*H*n, n)``), so the within-query shape of any full shape ``S`` is
-    ``(S[0] // batch,) + S[1:]`` and a full flat index decomposes as
-    ``b * within_size + within_index``.
-    """
-
-    __slots__ = ("batch",)
-
-    def __init__(self, idx, mag, batch):
-        super().__init__(idx, mag)
-        self.batch = batch
-
-    def _within(self, shape):
-        lead, rest = int(shape[0]), tuple(shape[1:])
-        if lead % self.batch:
-            raise ValueError(
-                f"shape {tuple(shape)} does not carry batch={self.batch} "
-                f"as its outermost axis")
-        return (lead // self.batch,) + rest
-
-    @classmethod
-    def from_magnitudes(cls, magnitudes, batch, tol=0.0):
-        """Batched fresh symbols: one slot per variable live *anywhere*.
-
-        ``magnitudes`` has the stacked shape ``(batch, *S)``. Returns
-        ``(tail, live)`` where ``live`` is the ``(len, batch)`` bool mask of
-        which queries own a real symbol in each slot — exactly the symbols
-        the serial engine would append per query (sub-tolerance magnitudes
-        are zeroed, matching the serial drop).
-        """
-        flat = np.asarray(magnitudes, dtype=np.float64).reshape(batch, -1)
-        alive = np.abs(flat) > tol
-        idx = np.flatnonzero(alive.any(axis=0))
-        live = alive[:, idx].T.copy()            # (len, batch)
-        mag = flat[:, idx].T.copy()
-        mag[~live] = 0.0
-        return cls(idx, mag, batch), live
-
-    @classmethod
-    def zeros_batched(cls, n, batch):
-        return cls(np.zeros(n, dtype=np.intp), np.zeros((n, batch)), batch)
-
-    def _concat(self, other):
-        if self.batch != other.batch:
-            raise ValueError("cannot concatenate tails of different batches")
-        return BatchedEpsTail(np.concatenate([self.idx, other.idx]),
-                              np.concatenate([self.mag, other.mag]),
-                              self.batch)
-
-    def padded(self, extra):
-        if extra == 0:
-            return self
-        return self._concat(BatchedEpsTail.zeros_batched(extra, self.batch))
-
-    # -------------------------------------------------------------- queries
-    def l1_per_variable(self, n_flat):
-        within = n_flat // self.batch
-        out = np.zeros((self.batch, within))
-        for b in range(self.batch):
-            out[b] = np.bincount(self.idx, weights=np.abs(self.mag[:, b]),
-                                 minlength=within)
-        return out.reshape(-1)
-
-    def scatter_rows(self, flat_block):
-        n = len(self)
-        view = flat_block.reshape(n, self.batch, -1)
-        view[np.arange(n)[:, None], np.arange(self.batch)[None, :],
-             self.idx[:, None]] = self.mag
-
-    def scatter_matmul(self, eps, row_offset, var_shape, weight):
-        within = self._within(var_shape)
-        w0 = within[0]
-        c0, *mid, t_idx = np.unravel_index(self.idx, within)
-        rows = (row_offset + np.arange(len(self)))[:, None]       # (T, 1)
-        full0 = c0[:, None] + w0 * np.arange(self.batch)[None, :]  # (T, B)
-        vals = self.mag[:, :, None] * weight[t_idx][:, None, :]
-        eps[(rows, full0, *(m[:, None] for m in mid))] += vals
-
-    def scatter_cross(self, out, row_offset, var_shape, other_center, side):
-        within = self._within(var_shape)
-        w0 = within[0]
-        multi = np.unravel_index(self.idx, within)
-        rows = (row_offset + np.arange(len(self)))[:, None]       # (T, 1)
-        bcol = np.arange(self.batch)[None, :]                     # (1, B)
-        if side == "x":
-            c0, *mid, i_idx, t_idx = multi
-            full0 = c0[:, None] + w0 * bcol
-            mid_ix = tuple(m[:, None] for m in mid)
-            vals = self.mag[:, :, None] * other_center[
-                (full0, *mid_ix, t_idx[:, None])]
-            out[(rows, full0, *mid_ix, i_idx[:, None])] += vals
-        else:
-            c0, *mid, t_idx, j_idx = multi
-            full0 = c0[:, None] + w0 * bcol
-            mid_ix = tuple(m[:, None] for m in mid)
-            center_t = np.swapaxes(other_center, -1, -2)
-            vals = self.mag[:, :, None] * center_t[
-                (full0, *mid_ix, t_idx[:, None])]
-            # Advanced indices separated by the slice land first: the
-            # assignment target has shape (T, B, n), matching ``vals``.
-            out[(rows, full0, *mid_ix, slice(None), j_idx[:, None])] += vals
-
-    # ------------------------------------------------------ transformations
-    def scale_flat(self, factor_flat):
-        factors = factor_flat.reshape(self.batch, -1)
-        return BatchedEpsTail(self.idx, self.mag * factors[:, self.idx].T,
-                              self.batch)
-
-    def scale_scalar(self, factor):
-        return BatchedEpsTail(self.idx, self.mag * factor, self.batch)
-
-    def negated(self):
-        return BatchedEpsTail(self.idx, -self.mag, self.batch)
-
-    def remap(self, old_shape, new_index_of):
-        coords = np.unravel_index(self.idx, self._within(old_shape))
-        return BatchedEpsTail(new_index_of(coords), self.mag, self.batch)
-
-    def transposed(self, old_shape, axes, new_shape):
-        if axes[0] != 0:
-            raise ValueError(
-                "batched tails require the batch-leading axis to stay first")
-        within_new = self._within(new_shape)
-
-        def new_index_of(coords):
-            return np.ravel_multi_index(
-                tuple(coords[a] for a in axes), within_new)
-        return self.remap(old_shape, new_index_of)
-
-    def summed(self, old_shape, axis, keepdims, new_shape):
-        if axis == 0:
-            raise ValueError("cannot sum a batched tail across queries")
-        within_new = self._within(new_shape)
-
-        def new_index_of(coords):
-            coords = list(coords)
-            if keepdims:
-                coords[axis] = np.zeros_like(coords[axis])
-            else:
-                del coords[axis]
-            return np.ravel_multi_index(tuple(coords), within_new)
         return self.remap(old_shape, new_index_of)

@@ -7,7 +7,9 @@ alongside a :class:`~repro.service.ServiceClient`, so the battery goes
 through the actual HTTP wire path, not method calls.
 """
 
+import asyncio
 import contextlib
+import threading
 
 import numpy as np
 
@@ -24,6 +26,64 @@ async def serving(model, *, config=None, **kwargs):
         yield service, client
     finally:
         await service.stop()
+
+
+class ExecutorGate:
+    """Holds the service's single executor until released.
+
+    Replaces ``service._run_query``: the first dispatched query blocks in
+    the executor thread, so it stays ``running`` and every later
+    admission lands in the queue behind it. :meth:`release` lets held and
+    later queries run the real engine; :meth:`close` makes them fail
+    instead, so no engine work outlives a stopped service.
+    """
+
+    def __init__(self, service):
+        self.entered = threading.Event()
+        self._open = threading.Event()
+        self._closed = False
+        inner = service._run_query
+
+        def gated(query):
+            self.entered.set()
+            self._open.wait()
+            if self._closed:
+                raise RuntimeError("executor gate closed")
+            return inner(query)
+
+        service._run_query = gated
+
+    async def occupied(self, timeout=30.0):
+        """Wait until a query holds the executor."""
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + timeout
+        while not self.entered.is_set():
+            assert loop.time() < deadline, "no query reached the executor"
+            await asyncio.sleep(0.005)
+
+    def release(self):
+        self._open.set()
+
+    def close(self):
+        self._closed = True
+        self._open.set()
+
+
+@contextlib.asynccontextmanager
+async def serving_held(model, **kwargs):
+    """:func:`serving` with the executor held by an :class:`ExecutorGate`.
+
+    Yields ``(service, client, gate)``; the gate closes after the service
+    stopped.
+    """
+    gate = None
+    try:
+        async with serving(model, **kwargs) as (service, client):
+            gate = ExecutorGate(service)
+            yield service, client, gate
+    finally:
+        if gate is not None:
+            gate.close()
 
 
 # A cheap-but-real DeepT configuration: the fast dot-product variant and a
@@ -46,7 +106,7 @@ def submission(sentence, position=1, tenant="acme", **overrides):
 
 
 def make_sentences(vocab_size, n, length=6, seed=7):
-    """Distinct same-length synthetic sentences (same batch key)."""
+    """Distinct same-length synthetic sentences."""
     rng = np.random.default_rng(seed)
     sentences = []
     seen = set()

@@ -226,7 +226,6 @@ class TestAdaptiveQueryIntegration:
                                      verifier="deept", config=base,
                                      n_iterations=3)
         assert adaptive.key() != deept.key()
-        assert adaptive.batch_key() != deept.batch_key()
         with pytest.raises(ValueError):
             expand_word_queries(tiny_model, [tiny_sentence], 2.0,
                                 verifier="adaptive", config=None)

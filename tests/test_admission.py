@@ -20,7 +20,8 @@ from repro.service import (AdmissionController, ServiceConfig, TenantPolicy,
                            TokenBucket, degrade_query, parse_submission,
                            rung_for_query)
 from repro.verify import DeepTVerifier, IBPVerifier, VerifierConfig
-from tests.service_utils import FAST_CONFIG, make_sentences, serving, submission
+from tests.service_utils import (FAST_CONFIG, make_sentences, serving_held,
+                                 submission)
 
 
 class TestTokenBucket:
@@ -149,17 +150,15 @@ class TestDegradeQuery:
 
 
 class TestServiceAdmission:
-    """The gates over the wire; a huge batch window keeps queries queued."""
+    """The gates over the wire; a held executor keeps queries queued."""
 
     def test_rate_limit_is_a_typed_429(self, tiny_model, tiny_corpus):
         sentences = make_sentences(len(tiny_corpus.vocab), 3, seed=11)
 
         async def main():
-            config = ServiceConfig(batch_window=5.0)
             policies = {"miser": TenantPolicy(rate=0.0, burst=1)}
-            async with serving(tiny_model, config=config,
-                               tenant_policies=policies) as (service,
-                                                             client):
+            async with serving_held(tiny_model, tenant_policies=policies) \
+                    as (service, client, _):
                 status, ack = await client.submit(
                     submission(sentences[0], tenant="miser"))
                 assert status == 202 and ack["status"] == "queued"
@@ -178,16 +177,20 @@ class TestServiceAdmission:
         assert metrics["tenants"]["miser"]["rate_limited"] == 1
 
     def test_overload_is_a_typed_503(self, tiny_model, tiny_corpus):
-        sentences = make_sentences(len(tiny_corpus.vocab), 2, seed=12)
+        sentences = make_sentences(len(tiny_corpus.vocab), 3, seed=12)
 
         async def main():
-            config = ServiceConfig(batch_window=5.0, degrade_fast_at=1,
-                                   degrade_ibp_at=1, reject_at=1)
-            async with serving(tiny_model, config=config) as (service,
-                                                              client):
-                status, _ = await client.submit(submission(sentences[0]))
-                assert status == 202
-                status, body = await client.submit(submission(sentences[1]))
+            config = ServiceConfig(degrade_fast_at=1, degrade_ibp_at=1,
+                                   reject_at=1)
+            async with serving_held(tiny_model, config=config) \
+                    as (service, client, gate):
+                # The first query occupies the executor; the second waits
+                # in the queue.
+                for sentence in sentences[:2]:
+                    status, _ = await client.submit(submission(sentence))
+                    assert status == 202
+                    await gate.occupied()
+                status, body = await client.submit(submission(sentences[2]))
                 assert status == 503
                 assert body["code"] == "overloaded"
                 return service.metrics_payload()
@@ -198,27 +201,30 @@ class TestServiceAdmission:
     def test_load_degrades_down_the_ladder_in_order(self, tiny_model,
                                                     tiny_corpus):
         """Rising depth admits full, then fast, then ibp, then sheds."""
-        sentences = make_sentences(len(tiny_corpus.vocab), 4, seed=13)
+        sentences = make_sentences(len(tiny_corpus.vocab), 5, seed=13)
         # Full-precision submissions, so the fast rung is a real rewrite.
         payloads = [submission(s, config={"noise_symbol_cap": 64,
                                           "dot_product_variant": "precise"})
                     for s in sentences]
 
         async def main():
-            config = ServiceConfig(batch_window=5.0, degrade_fast_at=1,
-                                   degrade_ibp_at=2, reject_at=3)
-            async with serving(tiny_model, config=config) as (service,
-                                                              client):
+            config = ServiceConfig(degrade_fast_at=1, degrade_ibp_at=2,
+                                   reject_at=3)
+            async with serving_held(tiny_model, config=config) \
+                    as (service, client, gate):
                 rungs = []
-                for payload in payloads[:3]:
+                for payload in payloads[:4]:
                     status, ack = await client.submit(payload)
                     assert status == 202
                     rungs.append(ack["qos_rung"])
-                status, body = await client.submit(payloads[3])
+                    # The first query occupies the executor, so the queue
+                    # depth seen by the rest starts at zero.
+                    await gate.occupied()
+                status, body = await client.submit(payloads[4])
                 return rungs, status, body, service.metrics_payload()
 
         rungs, status, body, metrics = asyncio.run(main())
-        assert rungs == ["full", "fast", "ibp"]
+        assert rungs == ["full", "full", "fast", "ibp"]
         assert status == 503 and body["code"] == "overloaded"
         assert metrics["counters"]["qos_degraded_fast"] == 1
         assert metrics["counters"]["qos_degraded_ibp"] == 1

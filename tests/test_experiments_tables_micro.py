@@ -6,6 +6,7 @@ steps) so its code path — training cache, radius protocol, printing,
 result structure — is covered by the fast test suite.
 """
 
+import math
 import os
 
 import numpy as np
@@ -40,6 +41,42 @@ class TestFastVsBafEngine:
         assert row["deept"].seconds > 0
         printed = capsys.readouterr().out
         assert "micro" in printed and "M=1" in printed
+
+
+class TestRatioColumn:
+    """Ratio and change cells never divide by a zero radius."""
+
+    def test_ratio_column_values_and_cells(self):
+        from repro.experiments.tables import ratio_column
+        assert ratio_column(0.5, 0.25) == (2.0, "    2.00")
+        value, cell = ratio_column(0.5, 0.0)
+        assert value == math.inf and cell.strip() == "∞"
+        value, cell = ratio_column(0.0, 0.0)
+        assert math.isnan(value) and cell.strip() == "—"
+        value, cell = ratio_column(0.3, 0.2, change=True)
+        assert value == pytest.approx(50.0) and cell == "+50.00 %"
+        assert ratio_column(0.3, 0.0, change=True)[1].strip() == "∞"
+        assert ratio_column(0.0, 0.0, change=True)[1].strip() == "—"
+
+    def test_table_row_prints_infinity_when_baseline_certifies_nothing(
+            self, micro_scale, capsys, monkeypatch):
+        from repro.experiments import tables
+        from repro.experiments.harness import RadiusReport
+
+        def deept(*args, **kwargs):
+            return RadiusReport(name="DeepT-Fast", radii=[0.0725])
+
+        def crown(*args, **kwargs):
+            return RadiusReport(name="CROWN-BaF", radii=[0.0])
+
+        monkeypatch.setattr(tables, "radius_report_deept", deept)
+        monkeypatch.setattr(tables, "radius_report_crown", crown)
+        result = _fast_vs_baf("sst-small", micro_scale, (1,), ("l2",),
+                              title="zero baseline")
+        row = capsys.readouterr().out.splitlines()[-1]
+        assert row.rstrip().endswith("∞"), row
+        assert "72500000000" not in row
+        assert result["rows"][0]["ratio"] == math.inf
 
 
 class TestAblationRunners:

@@ -21,6 +21,7 @@ from repro.scheduler import (CertScheduler, DrainedRun, PoisonedQueryError,
                              RunJournal, WorkerSupervisor,
                              expand_word_queries)
 from repro.scheduler.pool import PoolResult
+from repro.service import degrade_query, rung_for_query
 from repro.verify import FAST
 
 pytestmark = pytest.mark.skipif(
@@ -233,6 +234,32 @@ class TestPoisonQuarantine:
         assert second[0].radius == first[0].radius
         assert after["leases"] == before["leases"]  # no new lease
         assert after["worker_deaths"] == before["worker_deaths"]
+
+    def test_poisoned_chain_follows_the_qos_rung_rule(self, tiny_model,
+                                                      sentences):
+        """A fast-variant DeepT query with a refinement plan runs Precise
+        passes, so it sits at the "full" rung; its poisoned answer says
+        so and lands under the ``degrade_query`` IBP twin."""
+        query, = expand_word_queries(
+            tiny_model, sentences[:1], 2.0, verifier="deept",
+            config=FAST(noise_symbol_cap=64,
+                        refinement_plan=(("precise", 0),)),
+            n_positions=1, n_iterations=3)
+        assert rung_for_query(query) == "full"
+        plan = FaultPlan(kind="kill-worker", probability=0.0, max_faults=0,
+                         seed=0, poison_key=query.key())
+        supervisor = WorkerSupervisor(tiny_model, workers=1,
+                                      lease_timeout=10.0,
+                                      heartbeat_interval=0.1)
+        try:
+            with install_fault_plan(plan):
+                result, = supervisor.run([query])
+        finally:
+            supervisor.stop()
+        assert result.poisoned
+        assert result.meta["fallback_chain"] == ("full", "ibp")
+        assert result.executed_query == degrade_query(query, "ibp")
+        assert result.executed_query.key() != query.key()
 
     def test_poisoned_query_error_detail(self):
         error = PoisonedQueryError("deadbeef" * 8, kills=2)

@@ -2,9 +2,8 @@
 
 Everything here goes over the real HTTP wire path (ephemeral-port server +
 stdlib client): submit/poll lifecycle, in-flight dedup (N identical
-submissions, one execution), batch-key coalescing with radii bitwise
-identical to serial execution, health/metrics schema, and the mixed-tenant
-concurrency soak from the acceptance criteria.
+submissions, one execution), health/metrics schema, and the mixed-tenant
+concurrency soak with radii bitwise identical to serial execution.
 """
 
 import asyncio
@@ -13,7 +12,8 @@ import pytest
 
 from repro.scheduler.worker import execute_query
 from repro.service import ServiceConfig, parse_submission
-from tests.service_utils import make_sentences, serving, submission
+from tests.service_utils import (make_sentences, serving, serving_held,
+                                 submission)
 
 
 @pytest.fixture(scope="module")
@@ -21,38 +21,31 @@ def sentences(tiny_corpus):
     return make_sentences(len(tiny_corpus.vocab), 8)
 
 
-def serial_radius(model, payload, model_hash):
-    """The reference radius: the pure engine run on the same query."""
-    query, _ = parse_submission(payload, model_hash)
-    radius, _, _, _ = execute_query(model, query)
-    return radius
-
-
 class TestLifecycle:
     def test_submit_poll_lifecycle(self, tiny_model, sentences):
         async def main():
-            config = ServiceConfig(batch_window=1.0)
-            async with serving(tiny_model, config=config) as (service,
-                                                              client):
+            async with serving_held(tiny_model) as (service, client, gate):
                 status, ack = await client.submit(submission(sentences[0]))
                 assert status == 202
                 assert ack["status"] == "queued"
                 assert ack["qos_rung"] == "fast"  # already at fast config
                 key = ack["key"]
 
-                # Polling during the dispatcher's linger window sees the
-                # 202 progress state with a queue position.
+                # Polling while the executor holds the query sees the 202
+                # progress state.
+                await gate.occupied()
                 status, progress = await client.result(key)
                 assert status == 202
                 assert progress["status"] in ("queued", "running")
                 if progress["status"] == "queued":
                     assert progress["position"] == 0
 
+                gate.release()
                 status, done = await client.wait(key, timeout=120)
                 assert status == 200
                 assert done["status"] == "done"
                 assert done["key"] == key
-                assert done["source"] in ("executed", "batched")
+                assert done["source"] == "executed"
                 assert done["degraded"] is False
                 assert isinstance(done["radius"], float)
 
@@ -73,8 +66,7 @@ class TestLifecycle:
 
     def test_submit_wait_inline(self, tiny_model, sentences):
         async def main():
-            config = ServiceConfig(batch_window=0.0)
-            async with serving(tiny_model, config=config) as (_, client):
+            async with serving(tiny_model) as (_, client):
                 status, done = await client.submit(
                     submission(sentences[1]), wait=120)
                 assert status == 200
@@ -114,62 +106,32 @@ class TestDedup:
         n_clients = 5
 
         async def main():
-            config = ServiceConfig(batch_window=0.05)
-            async with serving(tiny_model, config=config) as (service,
-                                                              client):
+            async with serving_held(tiny_model) as (service, client, gate):
                 executions = []
-                inner = service._run_queries
+                inner = service._run_query
 
-                def counting(queries):
-                    executions.append(list(queries))
-                    return inner(queries)
+                def counting(query):
+                    executions.append(query)
+                    return inner(query)
 
-                service._run_queries = counting
+                service._run_query = counting
                 payload = submission(sentences[2])
                 acks = await asyncio.gather(*(client.submit(payload)
                                               for _ in range(n_clients)))
                 keys = {ack["key"] for _, ack in acks}
                 assert len(keys) == 1
+                gate.release()
                 results = await asyncio.gather(*(client.wait(key, 120)
                                                  for key in keys))
                 return (executions, results,
                         service.metrics_payload()["counters"])
 
         executions, results, counters = asyncio.run(main())
-        assert sum(len(batch) for batch in executions) == 1
+        assert len(executions) == 1
         assert counters["executed_queries"] == 1
         assert counters["dedup_hits"] == n_clients - 1
         for status, done in results:
             assert status == 200 and done["status"] == "done"
-
-
-class TestCoalescing:
-    def test_coalesced_radii_bitwise_identical_to_serial(self, tiny_model,
-                                                         sentences):
-        """Compatible concurrent queries batch; radii match serial."""
-        payloads = [submission(s) for s in sentences[:3]]
-
-        async def main():
-            config = ServiceConfig(batch_window=0.25, batch_size=8)
-            async with serving(tiny_model, config=config) as (service,
-                                                              client):
-                acks = await asyncio.gather(*(client.submit(p)
-                                              for p in payloads))
-                keys = [ack["key"] for _, ack in acks]
-                assert len(set(keys)) == 3
-                results = await asyncio.gather(*(client.wait(key, 120)
-                                                 for key in keys))
-                return (service.model_hash, results,
-                        service.metrics_payload()["counters"])
-
-        model_hash, results, counters = asyncio.run(main())
-        assert counters["coalesced_batches"] >= 1
-        assert counters["coalesced_queries"] >= 3
-        for (status, done), payload in zip(results, payloads):
-            assert status == 200 and done["status"] == "done"
-            assert done["source"] == "batched"
-            assert done["radius"] == serial_radius(tiny_model, payload,
-                                                   model_hash)
 
 
 class TestHealthAndMetrics:
@@ -202,8 +164,8 @@ class TestSoak:
         """The acceptance soak: 50 concurrent queries across 3 tenants.
 
         Every query completes within its timeout (no hangs), radii are
-        bitwise identical to serial execution, and the metrics show both
-        in-flight dedup and at least one coalesced batch.
+        bitwise identical to serial execution, and the metrics show
+        in-flight dedup.
         """
         tenants = ("acme", "globex", "initech")
         distinct = [submission(s) for s in sentences]  # 8 distinct
@@ -212,8 +174,7 @@ class TestSoak:
                     for i in range(50)]
 
         async def main():
-            config = ServiceConfig(batch_window=0.25, batch_size=8,
-                                   default_burst=64, degrade_fast_at=64,
+            config = ServiceConfig(default_burst=64, degrade_fast_at=64,
                                    degrade_ibp_at=96, reject_at=128)
             async with serving(tiny_model, config=config) as (service,
                                                               client):
@@ -245,7 +206,6 @@ class TestSoak:
 
         counters = metrics["counters"]
         assert counters["dedup_hits"] >= 1
-        assert counters["coalesced_batches"] >= 1
         assert counters["executed_queries"] == len(distinct)
         assert counters["submitted"] == 50
         assert set(metrics["tenants"]) == set(tenants)

@@ -38,7 +38,7 @@ class TestWorkerDeath:
         plan = FaultPlan(kind="kill-worker", max_faults=1)
 
         async def main():
-            config = ServiceConfig(batch_window=0.0, query_timeout=60.0)
+            config = ServiceConfig(query_timeout=60.0)
             async with serving(tiny_model, config=config,
                                cache_dir=cache_dir) as (service, client):
                 with install_fault_plan(plan):
@@ -78,7 +78,7 @@ class TestWorkerDeath:
         plan = FaultPlan(kind="kill-worker", max_faults=1)
 
         async def main():
-            config = ServiceConfig(batch_window=0.0, query_timeout=60.0)
+            config = ServiceConfig(query_timeout=60.0)
             async with serving(tiny_model, config=config) as (service,
                                                               client):
                 with install_fault_plan(plan):
@@ -113,7 +113,7 @@ class TestStall:
         plan = FaultPlan(kind="stall", stall_seconds=5.0, max_faults=1)
 
         async def main():
-            config = ServiceConfig(batch_window=0.0, query_timeout=0.4)
+            config = ServiceConfig(query_timeout=0.4)
             async with serving(tiny_model, config=config) as (service,
                                                               client):
                 loop = asyncio.get_running_loop()
@@ -140,7 +140,7 @@ class TestCacheGarble:
                                                    sentences, tmp_path):
         cache_dir = str(tmp_path / "cache")
         payload = submission(sentences[3], verifier="ibp")
-        config = ServiceConfig(batch_window=0.0)
+        config = ServiceConfig()
 
         async def run_once():
             async with serving(tiny_model, config=config,
@@ -183,7 +183,7 @@ class TestJournalRestart:
         payloads = [submission(s, verifier="ibp") for s in sentences[:2]]
 
         async def first_run():
-            config = ServiceConfig(batch_window=0.0)
+            config = ServiceConfig()
             async with serving(tiny_model, config=config,
                                journal_path=journal_path) as (service,
                                                               client):
@@ -197,7 +197,7 @@ class TestJournalRestart:
                 return radii
 
         async def restarted_run():
-            config = ServiceConfig(batch_window=0.0)
+            config = ServiceConfig()
             async with serving(tiny_model, config=config,
                                journal_path=journal_path,
                                resume=True) as (service, client):
@@ -232,8 +232,8 @@ class TestSupervisedPool:
 
     @staticmethod
     def _config(**overrides):
-        kwargs = dict(workers=2, batch_window=0.0, query_timeout=60.0,
-                      lease_timeout=10.0, heartbeat_interval=0.1)
+        kwargs = dict(workers=2, query_timeout=60.0, lease_timeout=10.0,
+                      heartbeat_interval=0.1)
         kwargs.update(overrides)
         return ServiceConfig(**kwargs)
 

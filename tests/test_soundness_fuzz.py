@@ -20,11 +20,11 @@ import numpy as np
 import pytest
 from scipy.stats import norm as _gauss
 
-from repro.zonotope import (DotProductConfig, MultiNormZonotope,
-                            batch_scope, exp, gelu, reciprocal,
-                            reduce_noise_symbols, refine_softmax_rows,
-                            relu, rsqrt, sigmoid, softmax, stack_regions,
-                            tanh, zonotope_matmul, zonotope_multiply)
+from repro.zonotope import (DotProductConfig, MultiNormZonotope, exp, gelu,
+                            reciprocal, reduce_noise_symbols,
+                            refine_softmax_rows, relu, rsqrt, sigmoid,
+                            softmax, tanh, zonotope_matmul,
+                            zonotope_multiply)
 
 from tests.conftest import assert_sound, sample_lp_ball
 
@@ -173,34 +173,6 @@ class TestReductionFuzz:
             reduced = reduce_noise_symbols(z, k)
             assert reduced.n_eps <= max(k, 0) + z.shape[0] * z.shape[1]
             assert_sound(reduced, lambda x: x, z, rng, n=150)
-
-    def test_batched_stack_matches_serial_and_stays_sound(self, seed, p):
-        """A random batch through a stacked chain: per-query slices are
-        bitwise equal to the serial runs (so each slice inherits their
-        soundness), and the sliced bounds contain sampled executions."""
-        rng = np.random.default_rng((seed, 53))
-        batch = int(rng.integers(2, 6))
-        regions = [fuzz_zonotope(rng, (3, 4), n_phi=2, n_eps=5, p=p)
-                   for _ in range(batch)]
-
-        def chain(z):
-            return reduce_noise_symbols(exp(relu(z)), 8)
-
-        serial = [chain(region) for region in regions]
-        stacked, ledger = stack_regions(regions)
-        with batch_scope(ledger):
-            batched = chain(stacked)
-
-        live = ledger.live_matrix()
-        eps = batched.eps
-        for b, ref in enumerate(serial):
-            rows = np.flatnonzero(live[:, b])
-            assert np.array_equal(batched.center[b], ref.center)
-            assert np.array_equal(batched.phi[:, b], ref.phi)
-            assert len(rows) == ref.n_eps
-            assert np.array_equal(eps[rows, b], ref.eps)
-            assert_sound(ref, lambda x: np.exp(np.maximum(x, 0.0)),
-                         regions[b], rng, n=100)
 
     def test_pipeline_composition(self, seed, p):
         """A fuzzed mini attention block end-to-end stays sound."""
