@@ -53,7 +53,6 @@ _RUNNERS = {
     "10": tables.run_table10, "11": tables.run_table11,
     "12": tables.run_table12, "13": tables.run_table13,
     "14": tables.run_table14, "figure4": tables.run_figure4,
-    "adaptive": tables.run_adaptive,
 }
 
 

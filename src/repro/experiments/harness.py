@@ -26,8 +26,8 @@ from ..scheduler import (expand_word_queries, get_default_scheduler,
 
 __all__ = ["ExperimentScale", "SCALE", "model_cache_dir", "get_corpus",
            "get_transformer", "load_cached_state", "evaluation_sentences",
-           "RadiusReport", "radius_report_deept", "radius_report_adaptive",
-           "radius_report_crown", "format_radius_row"]
+           "RadiusReport", "radius_report_deept", "radius_report_crown",
+           "format_radius_row"]
 
 
 @dataclass
@@ -239,19 +239,6 @@ def radius_report_deept(model, sentences, p, config, scale=None, name="DeepT",
     """
     return _radius_report(model, sentences, p, scale, name, seed, scheduler,
                           verifier="deept", config=config)
-
-
-def radius_report_adaptive(model, sentences, p, config, scale=None,
-                           name="Adaptive", seed=0, scheduler=None):
-    """Max-radius statistics for the trace-guided adaptive verifier.
-
-    ``config`` is the DeepT-Fast floor configuration; the escalation knobs
-    (``adaptive_max_rounds`` / ``adaptive_top_k`` / ``adaptive_cap_boost``)
-    ride on it. Queries run as ``verifier="adaptive"`` through the same
-    scheduler as every other report (cache, journal, workers all apply).
-    """
-    return _radius_report(model, sentences, p, scale, name, seed, scheduler,
-                          verifier="adaptive", config=config)
 
 
 def radius_report_crown(model, sentences, p, backsub_depth, scale=None,

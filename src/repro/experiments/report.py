@@ -21,12 +21,7 @@ fails, so CI can run the report as a quality bar:
                   rewritten key, zero queries lost across a mid-soak
                   SIGTERM drain plus ``--resume`` restart;
 * trace         — disabled-tracer overhead under budget, deterministic
-                  merge;
-* adaptive      — trace-guided refinement: adaptive radius >= Fast on
-                  every input, matches the full Precise radius on enough
-                  of the inputs Fast falls short on, at a fraction of the
-                  Precise wall-clock, with fast-certified inputs bitwise
-                  identical to plain DeepT-Fast.
+                  merge.
 
 Missing results files are reported but never fail the check: a partial
 checkout (e.g. CI running only the quick benches) still gets a report
@@ -145,28 +140,6 @@ def build_checks(results):
         _check(rows, "pool", "zero queries lost across drain + --resume",
                pool.get("zero_loss"), str(pool.get("zero_loss")))
 
-    adaptive = results.get("adaptive")
-    if adaptive:
-        _check(rows, "adaptive", "adaptive radius >= fast on every input",
-               adaptive.get("radius_ok"), str(adaptive.get("radius_ok")))
-        gaps = adaptive.get("n_gap_inputs", 0)
-        _check(rows, "adaptive", "workload has Fast-vs-Precise gap inputs",
-               gaps >= 1, str(gaps))
-        fraction = adaptive.get("precise_match_fraction", 0.0)
-        floor = adaptive.get("min_precise_match_fraction", 0.8)
-        _check(rows, "adaptive",
-               f"precise-radius match >= {floor:.0%} of gap inputs",
-               fraction >= floor, f"{fraction:.0%}")
-        ratio = adaptive.get("wallclock_ratio", 1.0)
-        ceiling = adaptive.get("max_wallclock_ratio", 0.5)
-        _check(rows, "adaptive",
-               f"wall-clock <= {ceiling:.0%} of the Precise pass",
-               ratio <= ceiling, f"{ratio:.0%}")
-        diff = adaptive.get("fast_parity_max_abs_diff")
-        _check(rows, "adaptive",
-               "fast-certified margins bitwise identical to DeepT-Fast",
-               diff == 0.0, f"max abs diff {diff:.1e}")
-
     trace = results.get("trace")
     if trace:
         overhead = trace.get("disabled_overhead_fraction", 1.0)
@@ -204,11 +177,6 @@ def _headline(key, data):
         return (f"disabled overhead "
                 f"{data.get('disabled_overhead_fraction', 0):+.1%}, "
                 f"{data.get('spans_per_propagation', 0)} spans/propagation")
-    if key == "adaptive":
-        return (f"{data.get('precise_match_fraction', 0):.0%} precise-"
-                f"radius match on {data.get('n_gap_inputs', 0)} gap "
-                f"inputs at {data.get('wallclock_ratio', 0):.0%} of "
-                f"precise wall-clock")
     return data.get("benchmark", key)
 
 

@@ -22,14 +22,14 @@ from ..nlp import build_synonym_attack, make_synonym_challenge
 from ..verify import DeepTVerifier, VerifierConfig, FAST, PRECISE, COMBINED
 from ..verify.radius import binary_search_radius
 from .harness import (SCALE, get_transformer, evaluation_sentences,
-                      radius_report_deept, radius_report_adaptive,
-                      radius_report_crown, format_radius_row)
+                      radius_report_deept, radius_report_crown,
+                      format_radius_row)
 
 __all__ = [
     "run_table1", "run_table2", "run_table3", "run_table4", "run_table5",
     "run_table6", "run_table7", "run_table8", "run_table9", "run_table10",
     "run_table11", "run_table12", "run_table13", "run_table14",
-    "run_figure4", "run_adaptive",
+    "run_figure4",
 ]
 
 
@@ -156,8 +156,7 @@ def run_table3(scale=None, crown_budget_seconds=60.0):
     scale = scale or SCALE
     # Deep-and-wide models need a gentler learning rate to train at all
     # (the default 2e-3 leaves the 12-layer wide model at chance accuracy).
-    from dataclasses import replace as _replace
-    wide_scale = _replace(scale, lr=1e-3, epochs=12)
+    wide_scale = replace(scale, lr=1e-3, epochs=12)
     wide_embed = scale.embed_dim * 2
     wide_hidden = scale.hidden_dim * 4
     rows = []
@@ -501,7 +500,10 @@ def run_table11(scale=None, n_images=3):
 @_record("table12")
 def run_table12(scale=None, layers=(3, 6, 12)):
     """Table 12 (A.4): Table 4 plus the CROWN-BaF column."""
-    return run_table4(scale=scale, layers=layers, include_baf=True)
+    # The undecorated Table 4 body: the recorded one would overwrite
+    # table4.txt with this table's output.
+    return run_table4.__wrapped__(scale=scale, layers=layers,
+                                  include_baf=True)
 
 
 @_record("table13")
@@ -558,54 +560,6 @@ def run_table14(scale=None, layers=(6, 12)):
         print(format_radius_row(f"M={n_layers}", [combined, backward]))
         rows.append(dict(n_layers=n_layers, combined=combined,
                          backward=backward))
-    return {"rows": rows}
-
-
-@_record("adaptive")
-def run_adaptive(scale=None, layers=(2,), norms=("l2",)):
-    """Adaptive refinement: DeepT-Fast vs trace-guided escalation vs the
-    full-precise ceiling.
-
-    The three columns share the same Fast floor configuration; the
-    "ceiling" column runs the maximal refinement plan (every layer on
-    Precise dot products, boosted DecorrelateMin_k budgets, softmax-sum
-    refinement forced) as a plain DeepT run — exactly the escalation's
-    last resort, so the adaptive radius is bracketed fast-below /
-    ceiling-above by construction.
-
-    The default workload trims the symbol caps and bisection depth from
-    the table scale: the ceiling column pays Precise dot products on
-    *every* layer per probe, which at cap 128 is minutes of wall-clock
-    for a column whose job is exhibiting the Fast-vs-Precise gap, not
-    paper-scale radii. Pass ``scale=SCALE`` (and wider ``layers`` /
-    ``norms``) for the full sweep.
-    """
-    from ..verify import AdaptiveVerifier
-
-    scale = scale or replace(SCALE, noise_symbol_cap=32,
-                             precise_symbol_cap=32, search_iterations=4)
-    rows = []
-    print("\n=== Adaptive refinement: Fast vs Adaptive vs ceiling ===")
-    for n_layers in layers:
-        model, dataset, _ = get_transformer("sst-small", n_layers=n_layers,
-                                            scale=scale)
-        sentences = evaluation_sentences(model, dataset, scale.n_sentences)
-        base = FAST(noise_symbol_cap=scale.noise_symbol_cap,
-                    softmax_sum_refinement=False)
-        ceiling_config = AdaptiveVerifier(model, base).ceiling_config()
-        for norm_name in norms:
-            p = _NORMS[norm_name]
-            fast = radius_report_deept(model, sentences, p, base,
-                                       scale=scale, name="DeepT-Fast")
-            adaptive = radius_report_adaptive(model, sentences, p, base,
-                                              scale=scale, name="Adaptive")
-            ceiling = radius_report_deept(model, sentences, p,
-                                          ceiling_config, scale=scale,
-                                          name="Ceiling")
-            print(format_radius_row(f"M={n_layers} {norm_name}",
-                                    [fast, adaptive, ceiling]))
-            rows.append(dict(n_layers=n_layers, p=norm_name, fast=fast,
-                             adaptive=adaptive, ceiling=ceiling))
     return {"rows": rows}
 
 

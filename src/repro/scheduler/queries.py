@@ -80,9 +80,7 @@ class CertQuery:
     Attributes
     ----------
     verifier:
-        ``"deept"`` (Multi-norm Zonotope), ``"adaptive"`` (DeepT with the
-        trace-guided fast -> selectively-precise escalation of
-        :mod:`repro.verify.refine`), ``"crown"`` (linear-bounds
+        ``"deept"`` (Multi-norm Zonotope), ``"crown"`` (linear-bounds
         baseline) or ``"ibp"`` (pure interval propagation — the
         degradation ladder's floor, used by the certification service as
         its deepest quality-of-service rung).
@@ -112,7 +110,7 @@ class CertQuery:
     n_iterations: int = 12
 
     def __post_init__(self):
-        if self.verifier not in ("deept", "adaptive", "crown", "ibp"):
+        if self.verifier not in ("deept", "crown", "ibp"):
             raise ValueError(f"unknown verifier {self.verifier!r}")
 
     def key(self):
@@ -136,13 +134,12 @@ def expand_word_queries(model, sentences, p, *, verifier="deept",
 
     One query per (sentence, perturbed position); positions follow the
     harness protocol (:func:`positions_for`, [CLS] excluded). For
-    ``verifier="deept"`` / ``"adaptive"`` pass the
-    :class:`VerifierConfig`; for ``verifier="crown"`` pass
-    ``backsub_depth``.
+    ``verifier="deept"`` pass the :class:`VerifierConfig`; for
+    ``verifier="crown"`` pass ``backsub_depth``.
     """
-    if verifier in ("deept", "adaptive"):
+    if verifier == "deept":
         if config is None:
-            raise ValueError(f"{verifier} queries need a VerifierConfig")
+            raise ValueError("deept queries need a VerifierConfig")
         config_items = verifier_config_items(config)
     elif verifier == "crown":
         if backsub_depth is None:
@@ -167,15 +164,13 @@ def expand_word_queries(model, sentences, p, *, verifier="deept",
 def rung_for_query(query):
     """The QoS rung a query is already at (used to report, not decide).
 
-    An ``"adaptive"`` query is "full" work: its floor is DeepT-Fast, but
-    the escalation may run full-precise passes, which is exactly the
-    spend the fast rung sheds.
+    A DeepT query is at the "fast" rung exactly when its dot-product
+    variant is fast.
     """
     if query.verifier == "ibp":
         return "ibp"
     if query.verifier == "deept" \
-            and dict(query.config).get("dot_product_variant") == "fast" \
-            and not dict(query.config).get("refinement_plan"):
+            and dict(query.config).get("dot_product_variant") == "fast":
         return "fast"
     return "full"
 
@@ -195,16 +190,9 @@ def degrade_query(query, rung):
         return query
     if rung == "ibp":
         return replace(query, verifier="ibp")
-    # rung == "fast": meaningful for deept queries above "fast" and for
-    # adaptive queries (drop the escalation to its DeepT-Fast floor).
-    if query.verifier not in ("deept", "adaptive"):
+    # rung == "fast": meaningful only for deept queries above "fast".
+    if query.verifier != "deept" or rung_for_query(query) == "fast":
         return query
     config = dict(query.config)
-    if query.verifier == "deept" \
-            and config.get("dot_product_variant") == "fast" \
-            and not config.get("refinement_plan"):
-        return query
     config["dot_product_variant"] = "fast"
-    config["refinement_plan"] = ()
-    return replace(query, verifier="deept",
-                   config=tuple(sorted(config.items())))
+    return replace(query, config=tuple(sorted(config.items())))

@@ -35,12 +35,6 @@ def _build_verifier(model, query):
     if query.verifier == "deept":
         from ..verify import DeepTVerifier, VerifierConfig
         return DeepTVerifier(model, VerifierConfig(**dict(query.config)))
-    if query.verifier == "adaptive":
-        # One verifier per query, reused across the binary search's
-        # probes — the certified-plan cache lives on it, so later probes
-        # reuse the plan that certified the previous one.
-        from ..verify import AdaptiveVerifier, VerifierConfig
-        return AdaptiveVerifier(model, VerifierConfig(**dict(query.config)))
     if query.verifier == "ibp":
         # The QoS floor: interval propagation; the (deept-shaped) config
         # rides along unused so degraded queries stay round-trippable.

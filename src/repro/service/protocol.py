@@ -6,7 +6,7 @@ A submission is a JSON object describing one T1 certification query::
      "sentence": [3, 17, 2, 9],        # token ids
      "position": 1,                    # perturbed word (0 = [CLS], invalid)
      "p": 2.0,                         # 1, 2 or "inf"
-     "verifier": "deept",          # "deept" | "adaptive" | "crown" | "ibp"
+     "verifier": "deept",          # "deept" | "crown" | "ibp"
      "config": {"noise_symbol_cap": 64},   # VerifierConfig overrides
      "backsub_depth": 10,              # crown only
      "initial": 0.01, "n_iterations": 12}
@@ -138,7 +138,7 @@ def parse_submission(payload, model_hash):
     p = _parse_p(payload.get("p", 2.0))
 
     verifier = payload.get("verifier", "deept")
-    if verifier not in ("deept", "adaptive", "crown", "ibp"):
+    if verifier not in ("deept", "crown", "ibp"):
         raise BadRequest(f"unknown verifier {verifier!r}")
     if verifier == "crown":
         try:

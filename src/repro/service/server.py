@@ -165,6 +165,7 @@ class CertService:
         self._supervisor = None
         self._draining = False
         self._drain_seconds = None
+        self._stopped = False
 
         if self.journal is not None:
             for key, entry in self.journal.replay().items():
@@ -180,6 +181,7 @@ class CertService:
     async def start(self, host="127.0.0.1", port=8100):
         """Bind the listener and start the dispatcher; returns the port."""
         self._loop = asyncio.get_running_loop()
+        self._stopped = False
         self._wakeup = asyncio.Event()
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="cert-exec")
@@ -209,6 +211,7 @@ class CertService:
 
     async def stop(self):
         """Close the listener; unresolved waiters get a typed error."""
+        self._stopped = True
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -426,6 +429,10 @@ class CertService:
         if self._supervisor is not None:
             return self._supervisor.run_batch([query])[0]
         fault_service_entry()
+        if self._stopped:
+            # A stalled execution whose service stopped meanwhile: its
+            # waiter is resolved, so no engine work may outlive the service.
+            raise RuntimeError("service stopped")
         return execute_query(self.model, query)
 
     async def _execute(self, entry):

@@ -12,8 +12,6 @@ from .regions import (
 )
 from .verifier import (DeepTVerifier, CertificationResult, IBPVerifier,
                        ibp_certify_region)
-from .refine import (RefinementPlan, AdaptiveVerifier, rank_layers,
-                     escalation_plan, ceiling_plan)
 from .radius import (
     binary_search_radius, max_certified_radius, max_certified_image_radius,
 )
@@ -28,8 +26,6 @@ __all__ = [
     "image_perturbation_region",
     "DeepTVerifier", "CertificationResult", "IBPVerifier",
     "ibp_certify_region",
-    "RefinementPlan", "AdaptiveVerifier", "rank_layers",
-    "escalation_plan", "ceiling_plan",
     "binary_search_radius", "max_certified_radius",
     "max_certified_image_radius",
     "MlpZonotopeVerifier", "propagate_mlp",

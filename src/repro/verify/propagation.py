@@ -109,8 +109,7 @@ def _stacked_projection(x, heads, proj_name):
     return out
 
 
-def propagate_attention(z, attention, config, dot_config,
-                        refine_softmax=None):
+def propagate_attention(z, attention, config, dot_config):
     """Multi-head self-attention (Eq. 1) on an (N, E) zonotope.
 
     All heads are batched: Q/K/V projections run as one stacked affine map,
@@ -125,14 +124,7 @@ def propagate_attention(z, attention, config, dot_config,
 
     Returns ``(output, x)`` where ``x`` is the (possibly rewritten) input —
     softmax-refinement tightenings must also apply to the residual branch.
-
-    ``refine_softmax`` is the per-layer softmax-sum-refinement switch a
-    :class:`~repro.verify.config.VerifierConfig.refinement_plan` drives;
-    ``None`` — the default — falls back to the config-wide flag, keeping
-    plan-free propagations bitwise identical to the pre-plan code path.
     """
-    if refine_softmax is None:
-        refine_softmax = config.softmax_sum_refinement
     heads = attention.heads
     n_heads = len(heads)
     n_tokens = z.shape[0]
@@ -150,7 +142,7 @@ def propagate_attention(z, attention, config, dot_config,
 
     scores = zonotope_matmul(qh, kh, dot_config).scale(1.0 / np.sqrt(d_k))
     flat_scores = scores.reshape(-1, n_tokens)
-    if refine_softmax:
+    if config.softmax_sum_refinement:
         weights, rewrites = zonotope_softmax(flat_scores, refine_sum=True)
         if rewrites and config.propagate_rewrites:
             x, vh = _apply_rewrites_everywhere(rewrites, [x, vh])
@@ -174,19 +166,16 @@ def propagate_feed_forward(z, ffn):
     return propagate_linear(hidden, ffn.fc2)
 
 
-def propagate_transformer_layer(z, layer, config, dot_config,
-                                refine_softmax=None):
+def propagate_transformer_layer(z, layer, config, dot_config):
     """One encoder layer: attention and FFN with residual + norm.
 
     Each stage output passes through the active propagation guard
     (:func:`repro.verify.guards.check_zonotope`) so a numerical blowup is
     caught at the abstract transformer that produced it, not layers later.
-    ``refine_softmax`` is the layer's plan-resolved softmax-refinement
-    switch (``None`` defers to the config-wide flag).
     """
     with PERF.stage("attention"):
         attended, z = propagate_attention(z, layer.attention, config,
-                                          dot_config, refine_softmax)
+                                          dot_config)
         check_zonotope(attended, "attention")
     with PERF.stage("layer_norm"):
         z = propagate_layer_norm(z + attended, layer.norm1, dot_config)
@@ -234,9 +223,8 @@ def propagate_classifier(model, input_zonotope, config=None):
                 dot_config = DotProductConfig(
                     variant=config.variant_for_layer(index, n_layers),
                     order=config.dual_norm_order, tol=config.coeff_tol)
-                z = propagate_transformer_layer(
-                    z, layer, config, dot_config,
-                    config.softmax_refine_for_layer(index))
+                z = propagate_transformer_layer(z, layer, config,
+                                                dot_config)
                 PERF.gauge_max("peak_eps_rows", z.n_eps)
         with PERF.stage("classifier_head"), TRACER.layer_scope(n_layers):
             pooled = tanh(propagate_linear(z[0], model.pool))

@@ -59,11 +59,6 @@ class CertificationResult:
     failed rung when all failed) and ``fault`` describes the first trip.
     Sound either way: looser rungs over-approximate more, so a degraded run
     can lose certifications but never invent one.
-
-    ``plan`` / ``refinement_rounds`` are set by the adaptive verifier
-    (:mod:`repro.verify.refine`): the refinement-plan entries the answer
-    was computed under (empty for plain and fast-certified runs) and the
-    number of planned passes attempted.
     """
 
     certified: bool
@@ -72,8 +67,6 @@ class CertificationResult:
     degraded: bool = False
     fallback_chain: tuple = ()
     fault: str = None
-    plan: tuple = ()
-    refinement_rounds: int = 0
 
     def __bool__(self):
         return self.certified

@@ -19,9 +19,12 @@ Two bounding strategies are provided:
              the mixed phi/eps cases (Table 6 ablates this; ℓ∞-first is the
              paper's default).
 ``precise``  the pairwise interval analysis of Eq. (6) for the eps-eps case
-             only: O(N Einf^2), exploiting eps_i^2 in [0, 1]; the mixed and
-             phi-phi cases still use the fast bound. This is the
-             DeepT-Precise dot product.
+             only, exploiting eps_i^2 in [0, 1]; the mixed and phi-phi
+             cases still use the fast bound. This is the DeepT-Precise dot
+             product. Output row i costs O(m k |S_i| |T|), where S_i are the
+             eps symbols with a coefficient in x's row i and T those with
+             one anywhere in y: exact-zero symbols are skipped, so the cost
+             is not the O(N Einf^2) of the dense pairwise tensor.
 """
 
 from __future__ import annotations
@@ -92,56 +95,59 @@ def _fast_case_bound(inner_coeffs, inner_q, outer_coeffs, outer_q, pattern):
     return norm_along_axis0(t, outer_q)
 
 
-def _precise_eps_bounds(x_eps, y_eps, block=8):
+def _precise_eps_bounds(x_eps, y_eps):
     """Eq. (6) interval bounds of ``(B1 eps).(B2 eps)`` per output pair.
 
-    ``x_eps``: (E, n, k), ``y_eps``: (E, k, m). Returns (l, u) of shape
-    (n, m). The full pairwise tensor M[i, j, a, b] = sum_t x[a,i,t] y[b,t,j]
-    is materialized in blocks of ``block`` output rows to bound memory.
-    Batched operands (leading variable axes) take the wrapper below.
+    ``x_eps``: (E, ..., n, k), ``y_eps``: (E, ..., k, m). Returns (l, u) of
+    shape (..., n, m). For output (i, j) the pairwise matrix is
+    M[a, b] = sum_t x[a,i,t] y[b,t,j]; its diagonal takes eps_a^2 in
+    [0, 1] and every off-diagonal entry costs |M_ab|.
+
+    A symbol with no coefficient in row i of ``x`` (outside S_i), or none
+    anywhere in ``y`` (outside T), contributes exact zeros to M, so each
+    row multiplies only ``x[S_i, i, :]`` by ``y[T]`` in one BLAS-backed
+    matmul and reads the diagonal from that same block at the symbols in
+    both S_i and T. Only exact zeros are skipped: a NaN or Inf coefficient
+    is nonzero and stays in the pass.
     """
-    n_eps, n, _ = x_eps.shape
-    m = y_eps.shape[2]
-    lower = np.zeros((n, m))
-    upper = np.zeros((n, m))
-    if n_eps == 0:
-        return lower, upper
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        # M: (rows, m, E, E)
-        pairwise = np.einsum("ait,btj->ijab", x_eps[:, start:stop, :], y_eps)
-        diag = np.einsum("ijaa->ija", pairwise)
-        abs_sum = np.abs(pairwise).sum(axis=(2, 3))
-        abs_diag = np.abs(diag).sum(axis=2)
-        off = abs_sum - abs_diag                      # sum_{a != b} |M_ab|
-        lower[start:stop] = np.minimum(diag, 0.0).sum(axis=2) - off
-        upper[start:stop] = np.maximum(diag, 0.0).sum(axis=2) + off
-    return lower, upper
-
-
-def _precise_eps_bounds_batched(x_eps, y_eps, block=8):
-    """Eq. (6) bounds for operands with leading batch axes.
-
-    ``x_eps``: (E, ..., n, k), ``y_eps``: (E, ..., k, m). The pairwise
-    analysis is quadratic in E, so batch slices are processed one at a time
-    through the 2D routine rather than blowing up one giant einsum.
-    """
-    if x_eps.ndim == 3:
-        return _precise_eps_bounds(x_eps, y_eps, block=block)
-    batch_shape = x_eps.shape[1:-2]
     n_eps = x_eps.shape[0]
+    batch_shape = x_eps.shape[1:-2]
     n, k = x_eps.shape[-2:]
     m = y_eps.shape[-1]
+    lower = np.zeros(batch_shape + (n, m))
+    upper = np.zeros(batch_shape + (n, m))
+    if n_eps == 0:
+        return lower, upper
     x_flat = x_eps.reshape((n_eps, -1, n, k))
     y_flat = y_eps.reshape((n_eps, -1, k, m))
-    n_batch = x_flat.shape[1]
-    lower = np.zeros((n_batch, n, m))
-    upper = np.zeros((n_batch, n, m))
-    for b in range(n_batch):
-        lower[b], upper[b] = _precise_eps_bounds(
-            x_flat[:, b], y_flat[:, b], block=block)
-    return (lower.reshape(batch_shape + (n, m)),
-            upper.reshape(batch_shape + (n, m)))
+    lower_flat = lower.reshape((-1, n, m))
+    upper_flat = upper.reshape((-1, n, m))
+    for b in range(x_flat.shape[1]):
+        y_b = y_flat[:, b]
+        live_y = np.flatnonzero((y_b != 0).any(axis=(1, 2)))   # T
+        if not len(live_y):
+            continue
+        # (m, k, |T|), contiguous so every (k, |T|) slice is BLAS-able.
+        y_live = np.ascontiguousarray(y_b[live_y].transpose(2, 1, 0))
+        position_in_y = np.full(n_eps, -1)
+        position_in_y[live_y] = np.arange(len(live_y))
+        x_b = x_flat[:, b]
+        live_x = (x_b != 0).any(axis=2)                         # (E, n)
+        for i in range(n):
+            live_row = np.flatnonzero(live_x[:, i])             # S_i
+            if not len(live_row):
+                continue
+            # M restricted to S_i x T: (m, |S_i|, |T|).
+            pairwise = np.matmul(x_b[live_row, i, :], y_live)
+            in_y = position_in_y[live_row]
+            shared = np.flatnonzero(in_y >= 0)                  # S_i & T
+            diag = pairwise[:, shared, in_y[shared]]
+            # sum_{a != b} |M_ab|
+            off = (np.abs(pairwise).sum(axis=(1, 2))
+                   - np.abs(diag).sum(axis=1))
+            lower_flat[b, i] = np.minimum(diag, 0.0).sum(axis=1) - off
+            upper_flat[b, i] = np.maximum(diag, 0.0).sum(axis=1) + off
+    return lower, upper
 
 
 def _quadratic_bounds(x, y, config):
@@ -176,7 +182,7 @@ def _quadratic_bounds(x, y, config):
     # eps-eps: fast cascade or the precise pairwise analysis.
     if x.n_eps and y.n_eps:
         if config.variant == "precise":
-            l_ee, u_ee = _precise_eps_bounds_batched(x.eps, y.eps)
+            l_ee, u_ee = _precise_eps_bounds(x.eps, y.eps)
         else:
             b_ee = _fast_case_bound(y.eps, 1.0, x.eps, 1.0, "row-col")
             l_ee, u_ee = -b_ee, b_ee

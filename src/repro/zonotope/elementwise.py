@@ -14,7 +14,9 @@ none).
 The exponential and reciprocal transformers additionally guarantee a
 *positive output lower bound*, which the softmax pipeline relies on: the
 tangent point is clamped (``t_crit,2``) so the lower envelope stays above
-zero. For the exponential the clamp is an upper bound on the tangent point
+zero (for the exponential, on inputs no wider than
+``_EXP_MAX_TANGENT_WIDTH``; wider ones get the lower bound 0). For the
+exponential the clamp is an upper bound on the tangent point
 (``t_opt = min(t_crit, l + 1 - eps)``, as printed in the paper); for the
 convex *decreasing* reciprocal the positivity constraint bounds the tangent
 point from *below* (the tangent at t evaluated at u is ``(2t - u)/t^2``,
@@ -41,6 +43,10 @@ __all__ = ["relu", "tanh", "exp", "reciprocal", "rsqrt", "sigmoid",
 _POINT_TOL = 1e-12
 # The small positive constant of Sections 4.5/4.6 keeping outputs positive.
 _EPS_SHIFT = 0.01
+# Widest exp input interval that gets the tangent band: beyond it the band's
+# lower offset (about e^l) is below the rounding error of its upper end
+# (about e^u, and e^30 is about 1e13).
+_EXP_MAX_TANGENT_WIDTH = 30.0
 
 
 def affine_response(x, lam, mu, beta_new, tol=0.0):
@@ -105,6 +111,13 @@ def exp(x):
     Tangent at ``t_opt = min(t_crit, t_crit,2)`` where ``t_crit`` is the
     point whose tangent is parallel to the chord (area-optimal) and
     ``t_crit,2 = l + 1 - eps`` enforces a positive output lower bound.
+
+    Inputs wider than ``_EXP_MAX_TANGENT_WIDTH`` get the box ``[0, e^u]``
+    instead (``lam = 0``, ``mu = beta = e^u / 2``), which floating point
+    evaluates exactly. On such an interval the tangent band's lower offset
+    is smaller than the rounding error of its upper end, so its computed
+    lower bound could exceed ``e^l``; the slope it would carry spans at
+    most about ``1e-11`` of the output width.
     """
     lower, upper = x.bounds()
     width = upper - lower
@@ -120,6 +133,10 @@ def exp(x):
     exp_t = lam  # e^{t_opt}
     mu = 0.5 * (exp_t - lam * t_opt + exp_u - lam * upper)
     beta = 0.5 * (lam * t_opt - exp_t + exp_u - lam * upper)
+    wide = width > _EXP_MAX_TANGENT_WIDTH
+    lam = np.where(wide, 0.0, lam)
+    mu = np.where(wide, 0.5 * exp_u, mu)
+    beta = np.where(wide, 0.5 * exp_u, beta)
     lam = np.where(point, 0.0, lam)
     mu = np.where(point, np.exp(x.center), mu)
     beta = np.where(point, 0.0, beta)

@@ -4,10 +4,9 @@ Certifies the cached ``sst-small`` 2-layer checkpoint (trained once,
 committed in ``.model_cache/``) at fixed radii for p in {1, 2, inf} with
 the tracer enabled, aggregates the trace per (layer, op), and compares the
 resulting margins and interval widths against the committed snapshot
-``tests/golden_bounds.json``. The snapshot also carries an ``adaptive``
-section pinning the trace-guided escalation on the same checkpoint: its
-fast path, an in-gap refined certification (decision, margin, derived
-plan, round count) and an uncertified answer's ceiling margin.
+``tests/golden_bounds.json``. The ``cases`` section runs DeepT-Fast; the
+``precise`` section has the same layout and runs DeepT-Precise (the
+Eq. (6) dot product) on the same checkpoint at p in {2, inf}.
 
 The engine is deterministic for fixed weights, so the tolerance is tight
 (``RTOL = 1e-6``, covering BLAS summation-order differences across
@@ -28,7 +27,7 @@ import numpy as np
 import pytest
 
 from repro.trace import TRACER, aggregate_spans
-from repro.verify import (AdaptiveVerifier, DeepTVerifier, FAST,
+from repro.verify import (DeepTVerifier, FAST, PRECISE,
                           word_perturbation_region)
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_bounds.json")
@@ -44,20 +43,13 @@ CASES = [
 N_LAYERS = 2
 POSITION = 1
 
-# Adaptive-mode snapshot: the same checkpoint through the trace-guided
-# escalation at radii pinning its three behaviors — the fast path (plan
-# stays empty, margin bitwise equal to plain DeepT-Fast), an in-gap
-# radius DeepT-Fast rejects but the derived plan certifies, and a radius
-# even the ceiling rejects (the answer carries the ceiling's margin).
-ADAPTIVE_CASES = [
-    ("fastpath", 2.0, 0.05),
-    ("refined", 2.0, 0.33),
-    ("uncertified", 2.0, 0.34),
+# DeepT-Precise snapshot: the Eq. (6) dot product on the same checkpoint,
+# at the Table 4 symbol cap.
+PRECISE_CASES = [
+    ("p2", 2.0, 0.05),
+    ("pinf", float("inf"), 0.01),
 ]
-
-
-def _adaptive_base():
-    return FAST(noise_symbol_cap=24, softmax_sum_refinement=False)
+PRECISE_CAP = 96
 
 
 def _reference_setup():
@@ -68,55 +60,59 @@ def _reference_setup():
     return model, sentence
 
 
+def _case_snapshot(verifier, model, sentence, true_label, p, radius):
+    """Margin plus per-(layer, op) widths of one traced certification."""
+    region = word_perturbation_region(model, list(sentence), POSITION,
+                                      radius, p)
+    with TRACER.collecting() as tracer:
+        result = verifier.certify_region(region, true_label)
+    groups = {}
+    for (layer, op), stats in aggregate_spans(tracer.spans).items():
+        groups[f"{layer}|{op}"] = {
+            "count": stats["count"],
+            "width_max": stats["width_max"],
+            "width_mean": stats["width_mean"],
+        }
+    return {
+        "p": p if np.isfinite(p) else "inf",
+        "radius": radius,
+        "certified": bool(result.certified),
+        "margin_lower": float(result.margin_lower),
+        "groups": groups,
+    }
+
+
 def compute_golden():
     """The snapshot payload: per-case margin + per-(layer, op) widths."""
     model, sentence = _reference_setup()
-    verifier = DeepTVerifier(model, FAST(noise_symbol_cap=128))
     true_label = model.predict(list(sentence))
     payload = {"sentence": [int(t) for t in sentence],
-               "true_label": int(true_label), "cases": {}}
+               "true_label": int(true_label), "cases": {}, "precise": {}}
+    fast = DeepTVerifier(model, FAST(noise_symbol_cap=128))
     for label, p, radius in CASES:
-        region = word_perturbation_region(model, list(sentence), POSITION,
-                                          radius, p)
-        with TRACER.collecting() as tracer:
-            result = verifier.certify_region(region, true_label)
-        groups = {}
-        for (layer, op), stats in aggregate_spans(tracer.spans).items():
-            groups[f"{layer}|{op}"] = {
-                "count": stats["count"],
-                "width_max": stats["width_max"],
-                "width_mean": stats["width_mean"],
-            }
-        payload["cases"][label] = {
-            "p": p if np.isfinite(p) else "inf",
-            "radius": radius,
-            "certified": bool(result.certified),
-            "margin_lower": float(result.margin_lower),
-            "groups": groups,
-        }
-
-    payload["adaptive"] = {}
-    for label, p, radius in ADAPTIVE_CASES:
-        region = word_perturbation_region(model, list(sentence), POSITION,
-                                          radius, p)
-        # Fresh verifier per case: the snapshot pins the full escalation,
-        # not a cached-plan shortcut.
-        result = AdaptiveVerifier(model, _adaptive_base()).certify_region(
-            region, true_label)
-        entry = {
-            "p": p if np.isfinite(p) else "inf",
-            "radius": radius,
-            "certified": bool(result.certified),
-            "margin_lower": float(result.margin_lower),
-            "plan": [list(e) for e in result.plan],
-            "refinement_rounds": int(result.refinement_rounds),
-        }
-        if label == "fastpath":
-            plain = DeepTVerifier(model, _adaptive_base()).certify_region(
-                region, true_label)
-            entry["fast_margin_lower"] = float(plain.margin_lower)
-        payload["adaptive"][label] = entry
+        payload["cases"][label] = _case_snapshot(
+            fast, model, sentence, true_label, p, radius)
+    precise = DeepTVerifier(model, PRECISE(noise_symbol_cap=PRECISE_CAP))
+    for label, p, radius in PRECISE_CASES:
+        payload["precise"][label] = _case_snapshot(
+            precise, model, sentence, true_label, p, radius)
     return payload
+
+
+def _assert_margin_matches(old, new):
+    assert old["certified"] == new["certified"]
+    assert new["margin_lower"] == pytest.approx(old["margin_lower"],
+                                                rel=RTOL, abs=1e-12)
+
+
+def _assert_widths_match(old, new):
+    assert sorted(old) == sorted(new), "pipeline shape changed"
+    for key, stats in old.items():
+        got = new[key]
+        assert got["count"] == stats["count"], key
+        for field in ("width_max", "width_mean"):
+            assert got[field] == pytest.approx(
+                stats[field], rel=RTOL, abs=1e-12), (key, field)
 
 
 @pytest.fixture(scope="module")
@@ -144,23 +140,13 @@ class TestGoldenBounds:
 
     @pytest.mark.parametrize("label", [c[0] for c in CASES])
     def test_margin_matches(self, golden, current, label):
-        old = golden["cases"][label]
-        new = current["cases"][label]
-        assert old["certified"] == new["certified"]
-        assert new["margin_lower"] == pytest.approx(old["margin_lower"],
-                                                    rel=RTOL, abs=1e-12)
+        _assert_margin_matches(golden["cases"][label],
+                               current["cases"][label])
 
     @pytest.mark.parametrize("label", [c[0] for c in CASES])
     def test_per_layer_widths_match(self, golden, current, label):
-        old = golden["cases"][label]["groups"]
-        new = current["cases"][label]["groups"]
-        assert sorted(old) == sorted(new), "pipeline shape changed"
-        for key, stats in old.items():
-            got = new[key]
-            assert got["count"] == stats["count"], key
-            for field in ("width_max", "width_mean"):
-                assert got[field] == pytest.approx(
-                    stats[field], rel=RTOL, abs=1e-12), (key, field)
+        _assert_widths_match(golden["cases"][label]["groups"],
+                             current["cases"][label]["groups"])
 
     def test_covers_every_layer(self, current):
         layers = {int(key.split("|")[0])
@@ -169,40 +155,27 @@ class TestGoldenBounds:
         assert layers == set(range(N_LAYERS + 1))
 
 
-class TestGoldenAdaptive:
-    """Adaptive-mode snapshot: decisions, margins, the derived plan and
-    the round count are all pinned — an escalation-heuristic change that
-    moves any of them must regenerate the snapshot deliberately."""
+class TestGoldenPrecise:
+    """DeepT-Precise snapshot: the same checks as ``cases``, through the
+    Eq. (6) dot product."""
 
     def test_same_workload(self, golden, current):
-        assert "adaptive" in golden, \
-            "snapshot predates the adaptive section; regenerate it"
-        assert sorted(golden["adaptive"]) == sorted(current["adaptive"])
+        assert sorted(golden["precise"]) == sorted(current["precise"])
 
-    @pytest.mark.parametrize("label", [c[0] for c in ADAPTIVE_CASES])
-    def test_adaptive_case_matches(self, golden, current, label):
-        old = golden["adaptive"][label]
-        new = current["adaptive"][label]
-        assert old["certified"] == new["certified"]
-        assert new["margin_lower"] == pytest.approx(old["margin_lower"],
-                                                    rel=RTOL, abs=1e-12)
-        assert old["plan"] == new["plan"]
-        assert old["refinement_rounds"] == new["refinement_rounds"]
+    @pytest.mark.parametrize("label", [c[0] for c in PRECISE_CASES])
+    def test_margin_matches(self, golden, current, label):
+        _assert_margin_matches(golden["precise"][label],
+                               current["precise"][label])
 
-    def test_fastpath_bitwise_equals_plain_fast(self, current):
-        entry = current["adaptive"]["fastpath"]
-        assert entry["certified"] and entry["plan"] == []
-        assert entry["refinement_rounds"] == 0
-        assert entry["margin_lower"] == entry["fast_margin_lower"]
+    @pytest.mark.parametrize("label", [c[0] for c in PRECISE_CASES])
+    def test_per_layer_widths_match(self, golden, current, label):
+        _assert_widths_match(golden["precise"][label]["groups"],
+                             current["precise"][label]["groups"])
 
-    def test_case_shapes(self, current):
-        refined = current["adaptive"]["refined"]
-        assert refined["certified"] and refined["plan"]
-        assert refined["refinement_rounds"] >= 1
-        uncertified = current["adaptive"]["uncertified"]
-        assert not uncertified["certified"]
-        assert uncertified["plan"], \
-            "uncertified answers report the ceiling plan they exhausted"
+    def test_runs_the_precise_dot_product(self, current):
+        for case in current["precise"].values():
+            assert any(key.endswith("|dot-precise")
+                       for key in case["groups"])
 
 
 def main():
@@ -222,7 +195,7 @@ def main():
     n_groups = sum(len(c["groups"]) for c in payload["cases"].values())
     print(f"wrote {GOLDEN_PATH}: {len(payload['cases'])} cases, "
           f"{n_groups} (layer, op) groups, "
-          f"{len(payload['adaptive'])} adaptive cases")
+          f"{len(payload['precise'])} precise cases")
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ from repro.scheduler import (CertScheduler, DrainedRun, PoisonedQueryError,
                              expand_word_queries)
 from repro.scheduler.pool import PoolResult
 from repro.service import degrade_query, rung_for_query
-from repro.verify import FAST
+from repro.verify import FAST, PRECISE
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -237,13 +237,12 @@ class TestPoisonQuarantine:
 
     def test_poisoned_chain_follows_the_qos_rung_rule(self, tiny_model,
                                                       sentences):
-        """A fast-variant DeepT query with a refinement plan runs Precise
-        passes, so it sits at the "full" rung; its poisoned answer says
-        so and lands under the ``degrade_query`` IBP twin."""
+        """A Precise-variant DeepT query sits at the "full" rung; its
+        poisoned answer says so and lands under the ``degrade_query`` IBP
+        twin."""
         query, = expand_word_queries(
             tiny_model, sentences[:1], 2.0, verifier="deept",
-            config=FAST(noise_symbol_cap=64,
-                        refinement_plan=(("precise", 0),)),
+            config=PRECISE(noise_symbol_cap=64),
             n_positions=1, n_iterations=3)
         assert rung_for_query(query) == "full"
         plan = FaultPlan(kind="kill-worker", probability=0.0, max_faults=0,

@@ -134,6 +134,38 @@ class TestStall:
         assert elapsed < 5.0  # resolved while the stall was still running
         assert counters["execution_timeouts"] == 1
 
+    def test_stall_outliving_the_service_runs_no_engine(
+            self, tiny_model, sentences, monkeypatch):
+        """The stalled primary wakes after the service stopped; only the
+        rescue may have run the engine (the process-global tracer and
+        perf recorders must not see work from a stopped service)."""
+        from repro.service import server
+
+        calls = []
+        real = server.execute_query
+
+        def counting(model, query):
+            calls.append(query.verifier)
+            return real(model, query)
+
+        monkeypatch.setattr(server, "execute_query", counting)
+        payload = submission(sentences[2], n_iterations=1)
+        plan = FaultPlan(kind="stall", stall_seconds=1.0, max_faults=1)
+
+        async def main():
+            config = ServiceConfig(query_timeout=0.2)
+            async with serving(tiny_model, config=config) as (service,
+                                                              client):
+                with install_fault_plan(plan):
+                    status, ack = await client.submit(payload)
+                    assert status == 202
+                    await client.wait(ack["key"], timeout=30)
+            return service._executor
+
+        executor = asyncio.run(main())
+        executor.shutdown(wait=True)  # joins the thread once it wakes
+        assert calls == ["ibp"]
+
 
 class TestCacheGarble:
     def test_garbled_shard_self_heals_on_recompute(self, tiny_model,

@@ -190,113 +190,3 @@ class TestReductionFuzz:
                 a.concretize(phi, eps) @ b.concretize(phi, eps)), 0.0)
             assert np.all(y >= lower - 1e-7)
             assert np.all(y <= upper + 1e-7)
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("p", NORMS)
-class TestRefinementPlanFuzz:
-    """Randomized :class:`RefinementPlan`s through whole transformers.
-
-    A plan only *tightens* the abstraction per layer, so for any random
-    plan the planned propagation must sit between plain DeepT-Fast
-    (containing it) and the full-precise ceiling (contained by it), both
-    in total final-logit width and at every traced layer exit — and the
-    planned bounds must still contain sampled concrete executions
-    (soundness survives selective refinement).
-    """
-
-    def _random_plan(self, rng, n_layers):
-        chosen = sorted(rng.choice(n_layers,
-                                   size=int(rng.integers(1, n_layers + 1)),
-                                   replace=False))
-        entries = [("precise", int(layer)) for layer in chosen]
-        for layer in chosen:
-            if rng.random() < 0.5:
-                entries.append(("cap", int(layer),
-                                int(rng.integers(20, 40))))
-            if rng.random() < 0.5:
-                entries.append(("softmax", int(layer)))
-        return tuple(entries)
-
-    @staticmethod
-    def _widths(model, region, config):
-        """(total final width, {layer: exit width mean}, (lower, upper)).
-
-        Layer exits come from an explicit per-layer loop (mirroring
-        ``propagate_classifier``'s documented structure), not from the
-        process-global tracer: a straggler worker thread from an earlier
-        test mid-propagation would interleave its spans into a tracer
-        capture, while local propagation state cannot be contaminated.
-        """
-        from repro.verify import propagate_classifier
-        from repro.verify.propagation import (propagate_transformer_layer,
-                                              propagation_errstate)
-        from repro.zonotope import DotProductConfig, reduce_noise_symbols
-
-        n_layers = len(model.layers)
-        exits = {}
-        with propagation_errstate():
-            z = region
-            for index, layer in enumerate(model.layers):
-                cap = config.cap_for_layer(index, n_layers)
-                if cap is not None:
-                    z = reduce_noise_symbols(
-                        z, cap, tol=config.coeff_tol,
-                        strategy=config.reduction_strategy)
-                dot_config = DotProductConfig(
-                    variant=config.variant_for_layer(index, n_layers),
-                    order=config.dual_norm_order, tol=config.coeff_tol)
-                z = propagate_transformer_layer(
-                    z, layer, config, dot_config,
-                    config.softmax_refine_for_layer(index))
-                layer_lower, layer_upper = z.bounds()
-                exits[index] = float(np.mean(layer_upper - layer_lower))
-        out = propagate_classifier(model, region, config)
-        lower, upper = out.bounds()
-        return float(np.sum(upper - lower)), exits, (lower, upper)
-
-    def test_planned_bounds_between_fast_and_ceiling(self, seed, p):
-        from dataclasses import replace
-
-        from repro.nn import TransformerClassifier
-        from repro.verify import FAST, word_perturbation_region
-        from repro.verify.refine import ceiling_plan
-
-        rng = np.random.default_rng((seed, 61))
-        n_layers = 3
-        model = TransformerClassifier(40, embed_dim=8, n_heads=2,
-                                      hidden_dim=8, n_layers=n_layers,
-                                      max_len=12, seed=seed)
-        tokens = [int(t) for t in rng.integers(1, 40, size=6)]
-        region = word_perturbation_region(model, tokens, 1, 0.3, p)
-        base = FAST(noise_symbol_cap=16, softmax_sum_refinement=False)
-        planned = replace(base,
-                          refinement_plan=self._random_plan(rng, n_layers))
-        ceiling = ceiling_plan(base, n_layers).apply(base)
-
-        w_fast, exits_fast, _ = self._widths(model, region, base)
-        w_plan, exits_plan, planned_bounds = self._widths(model, region,
-                                                          planned)
-        w_ceil, exits_ceil, _ = self._widths(model, region, ceiling)
-
-        # Total final-logit width: fast >= planned >= ceiling.
-        assert w_plan <= w_fast * (1 + 1e-9)
-        assert w_ceil <= w_plan * (1 + 1e-9)
-        # The same ordering at every traced layer exit.
-        for layer, fast_exit in exits_fast.items():
-            assert (exits_plan[layer] <= fast_exit * 1.000001
-                    or np.isinf(fast_exit))
-            assert (exits_ceil[layer] <= exits_plan[layer] * 1.000001
-                    or np.isinf(exits_plan[layer]))
-
-        # Monte-Carlo soundness of the planned run: sampled concrete
-        # executions stay inside the refined bounds.
-        lower, upper = planned_bounds
-        for _ in range(60):
-            phi = sample_lp_ball(rng, region.n_phi, region.p) \
-                if region.n_phi else np.zeros(0)
-            eps = rng.uniform(-1, 1, size=region.n_eps)
-            y = model.logits_from_embedding_array(
-                region.concretize(phi, eps))
-            assert np.all(y >= lower - 1e-7)
-            assert np.all(y <= upper + 1e-7)

@@ -104,6 +104,20 @@ class TestExp:
         z = make_input(rng, scale=3.0)
         assert_sound(exp(z), np.exp, z, rng, n=100)
 
+    def test_very_wide_interval_lower_bound_not_above_exp_l(self, rng):
+        """At u - l > 30 the tangent band's lower offset (about e^l) is
+        below one ulp of e^u; the computed lower bound must still not
+        exceed e^l, the smallest reachable output."""
+        lower = rng.uniform(0.0, 2.0, size=200)
+        width = rng.uniform(30.0, 40.0, size=200)
+        z = MultiNormZonotope(lower + width / 2,
+                              eps=np.stack([width / 4, width / 4]))
+        in_lower, _ = z.bounds()
+        out_lower, out_upper = exp(z).bounds()
+        assert np.all(out_lower <= np.exp(in_lower))
+        assert np.all(out_lower >= 0.0)
+        assert np.all(out_upper >= np.exp(z.bounds()[1]))
+
 
 class TestReciprocal:
     @pytest.mark.parametrize("p", [1.0, 2.0, np.inf])
