@@ -9,8 +9,11 @@ transformer, DeepT-Fast, ℓ2):
                  certified radii must be *bitwise identical* to plain and
                  the merged PERF counters must show zero degradations and
                  zero guard trips: on healthy inputs the resilience layer
-                 is invisible except for wall-clock, whose relative
-                 overhead is the headline number;
+                 is invisible except for its cost. The headline number is
+                 the relative overhead of the median guarded pass over
+                 the median plain pass, in CPU seconds, over interleaved
+                 plain/guarded pass pairs (the pair order alternates, so
+                 a drifting CPU speed hits both sides alike);
 3. **chaos**   — the guarded workload re-run under each zonotope fault kind
                  (NaN / Inf / overscale injected at layer 0). Every query
                  must still produce a radius, every radius must be <= the
@@ -30,6 +33,11 @@ import argparse
 import json
 import os
 import time
+
+# One BLAS thread, set before numpy loads: the process CPU time then counts
+# the engine's work, not idle BLAS threads spin-waiting beside it.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import numpy as np
 
@@ -61,11 +69,32 @@ def build_workload(model, sentences, n_positions, **config_overrides):
         model_hash=model_weight_hash(model))
 
 
-def timed_run(model, queries):
+# Interleaved plain/guarded pass pairs behind the overhead gate: a single
+# pair of ~0.7 s passes read anywhere from -12% to +12% at one commit, so
+# the 5% budget is checked against the medians of several pairs.
+PAIRS = 9
+
+
+def timed_run(model, queries, clock=time.perf_counter):
     scheduler = CertScheduler(workers=0)
-    start = time.perf_counter()
+    start = clock()
     outcomes = scheduler.run(model, queries)
-    return outcomes, time.perf_counter() - start
+    return outcomes, clock() - start
+
+
+def paired_cpu_seconds(model, plain_queries, guarded_queries):
+    """Interleaved plain/guarded passes; last outcomes and CPU seconds."""
+    seconds = {"plain": [], "guarded": []}
+    outcomes = {}
+    workloads = {"plain": plain_queries, "guarded": guarded_queries}
+    for pair in range(PAIRS):
+        order = ("plain", "guarded") if pair % 2 == 0 \
+            else ("guarded", "plain")
+        for name in order:
+            outcomes[name], spent = timed_run(model, workloads[name],
+                                              clock=time.process_time)
+            seconds[name].append(spent)
+    return outcomes, seconds
 
 
 def run_benchmark(n_sentences=1, n_positions=4, n_layers=2, seed=0):
@@ -84,11 +113,15 @@ def run_benchmark(n_sentences=1, n_positions=4, n_layers=2, seed=0):
     # lazy imports) so the plain-vs-guarded comparison is pure guard cost.
     timed_run(model, plain_queries[:1])
 
-    plain, plain_seconds = timed_run(model, plain_queries)
-    print(f"plain   : {plain_seconds:.2f}s (guards off, ladder off)")
-    guarded, guarded_seconds = timed_run(model, guarded_queries)
+    outcomes, seconds = paired_cpu_seconds(model, plain_queries,
+                                           guarded_queries)
+    plain, guarded = outcomes["plain"], outcomes["guarded"]
+    plain_seconds = float(np.median(seconds["plain"]))
+    guarded_seconds = float(np.median(seconds["guarded"]))
     overhead = guarded_seconds / plain_seconds - 1.0
-    print(f"guarded : {guarded_seconds:.2f}s "
+    print(f"plain   : {plain_seconds:.2f} CPU-s median of {PAIRS} "
+          f"(guards off, ladder off)")
+    print(f"guarded : {guarded_seconds:.2f} CPU-s median of {PAIRS} "
           f"(overhead {overhead * 100:+.1f}%)")
     assert overhead < GUARD_OVERHEAD_BUDGET, \
         (f"guard overhead {overhead:.3f} exceeds the "
@@ -111,7 +144,7 @@ def run_benchmark(n_sentences=1, n_positions=4, n_layers=2, seed=0):
     chaos = {}
     for kind in CHAOS_KINDS:
         with install_fault_plan(FaultPlan(kind=kind, layer=0, seed=seed)):
-            faulted, seconds = timed_run(model, guarded_queries)
+            faulted, chaos_seconds = timed_run(model, guarded_queries)
         radii = [o.radius for o in faulted]
         assert len(radii) == len(guarded_radii), \
             f"{kind}: lost queries under fault"
@@ -120,12 +153,12 @@ def run_benchmark(n_sentences=1, n_positions=4, n_layers=2, seed=0):
         assert all(o.degraded for o in faulted), \
             f"{kind}: fault did not surface as degradation"
         chaos[kind] = {
-            "seconds": seconds,
+            "seconds": chaos_seconds,
             "avg_radius": float(np.mean(radii)),
             "degraded_queries": sum(o.degraded for o in faulted),
         }
-        print(f"chaos/{kind:<9}: {seconds:.2f}s, every query degraded, "
-              f"avg radius {chaos[kind]['avg_radius']:.4f} "
+        print(f"chaos/{kind:<9}: {chaos_seconds:.2f}s, every query "
+              f"degraded, avg radius {chaos[kind]['avg_radius']:.4f} "
               f"(healthy {float(np.mean(guarded_radii)):.4f})")
 
     return {
@@ -133,8 +166,11 @@ def run_benchmark(n_sentences=1, n_positions=4, n_layers=2, seed=0):
         "model": f"sst-small L{n_layers}",
         "accuracy": float(accuracy),
         "n_queries": len(plain_queries),
+        "pairs": PAIRS,
         "plain_seconds": plain_seconds,
         "guarded_seconds": guarded_seconds,
+        "plain_pass_cpu_seconds": seconds["plain"],
+        "guarded_pass_cpu_seconds": seconds["guarded"],
         "guard_overhead_fraction": overhead,
         "guard_overhead_budget": GUARD_OVERHEAD_BUDGET,
         "radii_identical": guarded_radii == plain_radii,

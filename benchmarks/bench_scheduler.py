@@ -5,13 +5,14 @@ all three norms, several word positions per sentence) three times through
 :class:`repro.scheduler.CertScheduler`:
 
 1. **serial**   — ``workers=0``, no cache (the classic harness path);
-2. **parallel** — ``--workers`` fork processes against a cold cache;
+2. **parallel** — a ``--workers``-process supervised pool against a cold
+                  cache;
 3. **warm**     — the same scheduler again: every query must come from the
                   cache with zero recomputed queries.
 
 The certified radii of all three runs are asserted identical (the query
 executor is a pure function of weights and query, so parallelism and
-caching change wall-clock only). The ≥1.5x fork-pool speedup floor is
+caching change wall-clock only). The ≥1.5x pool speedup floor is
 gated on a multi-core host. Results land in
 ``benchmarks/results/BENCH_scheduler.json``: per-run wall time, the
 speedup, cache hit/miss/executed stats, and the host CPU count.
@@ -85,6 +86,7 @@ def run_benchmark(workers=4, n_sentences=1, n_positions=4,
 
         warm_radii, warm_seconds, warm_stats = timed_run(
             parallel, model, queries)
+        parallel.close()
         print(f"warm    : {warm_seconds:.2f}s "
               f"({warm_stats['cache_hits']}/{len(queries)} cache hits)")
 

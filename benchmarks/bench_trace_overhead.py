@@ -87,12 +87,16 @@ def strip_seconds(spans):
 
 
 def run_scheduler(model, queries, workers, trace):
-    if trace:
-        with TRACER.collecting() as tracer:
-            outcomes = CertScheduler(workers=workers).run(model, queries)
-        return [o.radius for o in outcomes], tracer.snapshot()
-    outcomes = CertScheduler(workers=workers).run(model, queries)
-    return [o.radius for o in outcomes], None
+    scheduler = CertScheduler(workers=workers)
+    try:
+        if trace:
+            with TRACER.collecting() as tracer:
+                outcomes = scheduler.run(model, queries)
+            return [o.radius for o in outcomes], tracer.snapshot()
+        outcomes = scheduler.run(model, queries)
+        return [o.radius for o in outcomes], None
+    finally:
+        scheduler.close()
 
 
 def run_benchmark(quick=False):

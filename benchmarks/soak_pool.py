@@ -99,7 +99,7 @@ def run_child(args):
     """One soak phase: a supervised run that drains on SIGTERM."""
     model, work = build_workload(quick=args.quick)
     scheduler = CertScheduler(
-        workers=2, supervised=True, lease_timeout=15.0,
+        workers=2, lease_timeout=15.0,
         heartbeat_interval=0.1, drain_timeout=args.drain_timeout,
         journal=RunJournal(args.journal, resume=args.resume))
 

@@ -27,7 +27,6 @@ sound.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linprog, minimize
 
 from ..zonotope import MultiNormZonotope
 from ..zonotope.elementwise import relu as relu_transformer
@@ -137,6 +136,10 @@ class BranchAndBoundVerifier:
 
         ``None`` means the cell does not intersect the region (prune).
         """
+        # Imported here: scipy.optimize is slow to import and only the
+        # Table 10 complete verifier needs it.
+        from scipy.optimize import linprog, minimize
+
         pre_maps, (w_out, b_out) = self._cell_affine(sub.pattern)
         objective = w_out @ margin_w_out
         obj_const = b_out @ margin_w_out + margin_b_out

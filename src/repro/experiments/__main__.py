@@ -6,6 +6,7 @@ Usage::
     python -m repro.experiments 1 4 13             # run selected tables
     python -m repro.experiments figure4            # the Figure 4 data
     python -m repro.experiments 1 --workers 4      # parallel radius queries
+                                                   # (supervised pool)
     python -m repro.experiments 1 --cache          # memoize completed
                                                    # queries in .cert_cache
     python -m repro.experiments 1 --resume         # resume a crashed run
@@ -14,11 +15,6 @@ Usage::
                                                    # trace, one JSONL per
                                                    # table, diffable with
                                                    # python -m repro.trace
-    python -m repro.experiments 1 --workers 2 --supervised
-                                                   # leased worker fleet:
-                                                   # heartbeats, requeue,
-                                                   # poison quarantine,
-                                                   # SIGTERM drain
     python -m repro.experiments report --check     # join BENCH_*.json into
                                                    # REPORT.md; exit 1 on
                                                    # any regression gate
@@ -28,8 +24,8 @@ Usage::
                                                    # quick-start")
 
 ``--workers N`` fans the certification queries of every radius report
-across N worker processes (N=0 keeps the classic serial path); the
-certified radii are bitwise identical either way. ``--cache`` (or
+across N supervised worker processes (N=0 keeps the classic serial path);
+the certified radii are bitwise identical either way. ``--cache`` (or
 ``--cache-dir PATH``) memoizes completed queries on disk keyed by model
 weights, corpus fingerprint and query config, so re-runs and extended
 sweeps only pay for new queries. ``--journal PATH`` appends every
@@ -68,13 +64,13 @@ def _build_parser():
              f"certification service")
     parser.add_argument(
         "--workers", type=int, default=0, metavar="N",
-        help="certification-query worker processes (0 = serial, default)")
-    parser.add_argument(
-        "--supervised", action="store_true",
-        help="with --workers N: use the supervised leased worker pool "
+        help="certification-query worker processes on the supervised pool "
              "(heartbeats, requeue-on-death, poison quarantine, graceful "
-             "SIGTERM drain) instead of the fire-and-forget fork pool; "
-             "with serve: run service execution on the supervised pool")
+             "SIGTERM drain); also the serve executor (0 = serial, "
+             "default)")
+    # Accepted for old command lines; --workers N alone selects the pool.
+    parser.add_argument("--supervised", action="store_true",
+                        help=argparse.SUPPRESS)
     parser.add_argument(
         "--drain-timeout", type=float, default=30.0, metavar="SECONDS",
         help="graceful-drain deadline after SIGTERM (or POST /drain): "
@@ -86,9 +82,6 @@ def _build_parser():
     parser.add_argument(
         "--cache-dir", default=None, metavar="PATH",
         help="memoize completed queries in PATH (implies --cache)")
-    parser.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-query worker timeout before retry/in-process fallback")
     parser.add_argument(
         "--journal", default=None, metavar="PATH",
         help="append completed query outcomes to a crash-safe JSONL "
@@ -154,9 +147,8 @@ def _serve(args):
         journal_path = default_journal_path()
     if args.trace_dir:
         TRACER.enable()  # tracer-backed /result progress
-    config = ServiceConfig(
-        workers=args.workers if args.supervised else 0,
-        drain_timeout=args.drain_timeout)
+    config = ServiceConfig(workers=args.workers,
+                           drain_timeout=args.drain_timeout)
     service = CertService(model, config=config, cache_dir=cache_dir,
                           journal_path=journal_path, resume=args.resume)
 
@@ -199,6 +191,22 @@ def _serve(args):
     return 0
 
 
+def _drain_on_sigterm(scheduler, drain_timeout):
+    """SIGTERM handler for a ``--workers N`` run.
+
+    During a pooled run SIGTERM drains it instead of killing it: the
+    in-flight leases finish (journaled), the rest is left for a --resume
+    restart, and the process exits 0. At any other time (training, a
+    table without radius queries, the serial fallback) it exits at once,
+    closing the fleet on the way out.
+    """
+    def handler(signum, frame):
+        if not scheduler.pooled_run_active:
+            raise SystemExit(128 + signum)
+        scheduler.request_drain(drain_timeout)
+    return handler
+
+
 def main(argv=None):
     """Run the selected experiment runners; returns a process exit code."""
     args = _build_parser().parse_args(argv)
@@ -231,27 +239,20 @@ def main(argv=None):
     cache_dir = args.cache_dir or (default_cache_dir() if args.cache
                                    else None)
     scheduler = configure(workers=args.workers, cache_dir=cache_dir,
-                          timeout=args.timeout, journal_path=args.journal,
-                          resume=args.resume, supervised=args.supervised,
+                          journal_path=args.journal, resume=args.resume,
                           drain_timeout=args.drain_timeout)
-    if args.supervised:
-        # SIGTERM drains the supervised run instead of killing it: the
-        # in-flight leases finish (journaled), the rest is left for a
-        # --resume restart, and the process exits 0.
+    if args.workers > 0:
         import signal
-
-        def _on_sigterm(signum, frame):
-            scheduler.request_drain(args.drain_timeout)
         try:
-            signal.signal(signal.SIGTERM, _on_sigterm)
+            signal.signal(signal.SIGTERM, _drain_on_sigterm(
+                scheduler, args.drain_timeout))
         except (ValueError, OSError):
             pass  # not the main thread / unsupported platform
     verbose = bool(args.workers or cache_dir or scheduler.journal)
     if verbose:
         journal_path = scheduler.journal.path if scheduler.journal \
             else "off"
-        print(f"scheduler: workers={args.workers}"
-              f"{' (supervised)' if args.supervised else ''}, "
+        print(f"scheduler: workers={args.workers}, "
               f"cache={cache_dir or 'off'}, journal={journal_path}"
               f"{' (resume)' if args.resume else ''}")
 
@@ -282,7 +283,7 @@ def main(argv=None):
               f"(journaled), {len(drained.remaining)} left for --resume")
         return 0
     finally:
-        if args.supervised:
+        if args.workers > 0:
             scheduler.close()
         if args.trace_dir:
             TRACER.disable()

@@ -100,7 +100,7 @@ def build_checks(results):
                recomputed == 0, str(recomputed))
         if scheduler.get("speedup_asserted"):
             speedup = scheduler.get("speedup", 0.0)
-            _check(rows, "scheduler", "fork-pool speedup >= 1.5x",
+            _check(rows, "scheduler", "pool speedup >= 1.5x",
                    speedup >= 1.5, f"{speedup:.2f}x")
 
     service = results.get("service")

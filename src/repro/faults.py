@@ -2,11 +2,12 @@
 
 Chaos harness for the resilience layers: a seeded, reproducible injector
 that can corrupt intermediate zonotopes (NaN / Inf / overscaled
-coefficients entering a chosen layer), kill scheduler fork-workers
-mid-query, stall workers past their timeout, and crash or garble
-:class:`~repro.scheduler.cache.ResultCache` shard writes. Production code
-carries only cheap hook calls (a ``None`` check when no plan is active);
-the faults themselves live here, behind a :class:`FaultPlan`.
+coefficients entering a chosen layer), kill or stall supervised-pool
+workers and the service's executor thread at query start, and crash or
+garble :class:`~repro.scheduler.cache.ResultCache` shard writes.
+Production code carries only cheap hook calls (a ``None`` check when no
+plan is active); the faults themselves live here, behind a
+:class:`FaultPlan`.
 
 Activation is either programmatic (tests)::
 
@@ -17,7 +18,7 @@ or environmental, so scheduler *worker processes* and CLI smoke runs are
 exercised without any test-only code in the production paths::
 
     REPRO_FAULT_PLAN='{"kind": "kill-worker"}' \
-        python -m repro.experiments 1 --workers 2 --timeout 5
+        python -m repro.experiments 1 --workers 2
 
 Fault kinds
 -----------
@@ -27,10 +28,13 @@ Fault kinds
                     downstream products overflow to Inf (the realistic
                     slow-blowup path — guards trip later, not at the
                     injection site).
-``kill-worker``     ``os._exit`` a pool worker at query start (the parent's
-                    timeout -> retry -> in-process ladder must recover).
+``kill-worker``     ``os._exit`` a pool worker at lease start (the
+                    supervisor requeues the lease, and quarantines a query
+                    that keeps killing workers to the IBP floor); in the
+                    service's in-process executor, raise
+                    :class:`InjectedWorkerDeath` instead.
 ``stall``           sleep ``stall_seconds`` at query start (forces the
-                    per-query timeout path).
+                    lease deadline or the service's query timeout).
 ``cache-kill``      ``os._exit`` between a cache shard's temp-file write
                     and its atomic rename (a crashed writer mid-commit).
 ``cache-garble``    truncate the shard file right after a successful
@@ -74,7 +78,7 @@ import numpy as np
 
 __all__ = ["FaultPlan", "FaultInjector", "InjectedWorkerDeath",
            "install_fault_plan", "active_injector", "reset_fault_state",
-           "fault_zonotope", "fault_worker_entry", "fault_service_entry",
+           "fault_zonotope", "fault_service_entry",
            "fault_cache_commit", "fault_cache_committed",
            "fault_lease_directives", "fault_spawn_directive",
            "ENV_FAULT_PLAN"]
@@ -97,9 +101,8 @@ class InjectedWorkerDeath(RuntimeError):
     The certification service executes queries on executor threads inside
     the serving process, so the ``kill-worker`` fault cannot ``os._exit``
     there without taking the whole server down — instead the service-side
-    hook raises this error at query start, which reaches the waiting
-    request exactly the way a dead fork-pool worker reaches the
-    scheduler's retry ladder.
+    hook raises this error at query start, and the service rescues the
+    waiting request from the IBP floor.
     """
 
 
@@ -202,19 +205,11 @@ class FaultInjector:
         flat[index] = np.nan if plan.kind == "nan" else np.inf
         return MultiNormZonotope(center, z.phi, z.eps, z.p)
 
-    # --------------------------------------------------------------- workers
-    def worker_entry(self):
-        """Hook at pool-worker query start: kill or stall the worker."""
-        kind = self.plan.kind
-        if kind == "kill-worker" and self._should_fire():
-            os._exit(KILL_EXIT_CODE)
-        if kind == "stall" and self._should_fire():
-            time.sleep(self.plan.stall_seconds)
-
+    # --------------------------------------------------------------- service
     def service_entry(self):
         """Hook at service query-execution start: die-or-stall in-thread.
 
-        The in-process twin of :meth:`worker_entry` for the asyncio
+        The in-process twin of :meth:`lease_directives` for the asyncio
         certification service: ``kill-worker`` raises
         :class:`InjectedWorkerDeath` (the executor thread dies, the server
         survives to rescue the waiter) and ``stall`` sleeps past the
@@ -281,9 +276,9 @@ _ENV_LOADED = False
 def active_injector():
     """The process's injector: installed plan, else the env plan, else None.
 
-    The environment is consulted once per process; fork-pool workers
-    inherit the parent's injector state at fork time and then diverge
-    (each worker fires its own deterministic sequence).
+    The environment is consulted once per process. Pool workers inherit
+    the parent's injector at fork time, but every worker fault is decided
+    parent-side (see :meth:`FaultInjector.lease_directives`).
     """
     global _INJECTOR, _ENV_LOADED
     if _INJECTOR is None and not _ENV_LOADED:
@@ -328,13 +323,6 @@ def fault_zonotope(z, layer_index):
         TRACER.record_event("fault-injected", layer=layer_index,
                             kind=injector.plan.kind)
     return corrupted
-
-
-def fault_worker_entry():
-    """Scheduler-worker hook at query start (kill / stall kinds)."""
-    injector = active_injector()
-    if injector is not None:
-        injector.worker_entry()
 
 
 def fault_service_entry():

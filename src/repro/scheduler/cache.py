@@ -38,7 +38,9 @@ __all__ = ["ResultCache", "default_cache_dir"]
 
 # 2: payloads carry the degradation metadata (degraded / fallback_chain /
 # fault) alongside radius, seconds and perf.
-_FORMAT_VERSION = 2
+# 3: invalidates entries a reused worker fleet may have computed with the
+# model of an earlier run (stored under a later model's valid keys).
+_FORMAT_VERSION = 3
 
 
 def default_cache_dir():

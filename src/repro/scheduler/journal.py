@@ -29,7 +29,9 @@ import os
 
 __all__ = ["RunJournal", "default_journal_path"]
 
-_FORMAT_VERSION = 1
+# 2: skips entries a reused worker fleet may have computed with the model
+# of an earlier run (stored under a later model's valid keys).
+_FORMAT_VERSION = 2
 
 
 def default_journal_path():

@@ -1,9 +1,7 @@
 """Supervised multi-process execution pool: leases, heartbeats, quarantine.
 
-The PR-2 fork pool is fire-and-forget: a worker that dies or wedges is
-only noticed when its per-query timeout expires, and a query that
-*reliably* kills its worker re-kills a fresh worker on every retry. This
-module replaces that engine with a supervised fleet:
+This is the one multi-process executor: the scheduler (``workers > 0``)
+and the service both run their queries on it.
 
 * :class:`WorkerSupervisor` owns N long-lived worker processes (fork
   context — the model is inherited, never pickled), each connected by a
@@ -23,11 +21,12 @@ module replaces that engine with a supervised fleet:
   exactly once per answered query.
 * A lease carries exactly one query. A query whose lease kills its worker
   ``poison_threshold`` times (default 2) is **poisoned**: quarantined in a
-  per-query circuit breaker and answered in-process from the verifier
-  ladder's IBP floor under the query rewritten by
-  :func:`~repro.scheduler.queries.degrade_query` — sound by construction
-  (IBP never flips uncertified to certified) and journaled/cached only
-  under the rewritten key, so the looser radius can never impersonate the
+  per-query circuit breaker and answered in-process by
+  :func:`~repro.scheduler.worker.ibp_floor_outcome` — sound by
+  construction (IBP never flips uncertified to certified) and executed
+  under the query rewritten by
+  :func:`~repro.scheduler.queries.degrade_query`, the only key it is
+  stored under, so the looser radius can never impersonate the
   full-precision answer. The typed :class:`PoisonedQueryError` detail
   travels in the outcome's ``fault`` field.
 * **Graceful drain**: :meth:`WorkerSupervisor.request_drain` (safe to
@@ -45,7 +44,6 @@ the directive inside the lease or spawn message, keeping the seeded
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import random
 import signal
@@ -58,10 +56,10 @@ from ..faults import (KILL_EXIT_CODE, fault_lease_directives,
                       fault_spawn_directive)
 from ..perf import PERF
 from ..trace import TRACER
-from .queries import degrade_query, rung_for_query
+from . import worker as worker_mod
+from .worker import QueryOutcome, ibp_floor_outcome
 
-__all__ = ["WorkerSupervisor", "PoolResult", "PoisonedQueryError",
-           "DrainedRun"]
+__all__ = ["WorkerSupervisor", "PoisonedQueryError", "DrainedRun"]
 
 
 class PoisonedQueryError(RuntimeError):
@@ -84,10 +82,10 @@ class PoisonedQueryError(RuntimeError):
 class DrainedRun(RuntimeError):
     """A supervised run stopped by graceful drain.
 
-    ``completed`` holds the :class:`PoolResult` records that committed
-    before the drain (each already delivered through ``on_result``, so a
-    journaling caller has them durably recorded); ``remaining`` the
-    queries left for a ``--resume`` restart.
+    ``completed`` holds the :class:`~repro.scheduler.worker.QueryOutcome`
+    records that committed before the drain (each already delivered
+    through ``on_result``, so a journaling caller has them durably
+    recorded); ``remaining`` the queries left for a ``--resume`` restart.
     """
 
     def __init__(self, completed, remaining):
@@ -96,27 +94,6 @@ class DrainedRun(RuntimeError):
         super().__init__(
             f"drained: {len(self.completed)} completed, "
             f"{len(self.remaining)} left for --resume")
-
-
-@dataclasses.dataclass(frozen=True)
-class PoolResult:
-    """One committed supervised-pool answer.
-
-    ``executed_query`` differs from ``query`` only for poisoned results,
-    where it is the IBP-rewritten twin that actually ran — the key the
-    answer may be cached and journaled under.
-    """
-
-    index: int
-    query: object
-    executed_query: object
-    radius: float
-    seconds: float
-    perf: dict | None
-    meta: dict
-    source: str          # "worker" | "worker-retry" | "poisoned" | "inprocess"
-    attempts: int
-    poisoned: bool = False
 
 
 # --------------------------------------------------------------- worker side
@@ -174,10 +151,7 @@ def _worker_main(conn, model, worker_id, heartbeat_interval,
     # blamed on the query it would have received.
     send(("ready", None, None))
     # Resolve execute_query through the module at call time so a
-    # monkeypatch installed before the fork is honoured (mirrors the
-    # legacy pool's behaviour, which tests rely on).
-    from . import worker as worker_mod
-
+    # monkeypatch installed before the fork is honoured (tests rely on it).
     while True:
         try:
             message = conn.recv()
@@ -300,7 +274,7 @@ class WorkerSupervisor:
         self._lease_seq = 0
         self._kill_counts = {}
         self._poisoned = {}        # key -> PoisonedQueryError message
-        self._poison_memo = {}     # key -> committed poisoned PoolResult
+        self._poison_memo = {}     # key -> committed poisoned QueryOutcome
         self._drain = threading.Event()
         self._started = False
         self.drain_seconds = None
@@ -321,8 +295,12 @@ class WorkerSupervisor:
             import multiprocessing
             self._context = multiprocessing.get_context("fork")
         self._slots = [_Slot(i) for i in range(self.workers)]
-        for slot in self._slots:
-            self._spawn(slot, initial=True)
+        try:
+            for slot in self._slots:
+                self._spawn(slot, initial=True)
+        except BaseException:
+            self.stop()  # no worker outlives a fleet that failed to start
+            raise
         self._started = True
         return self
 
@@ -375,7 +353,7 @@ class WorkerSupervisor:
 
     # ------------------------------------------------------------------- run
     def run(self, queries, *, on_result=None):
-        """Execute ``queries``; returns :class:`PoolResult` in input order.
+        """Execute ``queries``; one ``QueryOutcome`` each, in input order.
 
         Each query is leased on its own. ``on_result`` fires once per
         committed result, in completion order — the journaling hook that
@@ -396,24 +374,12 @@ class WorkerSupervisor:
             if on_result is not None:
                 on_result(result)
 
-        def poison_answer(index, query, task_attempts):
+        def poison_answer(index, query):
             key = query.key()
-            memo = self._poison_memo.get(key)
-            if memo is None:
-                twin = degrade_query(query, "ibp")
-                radius, seconds, perf, meta = self._execute_inprocess(twin)
-                chain = tuple(dict.fromkeys((rung_for_query(query), "ibp")))
-                meta = dict(meta)
-                meta["degraded"] = True
-                meta["fallback_chain"] = chain
-                meta["fault"] = self._poisoned[key]
-                memo = (twin, radius, seconds, perf, meta)
-                self._poison_memo[key] = memo
-            twin, radius, seconds, perf, meta = memo
-            commit(index, PoolResult(
-                index=index, query=query, executed_query=twin,
-                radius=radius, seconds=seconds, perf=perf, meta=dict(meta),
-                source="poisoned", attempts=task_attempts, poisoned=True))
+            if key not in self._poison_memo:
+                self._poison_memo[key] = ibp_floor_outcome(
+                    self.model, query, "poisoned", self._poisoned[key])
+            commit(index, self._poison_memo[key])
 
         def requeue_or_poison(task):
             key = task.query.key()
@@ -423,7 +389,7 @@ class WorkerSupervisor:
                 error = PoisonedQueryError(key, kills)
                 self._poisoned[key] = f"PoisonedQueryError: {error}"
                 self.stats["poisoned_queries"] += 1
-                poison_answer(task.index, task.query, task.attempts)
+                poison_answer(task.index, task.query)
             else:
                 self.stats["requeued_leases"] += 1
                 pending.appendleft(task)
@@ -468,7 +434,7 @@ class WorkerSupervisor:
         active = {}
         for index, query in enumerate(queries):
             if query.key() in self._poisoned:
-                poison_answer(index, query, 0)
+                poison_answer(index, query)
             else:
                 pending.append(_Task(index, query))
 
@@ -516,7 +482,7 @@ class WorkerSupervisor:
                         continue
                     task = pending.popleft()
                     if task.query.key() in self._poisoned:
-                        poison_answer(task.index, task.query, task.attempts)
+                        poison_answer(task.index, task.query)
                         continue
                     task.attempts += 1
                     self._lease_seq += 1
@@ -607,12 +573,8 @@ class WorkerSupervisor:
             active.pop(lease.id, None)
             lease.slot.lease_id = None
             source = "worker" if task.attempts == 1 else "worker-retry"
-            radius, seconds, perf, meta = message[2]
-            commit(task.index, PoolResult(
-                index=task.index, query=task.query,
-                executed_query=task.query, radius=radius, seconds=seconds,
-                perf=perf, meta=meta, source=source,
-                attempts=task.attempts))
+            commit(task.index,
+                   QueryOutcome.from_result(task.query, message[2], source))
         elif kind == "error":
             # The worker survived but the engine raised: retry once on a
             # (possibly different) worker, then fall back in-process.
@@ -627,14 +589,8 @@ class WorkerSupervisor:
 
     def _commit_inprocess(self, task, commit):
         """Answer a task in this process (no worker will serve it)."""
-        radius, seconds, perf, meta = self._execute_inprocess(task.query)
-        commit(task.index, PoolResult(
-            index=task.index, query=task.query, executed_query=task.query,
-            radius=radius, seconds=seconds, perf=perf, meta=meta,
-            source="inprocess", attempts=task.attempts))
-
-    def _execute_inprocess(self, query):
         # Through the module attribute so monkeypatched engines (tests)
         # behave identically in the parent and in forked workers.
-        from . import worker as worker_mod
-        return worker_mod.execute_query(self.model, query)
+        result = worker_mod.execute_query(self.model, task.query)
+        commit(task.index,
+               QueryOutcome.from_result(task.query, result, "inprocess"))

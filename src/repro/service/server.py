@@ -25,10 +25,11 @@ answers them with certified radii. The request path, in order:
    never a hang.
 
 Completed outcomes flow through the result cache and the run journal keyed
-by the query that actually executed — a degraded answer lives under the
-degraded query's key, so it can never impersonate the full-precision
-result — and a restart with ``resume=True`` replays the journal so
-previously answered queries are served without recomputation.
+by the query that actually executed
+(:func:`~repro.scheduler.worker.commit_outcome`) — a degraded answer lives
+under the degraded query's key, so it can never impersonate the
+full-precision result — and a restart with ``resume=True`` replays the
+journal so previously answered queries are served without recomputation.
 
 Concurrency note: query execution is deliberately serialized on one
 executor thread. The engine is single-core CPU-bound numpy, and the
@@ -42,12 +43,12 @@ the supervised multi-process pool
 (:class:`~repro.scheduler.pool.WorkerSupervisor`): leased worker
 processes with heartbeat liveness, requeue-on-death, and poison-query
 quarantine to the IBP floor (journaled/cached only under the rewritten
-IBP key). ``POST /drain`` — or SIGTERM via the CLI — triggers a graceful
-drain: new submissions get a typed 503 (``draining``) while every
-already-accepted waiter resolves (done/degraded/typed-error) under
-``drain_timeout``; ``drain_seconds`` and the supervisor counters
-(``respawns``, ``requeued_leases``, ``poisoned_queries``) surface in
-``/metrics``.
+IBP key, like the rescue rung's answer). ``POST /drain`` — or SIGTERM via
+the CLI — triggers a graceful drain: new submissions get a typed 503
+(``draining``) while every already-accepted waiter resolves
+(done/degraded/typed-error) under ``drain_timeout``; ``drain_seconds``
+and the supervisor counters (``respawns``, ``requeued_leases``,
+``poisoned_queries``) surface in ``/metrics``.
 """
 
 from __future__ import annotations
@@ -61,12 +62,14 @@ from urllib.parse import parse_qs, urlsplit
 
 from ..faults import fault_service_entry
 from ..perf import PerfRecorder
+from ..scheduler import worker
 from ..scheduler.cache import ResultCache
 from ..scheduler.journal import RunJournal
 from ..scheduler.pool import WorkerSupervisor
 from ..scheduler.queries import (degrade_query, model_weight_hash,
                                  rung_for_query)
-from ..scheduler.worker import execute_query
+from ..scheduler.worker import (QueryOutcome, commit_outcome,
+                                 ibp_floor_outcome)
 from ..trace import TRACER
 from .admission import AdmissionController
 from .protocol import (BadRequest, Draining, NotFound, Overloaded,
@@ -345,16 +348,9 @@ class CertService:
             cached = self.cache.get(query)
             if cached is not None:
                 self._count("cache_hits")
-                payload = outcome_payload(
-                    key, radius=cached["radius"],
-                    seconds=cached["seconds"], source="cache",
-                    tenant=tenant, qos_rung=rung_for_query(query),
-                    degraded=cached.get("degraded", False),
-                    fallback_chain=cached.get("fallback_chain") or (),
-                    fault=cached.get("fault"))
-                self._finish(key, payload, query=query,
-                             journal_source="cache", write_cache=False)
-                return payload
+                return self._finish(
+                    QueryOutcome.from_stored(query, cached, "cache"),
+                    tenant)
             if count_miss:
                 self._count("cache_misses")
         return None
@@ -418,13 +414,13 @@ class CertService:
 
     # ------------------------------------------------------------- execution
     def _run_query(self, query):
-        """Executor-thread entry: the pure engine call (chaos-hooked).
+        """Executor-thread entry: one query's :class:`QueryOutcome`.
 
-        Supervised mode routes through the worker fleet instead — there
-        the chaos entry hook is consulted parent-side per lease
+        With a worker fleet the query runs on a leased worker — there the
+        chaos entry hook is consulted parent-side per lease
         (``fault_lease_directives``), so ``fault_service_entry`` is
         deliberately bypassed: injected deaths hit worker processes, not
-        the service.
+        the service. Otherwise it runs on this (chaos-hooked) thread.
         """
         if self._supervisor is not None:
             return self._supervisor.run_batch([query])[0]
@@ -433,13 +429,14 @@ class CertService:
             # A stalled execution whose service stopped meanwhile: its
             # waiter is resolved, so no engine work may outlive the service.
             raise RuntimeError("service stopped")
-        return execute_query(self.model, query)
+        return QueryOutcome.from_result(
+            query, worker.execute_query(self.model, query), "executed")
 
     async def _execute(self, entry):
         entry.state = "running"
         entry.started_at = self._now()
         try:
-            result = await asyncio.wait_for(
+            outcome = await asyncio.wait_for(
                 self._loop.run_in_executor(self._executor,
                                            self._run_query, entry.query),
                 timeout=self.config.query_timeout)
@@ -452,93 +449,42 @@ class CertService:
             await self._rescue(entry, f"{type(error).__name__}: {error}")
             return
         self._count("executed_queries")
-        if self._supervisor is not None:
-            self._finish_pool_result(entry, result)
-            return
-        radius, seconds, perf, meta = result
-        key = entry.query.key()
-        payload = outcome_payload(
-            key, radius=radius, seconds=seconds, source="executed",
-            tenant=entry.tenant, qos_rung=entry.rung,
-            degraded=meta.get("degraded", False),
-            fallback_chain=meta.get("fallback_chain") or (),
-            fault=meta.get("fault"))
-        self._finish(key, payload, query=entry.query,
-                     journal_source="executed", perf=perf, entry=entry)
-
-    def _finish_pool_result(self, entry, result):
-        """Commit a supervised-pool result; a poisoned one mirrors rescue.
-
-        A poisoned answer came from the IBP floor under the rewritten
-        query — it is cached/journaled under *that* key only (the
-        in-memory result map serves it for the original key, flagged
-        degraded with the ``PoisonedQueryError`` detail), exactly the
-        rescue rung's impersonation rule.
-        """
-        key = entry.query.key()
-        meta = result.meta
-        if result.poisoned:
+        if outcome.source == "poisoned":
             self._count("poisoned_queries")
             self.tenants.count(entry.tenant, "poisoned")
-            payload = outcome_payload(
-                key, radius=result.radius, seconds=result.seconds,
-                source="poisoned", tenant=entry.tenant,
-                qos_rung="ibp", degraded=True,
-                fallback_chain=meta.get("fallback_chain") or (),
-                fault=meta.get("fault"))
-            self._finish(key, payload, query=result.executed_query,
-                         journal_source="poisoned", perf=result.perf,
-                         entry=entry)
-            return
-        if result.source == "worker-retry":
+        elif outcome.source == "worker-retry":
             self._count("requeued_leases_served")
-        payload = outcome_payload(
-            key, radius=result.radius, seconds=result.seconds,
-            source=result.source, tenant=entry.tenant,
-            qos_rung=entry.rung,
-            degraded=meta.get("degraded", False),
-            fallback_chain=meta.get("fallback_chain") or (),
-            fault=meta.get("fault"))
-        self._finish(key, payload, query=entry.query,
-                     journal_source=result.source, perf=result.perf,
-                     entry=entry)
+        self._finish(outcome, entry.tenant, entry)
 
     async def _rescue(self, entry, reason):
         """Degraded-or-error: the waiters of a failed execution resolve.
 
-        The query is retried once on the IBP floor — on a dedicated
-        executor thread, so a stalled primary execution cannot block
-        recovery, and without the chaos entry hook (mirroring the
-        scheduler, whose in-process fallback also bypasses
-        ``fault_worker_entry``). A query already at the floor, or whose
-        rescue also fails, resolves with a typed error payload.
+        The query is answered once from the IBP floor
+        (:func:`~repro.scheduler.worker.ibp_floor_outcome`, the pool's
+        quarantine answer) — on a dedicated executor thread, so a stalled
+        primary execution cannot block recovery, and without the chaos
+        entry hook. The answer is stored under the IBP twin's key only, so
+        it is never replayable as the original query's answer; only this
+        process's in-memory result map (where the payload is flagged
+        degraded) serves it for the original key. A query already at the
+        floor, or whose rescue also fails, resolves with a typed error
+        payload.
         """
         key = entry.query.key()
         if entry.query.verifier == "ibp":
             self._fail(entry, key, reason)
             return
-        rescue_query = degrade_query(entry.query, "ibp")
         try:
-            radius, seconds, perf, meta = await asyncio.wait_for(
+            outcome = await asyncio.wait_for(
                 self._loop.run_in_executor(
-                    self._rescue_executor, execute_query, self.model,
-                    rescue_query),
+                    self._rescue_executor, ibp_floor_outcome,
+                    self.model, entry.query, "rescue", reason),
                 timeout=self.config.query_timeout)
         except Exception:
             self._fail(entry, key, reason)
             return
         self._count("rescued_queries")
-        payload = outcome_payload(
-            key, radius=radius, seconds=seconds, source="rescue",
-            tenant=entry.tenant, qos_rung="ibp", degraded=True,
-            fallback_chain=(entry.rung, "ibp"), fault=reason,
-            rescued=reason)
-        # Cache/journal under the *rescue* query's key — an IBP radius must
-        # never be replayable as the original query's answer; only this
-        # process's in-memory result map (where the payload is flagged
-        # degraded) serves it for the original key.
-        self._finish(key, payload, query=rescue_query,
-                     journal_source="rescue", perf=perf, entry=entry)
+        self._finish(outcome, entry.tenant, entry)
 
     def _fail(self, entry, key, reason, code="execution-failed"):
         self._count("failed_queries")
@@ -551,31 +497,32 @@ class CertService:
         if not entry.future.done():
             entry.future.set_result(payload)
 
-    def _finish(self, key, payload, query, journal_source, perf=None,
-                write_cache=True, entry=None):
-        """Record one sound outcome: memory, cache, journal, waiters."""
+    def _finish(self, outcome, tenant, entry=None):
+        """Record one sound outcome: memory, waiters, cache, journal.
+
+        Returns the ``done`` payload. Its ``qos_rung`` is the rung of the
+        query that executed: "ibp" for poisoned and rescued answers, the
+        admitted rung otherwise.
+        """
+        key = outcome.query.key()
+        payload = outcome_payload(
+            key, radius=outcome.radius, seconds=outcome.seconds,
+            source=outcome.source, tenant=tenant,
+            qos_rung=rung_for_query(outcome.executed_query),
+            degraded=outcome.degraded,
+            fallback_chain=outcome.fallback_chain, fault=outcome.fault,
+            rescued=outcome.fault if outcome.source == "rescue" else None)
         self._results[key] = payload
-        if entry is None:
-            entry = self._inflight.get(key)
         self._inflight.pop(key, None)
         self._count("completed")
-        if perf:
-            self._perf.merge(perf)
+        if outcome.perf and outcome.source != "cache":
+            self._perf.merge(outcome.perf)  # work this service did
         if entry is not None:
             self.tenants.count(entry.tenant, "completed")
             if not entry.future.done():
                 entry.future.set_result(payload)
-        if write_cache and self.cache is not None:
-            self.cache.put(query, payload["radius"], payload["seconds"],
-                           perf, degraded=payload["degraded"],
-                           fallback_chain=payload["fallback_chain"],
-                           fault=payload["fault"])
-        if self.journal is not None:
-            self.journal.append(query, payload["radius"],
-                                payload["seconds"], perf, journal_source,
-                                degraded=payload["degraded"],
-                                fallback_chain=payload["fallback_chain"],
-                                fault=payload["fault"])
+        commit_outcome(outcome, self.cache, self.journal)
+        return payload
 
     # ------------------------------------------------------------------ drain
     async def drain(self, reason="drain requested"):

@@ -1,10 +1,13 @@
 """Maximal certified radius search (Section 6.1).
 
 The paper reports, per word position, the largest ``eps`` such that the ℓp
-ball of radius ``eps`` around the word's embedding is certified. Because
-certification is monotone in the radius (a certified region contains every
-smaller region), binary search applies: an exponential bracketing phase
-finds an uncertifiable upper end, then bisection narrows the bracket.
+ball of radius ``eps`` around the word's embedding is certified. The search
+here is a binary search: an exponential bracketing phase finds an
+uncertifiable upper end, then bisection narrows the bracket. A nonzero
+radius it returns was certified, but it is not necessarily the largest
+certifiable one: neither the DecorrelateMin_k symbol reduction nor the
+softmax-sum refinement guarantees that certification is monotone in the
+radius, so a larger radius than the one returned may also certify.
 """
 
 from __future__ import annotations
@@ -15,10 +18,13 @@ __all__ = ["binary_search_radius", "max_certified_radius",
 
 def binary_search_radius(certify, initial=0.01, max_radius=1e6,
                          n_iterations=14):
-    """Largest radius accepted by a monotone ``certify(radius)`` predicate.
+    """A radius accepted by ``certify(radius)``, found by bisection.
 
-    Returns 0.0 when even tiny radii fail. ``n_iterations`` bisection steps
-    after bracketing give a relative precision of about ``2**-n``.
+    For a monotone predicate this is the largest accepted radius to the
+    search's precision; otherwise it is an accepted radius at the end of
+    the bracket the search followed. Returns 0.0 when even tiny radii
+    fail. ``n_iterations`` bisection steps after bracketing give a
+    relative precision of about ``2**-n``.
     """
     if initial <= 0:
         raise ValueError("initial radius must be positive")

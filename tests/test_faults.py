@@ -15,6 +15,7 @@ from repro.faults import (FaultInjector, FaultPlan, KILL_EXIT_CODE,
                           active_injector, fault_zonotope,
                           install_fault_plan, reset_fault_state)
 from repro.scheduler import CertScheduler, ResultCache, expand_word_queries
+from repro.scheduler.queries import degrade_query
 from repro.trace import TRACER
 from repro.verify import (DeepTVerifier, FAST, PRECISE,
                           word_perturbation_region)
@@ -180,8 +181,9 @@ class TestTraceChaos:
 
 
 class TestSchedulerChaos:
-    """Worker kills and stalls: the parent's timeout -> retry -> in-process
-    ladder must still produce every radius, bitwise equal to serial."""
+    """Every lease kills its worker: each query is requeued, then
+    quarantined and answered in-process from the IBP floor — degraded,
+    under its IBP twin, never lost."""
 
     @pytest.fixture(scope="class")
     def queries(self, tiny_model, tiny_sentence):
@@ -192,15 +194,22 @@ class TestSchedulerChaos:
 
     def test_killed_workers_fall_back_to_inprocess(self, tiny_model,
                                                    queries):
-        serial = CertScheduler(workers=0).run(tiny_model, queries)
-        scheduler = CertScheduler(workers=2, timeout=5.0)
-        with install_fault_plan(FaultPlan(kind="kill-worker", seed=SEED)):
-            chaotic = scheduler.run(tiny_model, queries)
+        twins = [degrade_query(q, "ibp") for q in queries]
+        serial = CertScheduler(workers=0).run(tiny_model, twins)
+        scheduler = CertScheduler(workers=2, heartbeat_interval=0.1)
+        try:
+            with install_fault_plan(FaultPlan(kind="kill-worker",
+                                              seed=SEED)):
+                chaotic = scheduler.run(tiny_model, queries)
+        finally:
+            scheduler.close()
         assert [o.radius for o in chaotic] == [o.radius for o in serial]
+        assert [o.executed_query for o in chaotic] == twins
+        assert all(o.source == "poisoned" for o in chaotic)
+        assert all(o.degraded for o in chaotic)
         stats = scheduler.last_stats
         assert stats["retries"] >= 1
-        assert stats["fallbacks"] >= 1
-        assert all(o.source == "inprocess" for o in chaotic)
+        assert stats["executed"]["poisoned"] == len(queries)
 
 
 class TestCacheChaos:

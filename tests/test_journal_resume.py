@@ -9,6 +9,7 @@ import pytest
 
 from repro.scheduler import (CertQuery, CertScheduler, RunJournal,
                              expand_word_queries)
+from repro.scheduler.journal import _FORMAT_VERSION
 from repro.verify import FAST
 
 
@@ -51,7 +52,8 @@ class TestRunJournal:
             f.write("{definitely not json}\n")
             f.write(json.dumps({"version": 999, "key": lost.key(),
                                 "radius": 0.1}) + "\n")
-            f.write(json.dumps({"version": 1, "key": lost.key()}) + "\n")
+            f.write(json.dumps({"version": _FORMAT_VERSION,
+                                "key": lost.key()}) + "\n")
         entries = journal.replay()
         assert good.key() in entries
         assert lost.key() not in entries  # bad version / missing radius

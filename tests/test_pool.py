@@ -1,6 +1,6 @@
 """Tests for the supervised execution pool: leases, heartbeats, requeue,
 poison quarantine, drain, and the scheduler integration behind
-``supervised=True``.
+``workers > 0``.
 
 Everything runs against the real fork-based fleet on the tiny model (each
 query is a 3-iteration binary search, sub-second), with faults injected
@@ -18,9 +18,8 @@ import pytest
 
 from repro.faults import FaultPlan, install_fault_plan
 from repro.scheduler import (CertScheduler, DrainedRun, PoisonedQueryError,
-                             RunJournal, WorkerSupervisor,
+                             QueryOutcome, RunJournal, WorkerSupervisor,
                              expand_word_queries)
-from repro.scheduler.pool import PoolResult
 from repro.service import degrade_query, rung_for_query
 from repro.verify import FAST, PRECISE
 
@@ -47,8 +46,7 @@ def serial_outcomes(tiny_model, queries):
 
 
 def _supervised(**overrides):
-    kwargs = dict(workers=2, supervised=True, lease_timeout=10.0,
-                  heartbeat_interval=0.1)
+    kwargs = dict(workers=2, lease_timeout=10.0, heartbeat_interval=0.1)
     kwargs.update(overrides)
     return CertScheduler(**kwargs)
 
@@ -255,8 +253,8 @@ class TestPoisonQuarantine:
                 result, = supervisor.run([query])
         finally:
             supervisor.stop()
-        assert result.poisoned
-        assert result.meta["fallback_chain"] == ("full", "ibp")
+        assert result.source == "poisoned"
+        assert result.fallback_chain == ("full", "ibp")
         assert result.executed_query == degrade_query(query, "ibp")
         assert result.executed_query.key() != query.key()
 
@@ -339,8 +337,7 @@ class TestDrain:
         n_completed = len(drained.value.completed)
 
         resumed = CertScheduler(
-            workers=2, supervised=True, lease_timeout=10.0,
-            heartbeat_interval=0.1,
+            workers=2, lease_timeout=10.0, heartbeat_interval=0.1,
             journal=RunJournal(journal_path, resume=True))
         try:
             outcomes = resumed.run(tiny_model, work)
@@ -349,6 +346,30 @@ class TestDrain:
         serial = CertScheduler(workers=0).run(tiny_model, work)
         assert [o.radius for o in outcomes] == [o.radius for o in serial]
         assert resumed.last_stats["journal_hits"] == n_completed
+
+    def test_cli_sigterm_drains_only_a_pooled_run(self, tiny_model,
+                                                  queries):
+        """The CLI's SIGTERM handler drains a pooled run in flight; at any
+        other time it exits at once instead of deferring the signal."""
+        import signal
+
+        from repro.experiments.__main__ import _drain_on_sigterm
+        scheduler = _supervised(drain_timeout=10.0)
+        handler = _drain_on_sigterm(scheduler, 10.0)
+        with pytest.raises(SystemExit) as exited:
+            handler(signal.SIGTERM, None)
+        assert exited.value.code == 128 + signal.SIGTERM
+        work = [dataclasses.replace(q, n_iterations=3 + i // len(queries))
+                for i, q in enumerate(queries * 3)]
+        timer = threading.Timer(0.3, handler, (signal.SIGTERM, None))
+        timer.start()
+        try:
+            with pytest.raises(DrainedRun):
+                scheduler.run(tiny_model, work)
+        finally:
+            timer.cancel()
+            scheduler.close()
+        assert not scheduler.pooled_run_active
 
 
 class TestSupervisorEdges:
@@ -380,9 +401,9 @@ class TestSupervisorEdges:
             stats = dict(supervisor.stats)
         finally:
             supervisor.stop()
-        assert isinstance(results[0], PoolResult)
+        assert isinstance(results[0], QueryOutcome)
         assert results[0].source == "worker-retry"
-        assert results[0].attempts == 2
+        assert stats["leases"] == 2  # the query's two attempts
         assert stats["errored_leases"] == 1
         assert stats["worker_deaths"] == 0
         assert stats["respawns"] == 0
@@ -395,8 +416,8 @@ class TestSupervisorEdges:
 
     def test_creation_failure_falls_back_inprocess(self, tiny_model,
                                                    queries, monkeypatch):
-        """No usable multiprocessing context: supervised mode degrades to
-        the serial path instead of raising."""
+        """No usable multiprocessing context: the pooled scheduler
+        degrades to the serial path instead of raising."""
         import repro.scheduler.scheduler as sched_mod
 
         class BrokenContext:
@@ -407,7 +428,7 @@ class TestSupervisorEdges:
                 return ["fork"]
 
         monkeypatch.setattr(sched_mod, "multiprocessing", BrokenContext())
-        scheduler = CertScheduler(workers=2, supervised=True)
+        scheduler = CertScheduler(workers=2)
         outcomes = scheduler.run(tiny_model, queries[:2])
         assert all(o.source == "inprocess" for o in outcomes)
         assert scheduler.last_stats["fallbacks"] == 1

@@ -2,6 +2,7 @@
 across worker counts, the persistent result cache, fallback paths, and the
 fork-safe PERF recorder."""
 
+import gc
 import json
 import multiprocessing
 import os
@@ -87,14 +88,19 @@ class TestDeterminism:
         serial = CertScheduler(workers=0).run(tiny_model, queries)
         parallel_scheduler = CertScheduler(workers=4,
                                            cache_dir=str(tmp_path))
-        parallel = parallel_scheduler.run(tiny_model, queries)
-        assert [o.radius for o in parallel] == [o.radius for o in serial]
-        stats = parallel_scheduler.last_stats
-        assert stats["cache_misses"] == len(queries)
-        assert stats["executed"]["worker"] == len(queries)
+        try:
+            parallel = parallel_scheduler.run(tiny_model, queries)
+            assert [o.radius for o in parallel] \
+                == [o.radius for o in serial]
+            stats = parallel_scheduler.last_stats
+            assert stats["cache_misses"] == len(queries)
+            assert stats["executed"]["worker"] == len(queries)
 
-        # Second run: every query answered from the cache, none recomputed.
-        warm = parallel_scheduler.run(tiny_model, queries)
+            # Second run: every query answered from the cache, none
+            # recomputed.
+            warm = parallel_scheduler.run(tiny_model, queries)
+        finally:
+            parallel_scheduler.close()
         assert [o.radius for o in warm] == [o.radius for o in serial]
         stats = parallel_scheduler.last_stats
         assert stats["cache_hits"] == len(queries)
@@ -106,17 +112,74 @@ class TestDeterminism:
         serial = radius_report_deept(tiny_model, sentences, 2.0,
                                      FAST(noise_symbol_cap=64),
                                      scale=TINY_SCALE)
-        parallel = radius_report_deept(
-            tiny_model, sentences, 2.0, FAST(noise_symbol_cap=64),
-            scale=TINY_SCALE,
-            scheduler=CertScheduler(workers=4, cache_dir=str(tmp_path)))
+        scheduler = CertScheduler(workers=4, cache_dir=str(tmp_path))
+        try:
+            parallel = radius_report_deept(
+                tiny_model, sentences, 2.0, FAST(noise_symbol_cap=64),
+                scale=TINY_SCALE, scheduler=scheduler)
+        finally:
+            scheduler.close()
         assert parallel.radii == serial.radii
         assert parallel.min_radius == serial.min_radius
 
     def test_outcomes_in_input_order(self, tiny_model, queries, tmp_path):
-        outcomes = CertScheduler(workers=2, cache_dir=str(tmp_path)).run(
-            tiny_model, queries)
+        scheduler = CertScheduler(workers=2, cache_dir=str(tmp_path))
+        try:
+            outcomes = scheduler.run(tiny_model, queries)
+        finally:
+            scheduler.close()
         assert [o.query for o in outcomes] == list(queries)
+
+
+class TestFleetFollowsModel:
+    """A pooled scheduler answers each run with that run's model."""
+
+    def test_second_model_is_not_served_by_the_first_fleet(
+            self, tiny_model, tiny_model_std_norm, sentences):
+        scheduler = CertScheduler(workers=1)
+        try:
+            for model in (tiny_model, tiny_model_std_norm):
+                queries = expand_word_queries(
+                    model, sentences, 2.0, verifier="deept",
+                    config=FAST(noise_symbol_cap=64), n_positions=2,
+                    n_iterations=3)
+                pooled = scheduler.run(model, queries)
+                serial = CertScheduler(workers=0).run(model, queries)
+                assert [o.radius for o in pooled] \
+                    == [o.radius for o in serial]
+                assert all(o.source == "worker" for o in pooled)
+        finally:
+            scheduler.close()
+
+
+class TestFleetLifecycle:
+    """A fleet never outlives the scheduler that started it."""
+
+    @staticmethod
+    def _processes(scheduler, model, queries):
+        scheduler.run(model, queries)
+        return [slot.process for slot in scheduler._supervisor._slots]
+
+    def test_dropped_scheduler_stops_its_fleet(self, tiny_model, queries):
+        scheduler = CertScheduler(workers=1)
+        processes = self._processes(scheduler, tiny_model, queries[:1])
+        assert all(p.is_alive() for p in processes)
+        del scheduler
+        gc.collect()
+        assert not any(p.is_alive() for p in processes)
+
+    def test_replaced_default_scheduler_stops_its_fleet(self, tiny_model,
+                                                        queries):
+        from repro.scheduler import (configure, get_default_scheduler,
+                                     set_default_scheduler)
+        previous = get_default_scheduler()
+        try:
+            processes = self._processes(configure(workers=1), tiny_model,
+                                        queries[:1])
+            configure()
+            assert not any(p.is_alive() for p in processes)
+        finally:
+            set_default_scheduler(previous)
 
 
 class TestResultCache:
@@ -173,10 +236,18 @@ class TestFallbacks:
     def test_inprocess_when_pool_creation_fails(self, tiny_model, queries,
                                                 monkeypatch):
         import repro.scheduler.scheduler as sched_mod
+        fork = multiprocessing.get_context("fork")
+        started = []
 
         class BrokenContext:
-            def Pool(self, *args, **kwargs):
-                raise OSError("no processes for you")
+            """Forks one worker, then fails as fork does at a limit."""
+            Pipe = staticmethod(fork.Pipe)
+
+            def Process(self, *args, **kwargs):
+                if started:
+                    raise OSError("no processes for you")
+                started.append(fork.Process(*args, **kwargs))
+                return started[-1]
 
         monkeypatch.setattr(sched_mod.multiprocessing, "get_context",
                             lambda method: BrokenContext())
@@ -184,6 +255,7 @@ class TestFallbacks:
         outcomes = scheduler.run(tiny_model, queries[:2])
         assert all(o.source == "inprocess" for o in outcomes)
         assert scheduler.last_stats["fallbacks"] == 1
+        assert not started[0].is_alive()  # the partial fleet was stopped
 
     def test_execute_query_pure(self, tiny_model, queries):
         first = execute_query(tiny_model, queries[0])
@@ -219,7 +291,11 @@ class TestOutOfOrderCompletion:
             return result
 
         monkeypatch.setattr(worker_mod, "execute_query", delayed)
-        outcomes = CertScheduler(workers=3).run(tiny_model, chosen)
+        scheduler = CertScheduler(workers=3)
+        try:
+            outcomes = scheduler.run(tiny_model, chosen)
+        finally:
+            scheduler.close()
 
         stamps = [float((stamp_dir / q.key()).read_text())
                   for q in chosen]

@@ -139,16 +139,16 @@ class TestStall:
         """The stalled primary wakes after the service stopped; only the
         rescue may have run the engine (the process-global tracer and
         perf recorders must not see work from a stopped service)."""
-        from repro.service import server
+        from repro.scheduler import worker
 
         calls = []
-        real = server.execute_query
+        real = worker.execute_query
 
         def counting(model, query):
             calls.append(query.verifier)
             return real(model, query)
 
-        monkeypatch.setattr(server, "execute_query", counting)
+        monkeypatch.setattr(worker, "execute_query", counting)
         payload = submission(sentences[2], n_iterations=1)
         plan = FaultPlan(kind="stall", stall_seconds=1.0, max_faults=1)
 

@@ -204,8 +204,12 @@ class TestSchedulerTraceMerge:
     @staticmethod
     def _run(model, queries, workers):
         from repro.scheduler import CertScheduler
-        with TRACER.collecting() as tracer:
-            outcomes = CertScheduler(workers=workers).run(model, queries)
+        scheduler = CertScheduler(workers=workers)
+        try:
+            with TRACER.collecting() as tracer:
+                outcomes = scheduler.run(model, queries)
+        finally:
+            scheduler.close()
         spans = tracer.snapshot()
         return outcomes, spans
 
