@@ -3,7 +3,7 @@
 The propagation engine is a long pipeline of numpy kernels whose cost is
 dominated by a handful of structural events: dense materializations of the
 lazily-kept eps tails, reallocations of the growth buffer, and the per-stage
-einsum work inside attention.  This module provides a process-global
+matmul work inside attention.  This module provides a process-global
 :class:`PerfRecorder` that the zonotope storage layer, the verifier and the
 experiment harness all report into:
 

@@ -109,7 +109,12 @@ def _worker_main(conn, model, worker_id, heartbeat_interval,
     silences *every* outgoing message (partition simulation); ``kill``
     exits with :data:`KILL_EXIT_CODE`; ``stall`` sleeps at lease start
     with heartbeats flowing but zero progress.
+
+    The worker also exits once its parent is gone. A parent killed by
+    SIGKILL sends no EOF: every worker holds inherited copies of the
+    parent-side pipe ends. So the heartbeat thread watches the parent pid.
     """
+    parent_pid = os.getppid()
     if boot_directive and boot_directive.get("boot_kill"):
         os._exit(KILL_EXIT_CODE)
     PERF.reset()
@@ -139,6 +144,8 @@ def _worker_main(conn, model, worker_id, heartbeat_interval,
     def heartbeat_loop():
         while True:
             time.sleep(heartbeat_interval)
+            if os.getppid() != parent_pid:
+                os._exit(0)  # orphaned: re-parented after the parent died
             lease = state["lease"]
             if lease is None:
                 continue

@@ -113,7 +113,7 @@ def propagate_attention(z, attention, config, dot_config):
     """Multi-head self-attention (Eq. 1) on an (N, E) zonotope.
 
     All heads are batched: Q/K/V projections run as one stacked affine map,
-    the score and mixing dot-products as single per-head-batched einsums
+    the score and mixing dot-products as single per-head-batched matmuls
     ((H, n, d) @ (H, d, n) and (H, n, n) @ (H, n, d)), and the softmax on
     the (H*n, n) row-flattened scores (softmax is row-wise, so flattening
     the head axis into rows is exact). Besides the speedup, batching fixes

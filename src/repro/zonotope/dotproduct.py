@@ -25,6 +25,11 @@ Two bounding strategies are provided:
              eps symbols with a coefficient in x's row i and T those with
              one anywhere in y: exact-zero symbols are skipped, so the cost
              is not the O(N Einf^2) of the dense pairwise tensor.
+
+Every contraction over the k axis runs as a broadcast ``np.matmul`` (BLAS
+per 2-D slice, the symbol and head axes as batch axes). The elementwise
+pairwise products of Section 4.9 are outer products, not contractions, and
+stay ``einsum``.
 """
 
 from __future__ import annotations
@@ -72,24 +77,25 @@ def _fast_case_bound(inner_coeffs, inner_q, outer_coeffs, outer_q, pattern):
 
     ``inner_coeffs`` plays W (collapsed first with its dual norm
     ``inner_q``), ``outer_coeffs`` plays V (collapsed second with
-    ``outer_q``). ``pattern`` names the einsum contraction:
+    ``outer_q``). ``pattern`` names the contraction:
 
     * ``"row-col"``: outputs (n, m) from x rows (E, n, k) . y cols (E, k, m)
       — inner must be the y-side array, outer the x-side array.
     * ``"col-row"``: the transposed pairing (inner = x side, outer = y
       side), used when the operand roles are swapped.
 
-    Both einsums carry an ellipsis so the bound batches over any leading
-    (e.g. per-head) variable axes shared by the operands.
+    Both are one broadcast ``np.matmul`` with the symbol axis as a batch
+    axis, so the bound batches over any leading (e.g. per-head) variable
+    axes shared by the operands.
     """
     if pattern == "row-col":
         # inner: (E2, ..., k, m) -> s[..., k, m]; outer: (E1, ..., n, k)
         s = norm_along_axis0(inner_coeffs, inner_q)
-        t = np.einsum("...km,e...nk->e...nm", s, np.abs(outer_coeffs))
+        t = np.matmul(np.abs(outer_coeffs), s)
     elif pattern == "col-row":
         # inner: (E1, ..., n, k) -> s[..., n, k]; outer: (E2, ..., k, m)
         s = norm_along_axis0(inner_coeffs, inner_q)
-        t = np.einsum("...nk,e...km->e...nm", s, np.abs(outer_coeffs))
+        t = np.matmul(s, np.abs(outer_coeffs))
     else:
         raise ValueError(pattern)
     return norm_along_axis0(t, outer_q)
@@ -109,6 +115,12 @@ def _precise_eps_bounds(x_eps, y_eps):
     matmul and reads the diagonal from that same block at the symbols in
     both S_i and T. Only exact zeros are skipped: a NaN or Inf coefficient
     is nonzero and stays in the pass.
+
+    Every row's block is written into one workspace allocated per leading
+    slice, sized for the largest S_i. Fresh multi-MB blocks per row would
+    be served from heap or from new mmap pages depending on glibc's
+    dynamic mmap threshold, which earlier allocations move, so the
+    kernel's speed would depend on what ran before it.
     """
     n_eps = x_eps.shape[0]
     batch_shape = x_eps.shape[1:-2]
@@ -133,17 +145,22 @@ def _precise_eps_bounds(x_eps, y_eps):
         position_in_y[live_y] = np.arange(len(live_y))
         x_b = x_flat[:, b]
         live_x = (x_b != 0).any(axis=2)                         # (E, n)
+        workspace = np.empty(m * int(live_x.sum(axis=0).max(initial=0))
+                             * len(live_y))
         for i in range(n):
             live_row = np.flatnonzero(live_x[:, i])             # S_i
             if not len(live_row):
                 continue
             # M restricted to S_i x T: (m, |S_i|, |T|).
-            pairwise = np.matmul(x_b[live_row, i, :], y_live)
+            pairwise = workspace[:m * len(live_row) * len(live_y)].reshape(
+                (m, len(live_row), len(live_y)))
+            np.matmul(x_b[live_row, i, :], y_live, out=pairwise)
             in_y = position_in_y[live_row]
             shared = np.flatnonzero(in_y >= 0)                  # S_i & T
+            # A fancy-index copy, so the in-place abs below keeps its signs.
             diag = pairwise[:, shared, in_y[shared]]
             # sum_{a != b} |M_ab|
-            off = (np.abs(pairwise).sum(axis=(1, 2))
+            off = (np.abs(pairwise, out=pairwise).sum(axis=(1, 2))
                    - np.abs(diag).sum(axis=1))
             lower_flat[b, i] = np.minimum(diag, 0.0).sum(axis=1) - off
             upper_flat[b, i] = np.maximum(diag, 0.0).sum(axis=1) + off
@@ -198,15 +215,16 @@ def _matmul_fast_path(x, y, config):
     cascades, reassociated), but exploits the engine's lazy representation:
 
     * operands are never zero-padded to a common symbol count — each
-      operand's cross einsum runs over its own rows only, and the output
+      operand's cross matmul runs over its own rows only, and the output
       block is allocated at ``max`` size directly;
     * lazy tails contribute exact cross rows by scatter instead of a dense
-      einsum over one-nonzero rows;
+      matmul over one-nonzero rows;
     * every eps-side Eq. (5) cascade starts (or ends) with the dual ℓ1
       norm, which is just the per-variable ℓ1 mass — so the eps blocks
       collapse through :meth:`MultiNormZonotope.eps_l1` in O(E·N) and the
       remaining contraction is symbol-free: the eps-eps case becomes a
-      single ``l1(x) @ l1(y)`` product instead of an O(E·n·k·m) einsum.
+      single ``l1(x) @ l1(y)`` product instead of an O(E·n·k·m)
+      contraction.
     """
     if x.n_phi != y.n_phi or x.p != y.p:
         raise ValueError("zonotopes come from different symbol spaces")
@@ -214,21 +232,18 @@ def _matmul_fast_path(x, y, config):
     center = np.matmul(x.center, y.center)
 
     if x.n_phi:
-        phi = (np.einsum("e...nk,...km->e...nm", x.phi, y.center)
-               + np.einsum("...nk,e...km->e...nm", x.center, y.phi))
+        phi = np.matmul(x.phi, y.center) + np.matmul(x.center, y.phi)
     else:
         phi = np.zeros((0,) + out_shape)
 
     eps = np.zeros((max(x.n_eps, y.n_eps),) + out_shape)
     cx, cy = x._eps_count, y._eps_count
     if cx:
-        eps[:cx] += np.einsum("e...nk,...km->e...nm", x._dense_rows(),
-                              y.center)
+        eps[:cx] += np.matmul(x._dense_rows(), y.center)
     if x._eps_tail is not None and len(x._eps_tail):
         x._eps_tail.scatter_cross(eps, cx, x.shape, y.center, "x")
     if cy:
-        eps[:cy] += np.einsum("...nk,e...km->e...nm", x.center,
-                              y._dense_rows())
+        eps[:cy] += np.matmul(x.center, y._dense_rows())
     if y._eps_tail is not None and len(y._eps_tail):
         y._eps_tail.scatter_cross(eps, cy, y.shape, x.center, "y")
 
@@ -240,20 +255,20 @@ def _matmul_fast_path(x, y, config):
         bound += _fast_case_bound(y.phi, q, x.phi, q, "row-col")
     if x.n_phi and y.n_eps:
         if config.order == "linf_first":
-            t = np.einsum("...km,e...nk->e...nm", y_l1, np.abs(x.phi))
+            t = np.matmul(np.abs(x.phi), y_l1)
             bound += norm_along_axis0(t, q)
         else:
             s = norm_along_axis0(x.phi, q)
-            bound += np.einsum("...nk,...km->...nm", s, y_l1)
+            bound += np.matmul(s, y_l1)
     if x.n_eps and y.n_phi:
         if config.order == "linf_first":
-            t = np.einsum("...nk,e...km->e...nm", x_l1, np.abs(y.phi))
+            t = np.matmul(x_l1, np.abs(y.phi))
             bound += norm_along_axis0(t, q)
         else:
             s = norm_along_axis0(y.phi, q)
-            bound += np.einsum("...km,...nk->...nm", s, x_l1)
+            bound += np.matmul(x_l1, s)
     if x.n_eps and y.n_eps:
-        bound += np.einsum("...nk,...km->...nm", x_l1, y_l1)
+        bound += np.matmul(x_l1, y_l1)
 
     out = MultiNormZonotope(center, phi, eps, x.p)
     return out.append_fresh_eps(bound, tol=config.tol)
@@ -265,7 +280,7 @@ def zonotope_matmul(x, y, config=None):
 
     Leading variable axes batch: (..., n, k) @ (..., k, m) -> (..., n, m)
     with identical batch shapes — this is how multi-head attention runs all
-    heads' score and mixing products as single einsums.
+    heads' score and mixing products as single batched matmuls.
 
     Both operands live in the same symbol space. On the structured engine
     the fast variant takes :func:`_matmul_fast_path` (padding-free, tails
@@ -299,11 +314,9 @@ def _matmul_impl(x, y, config):
         """c2-weighted x-coeffs plus c1-weighted y-coeffs (exact part)."""
         parts = []
         if coeff_x.shape[0]:
-            parts.append(np.einsum("e...nk,...km->e...nm", coeff_x,
-                                   y.center))
+            parts.append(np.matmul(coeff_x, y.center))
         if coeff_y.shape[0]:
-            parts.append(np.einsum("...nk,e...km->e...nm", x.center,
-                                   coeff_y))
+            parts.append(np.matmul(x.center, coeff_y))
         if not parts:
             return np.zeros((0,) + n_out_shape)
         return parts[0] + parts[1] if len(parts) == 2 else parts[0]

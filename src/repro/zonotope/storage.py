@@ -301,7 +301,7 @@ class EpsTail:
         ``b * y.center[..., t, :]`` to output row (..., i, :); for
         ``side="y"`` a symbol at (..., t, j) contributes
         ``b * x.center[..., :, t]`` to (..., :, j). Scattering these rows
-        directly skips the dense cross einsum over the (usually huge) tail
+        directly skips the dense cross matmul over the (usually huge) tail
         block.
         """
         multi = np.unravel_index(self.idx, var_shape)

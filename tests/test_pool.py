@@ -11,6 +11,10 @@ so the seeded accounting stays deterministic.
 import dataclasses
 import json
 import multiprocessing
+import os
+import signal
+import subprocess
+import sys
 import threading
 import time
 
@@ -432,3 +436,57 @@ class TestSupervisorEdges:
         outcomes = scheduler.run(tiny_model, queries[:2])
         assert all(o.source == "inprocess" for o in outcomes)
         assert scheduler.last_stats["fallbacks"] == 1
+
+
+def _running(pid):
+    """True while ``pid`` exists and is not a zombie awaiting its reaper."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs procfs")
+class TestOrphanedWorkers:
+    HEARTBEAT = 0.1
+
+    def test_workers_exit_when_parent_is_sigkilled(self):
+        """A SIGKILLed parent sends no EOF (each worker holds inherited
+        parent-side pipe ends), so the workers must notice the parent's
+        death themselves, within a few heartbeats."""
+        script = (
+            "import time\n"
+            "from repro.scheduler.pool import WorkerSupervisor\n"
+            f"sup = WorkerSupervisor(object(), workers=2,\n"
+            f"                       heartbeat_interval={self.HEARTBEAT})\n"
+            "sup.start()\n"
+            "for slot in sup._slots:\n"
+            "    assert slot.conn.recv()[0] == 'ready'\n"
+            "print(*(slot.process.pid for slot in sup._slots), flush=True)\n"
+            "time.sleep(120)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.join(os.path.dirname(__file__), os.pardir, "src")]
+            + ([os.environ["PYTHONPATH"]]
+               if os.environ.get("PYTHONPATH") else [])))
+        parent = subprocess.Popen([sys.executable, "-c", script], env=env,
+                                  stdout=subprocess.PIPE, text=True)
+        pids = []
+        try:
+            pids = [int(pid) for pid in parent.stdout.readline().split()]
+            assert len(pids) == 2 and all(map(_running, pids))
+            parent.send_signal(signal.SIGKILL)
+            parent.wait(timeout=10)
+            deadline = time.monotonic() + 20 * self.HEARTBEAT
+            while any(map(_running, pids)) and time.monotonic() < deadline:
+                time.sleep(self.HEARTBEAT / 4)
+            assert not [pid for pid in pids if _running(pid)]
+        finally:
+            if parent.poll() is None:
+                parent.kill()
+                parent.wait(timeout=10)
+            parent.stdout.close()
+            for pid in pids:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)

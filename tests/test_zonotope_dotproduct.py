@@ -3,9 +3,11 @@
 Checks soundness of the Fast (Eq. 5) and Precise (Eq. 6) variants, the
 precision ordering between them, both dual-norm application orders, the
 degenerate point cases (where the transformer must be exact), and
-broadcasting in the elementwise product. The support-pruned Eq. (6) kernel
-is compared against the dense pairwise-tensor kernel it replaced, kept
-here as the test oracle.
+broadcasting in the elementwise product. Two kernels are compared against
+the forms they replaced, kept here as test oracles: the support-pruned
+Eq. (6) kernel against the dense pairwise-tensor kernel, and both matmul
+routes (the structured Fast path and the aligned dense route) against the
+ellipsis-einsum form of Eq. (5) and of the exact cross terms.
 """
 
 import numpy as np
@@ -13,7 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.zonotope import (MultiNormZonotope, zonotope_matmul,
-                            zonotope_multiply, DotProductConfig)
+                            zonotope_multiply, DotProductConfig,
+                            dense_engine, norm_along_axis0)
 from repro.zonotope.dotproduct import _precise_eps_bounds
 
 from tests.conftest import sample_lp_ball
@@ -296,6 +299,129 @@ class TestPreciseKernelReference:
             lower, upper = _precise_eps_bounds(x, y)
         assert not np.isfinite(lower[row]).all()
         assert not np.isfinite(upper[row]).all()
+
+
+def reference_matmul(x, y, variant, order):
+    """The einsum form of the zonotope product: exact cross terms plus the
+    Eq. (5) cascades (and Eq. (6) for the Precise eps-eps case).
+
+    Returns (center, phi, eps, fresh): ``eps`` holds the cross rows over
+    the operands' eps blocks zero-padded to a common count, ``fresh`` the
+    magnitude of the fresh symbol each output variable gets."""
+    x, y = x.aligned_with(y)
+    xc, yc, q = x.center, y.center, x.q
+
+    def cross(cx, cy):
+        return (np.einsum("e...nk,...km->e...nm", cx, yc)
+                + np.einsum("...nk,e...km->e...nm", xc, cy))
+
+    def row_col(inner, inner_q, outer, outer_q):
+        s = norm_along_axis0(inner, inner_q)
+        return norm_along_axis0(
+            np.einsum("...km,e...nk->e...nm", s, np.abs(outer)), outer_q)
+
+    def col_row(inner, inner_q, outer, outer_q):
+        s = norm_along_axis0(inner, inner_q)
+        return norm_along_axis0(
+            np.einsum("...nk,e...km->e...nm", s, np.abs(outer)), outer_q)
+
+    bound = np.zeros(xc.shape[:-1] + yc.shape[-1:])
+    if x.n_phi:
+        bound += row_col(y.phi, q, x.phi, q)
+        if x.n_eps:
+            if order == "linf_first":
+                bound += row_col(y.eps, 1.0, x.phi, q)
+                bound += col_row(x.eps, 1.0, y.phi, q)
+            else:
+                bound += col_row(x.phi, q, y.eps, 1.0)
+                bound += row_col(y.phi, q, x.eps, 1.0)
+    lower, upper = -bound, bound
+    if x.n_eps:
+        if variant == "precise":
+            l_ee, u_ee = reference_precise_eps_bounds(x.eps, y.eps)
+        else:
+            u_ee = row_col(y.eps, 1.0, x.eps, 1.0)
+            l_ee = -u_ee
+        lower, upper = lower + l_ee, upper + u_ee
+    center = np.einsum("...nk,...km->...nm", xc, yc) + 0.5 * (lower + upper)
+    return center, cross(x.phi, y.phi), cross(x.eps, y.eps), \
+        0.5 * (upper - lower)
+
+
+def _with_tail(rng, z, density=0.7):
+    """``z`` plus a lazy tail: fresh symbols on a random subset of its
+    variables, as every non-linear transformer appends them."""
+    magnitudes = rng.uniform(0.1, 0.5, size=z.shape) * (
+        rng.random(z.shape) < density)
+    return z.append_fresh_eps(magnitudes)
+
+
+def _matmul_operands(seed, case, p):
+    """(x, y) zonotopes for one named oracle case, rebuilt from ``seed``."""
+    rng = np.random.default_rng(seed)
+    heads = (2,) if "heads" in case else ()
+    n_phi = 0 if "no-phi" in case else 3
+    n, k, m = 3, 4, 5
+    x = MultiNormZonotope(rng.normal(size=heads + (n, k)),
+                          phi=rng.normal(size=(n_phi,) + heads + (n, k)),
+                          eps=0.5 * rng.normal(size=(4,) + heads + (n, k)),
+                          p=p)
+    n_eps_y = 0 if "y-no-eps" in case else 7     # unequal eps counts
+    y = MultiNormZonotope(rng.normal(size=heads + (k, m)),
+                          phi=rng.normal(size=(n_phi,) + heads + (k, m)),
+                          eps=0.5 * rng.normal(
+                              size=(n_eps_y,) + heads + (k, m)),
+                          p=p)
+    if "x-tail" in case:
+        x = _with_tail(rng, x)
+    if "y-tail" in case:
+        y = _with_tail(rng, y)
+    return x, y
+
+
+MATMUL_CASES = ["plain", "heads", "no-phi", "y-no-eps", "x-tail", "y-tail",
+                "heads-x-tail-y-tail", "no-phi-heads-x-tail"]
+
+
+class TestMatmulReference:
+    """Both matmul routes against the einsum form of Eq. (5).
+
+    The structured Fast path, the dense route under ``dense_engine()`` and
+    the Precise variant (always the dense route) must all reproduce the
+    reference. The tolerance is fixed at relative 1e-9 of each array's
+    magnitude: BLAS sums in its own order, and the Fast path collapses
+    eps blocks to their ℓ1 mass before contracting."""
+
+    RTOL = 1e-9
+
+    @pytest.mark.parametrize("case", MATMUL_CASES)
+    @pytest.mark.parametrize("order", ["linf_first", "lp_first"])
+    @pytest.mark.parametrize("p", [1.0, 2.0, np.inf])
+    @pytest.mark.parametrize("route", ["fast", "fast-dense", "precise"])
+    def test_matches_einsum_reference(self, route, p, order, case):
+        seed = sum(map(ord, case))
+        variant = "precise" if route == "precise" else "fast"
+        config = DotProductConfig(variant=variant, order=order)
+        x, y = _matmul_operands(seed, case, p)
+        n_cross = max(x.n_eps, y.n_eps)
+        if route == "fast-dense":
+            with dense_engine():
+                out = zonotope_matmul(x, y, config)
+        else:
+            out = zonotope_matmul(x, y, config)
+        center, phi, eps, fresh = reference_matmul(
+            *_matmul_operands(seed, case, p), variant, order)
+        out_eps = out.eps
+        got = {"center": out.center, "phi": out.phi,
+               "eps": out_eps[:n_cross],
+               "fresh": np.abs(out_eps[n_cross:]).sum(axis=0)}
+        want = {"center": center, "phi": phi, "eps": eps, "fresh": fresh}
+        for name, ref in want.items():
+            assert got[name].shape == ref.shape, name
+            scale = np.abs(ref).max(initial=0.0)
+            np.testing.assert_allclose(got[name], ref, rtol=0,
+                                       atol=self.RTOL * scale,
+                                       err_msg=name)
 
 
 class TestConfig:

