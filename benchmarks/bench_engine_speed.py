@@ -13,8 +13,8 @@ Run standalone (not through pytest):
     PYTHONPATH=src python benchmarks/bench_engine_speed.py [--quick]
 
 Writes ``benchmarks/results/BENCH_engine.json`` with wall-clock times, the
-speedup factor, the bounds check, and the ``repro.perf`` counter snapshot
-of the fast runs (stage seconds, materialization counts, peak symbol
+speedup factor, the bounds check, and the ``repro.trace.TRACER`` counters
+and gauges of one fast run (materialization and buffer counts, peak symbol
 rows). ``--quick`` lowers the repetition count for CI smoke runs.
 """
 
@@ -28,7 +28,7 @@ import time
 import numpy as np
 
 from repro.experiments.harness import get_transformer, evaluation_sentences
-from repro.perf import PERF
+from repro.trace import TRACER
 from repro.verify import VerifierConfig
 from repro.verify.propagation import propagate_classifier
 from repro.verify.regions import word_perturbation_region
@@ -89,9 +89,9 @@ def run_benchmark(reps=5, p=2.0, radius=0.05, n_layers=3):
     fast_seconds, dense_seconds = _time_interleaved(fast_run, dense_run,
                                                     reps)
     # Counter snapshot from one dedicated fast-engine run (outside timing).
-    with PERF.collecting() as recorder:
+    with TRACER.query_scope(None) as record:
         fast_run()
-        perf = recorder.snapshot()
+    perf = record["perf"]
 
     return {
         "benchmark": "engine_speed",

@@ -7,7 +7,7 @@ transformer, DeepT-Fast, ℓ2):
                  engine);
 2. **guarded** — guards + ladder enabled (the shipping defaults). The
                  certified radii must be *bitwise identical* to plain and
-                 the merged PERF counters must show zero degradations and
+                 the merged counters must show zero degradations and
                  zero guard trips: on healthy inputs the resilience layer
                  is invisible except for its cost. The headline number is
                  the relative overhead of the median guarded pass over

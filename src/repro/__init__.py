@@ -15,17 +15,15 @@ Top-level layout:
   attacks, digit images (offline dataset substitutes, see DESIGN.md);
 * :mod:`repro.baselines`  — CROWN-BaF / CROWN-Backward, IBP, synonym
   enumeration, and the complete branch-and-bound verifier;
-* :mod:`repro.perf`       — engine instrumentation (stage timers, symbol
-  counters) reported by the verifier and harness;
-* :mod:`repro.trace`      — span-based certification tracing (one record
-  per abstract-transformer application) and the trace-diff regression
-  tool (``python -m repro.trace diff``);
+* :mod:`repro.trace`      — the one recorder: engine counters and gauges,
+  span-based certification tracing (one record per abstract-transformer
+  application) and the trace-diff regression tool (``python -m
+  repro.trace diff``);
 * :mod:`repro.scheduler`  — parallel certification-query scheduler with a
   persistent result cache (the harness submits through it);
 * :mod:`repro.experiments` — runners regenerating every paper table.
 """
 
-from .perf import PERF, PerfRecorder
 from .trace import TRACER, CertTracer
 from .zonotope import MultiNormZonotope, dense_engine
 from .verify import DeepTVerifier, VerifierConfig, FAST, PRECISE, COMBINED
@@ -36,6 +34,6 @@ __version__ = "1.0.0"
 __all__ = [
     "MultiNormZonotope", "dense_engine", "DeepTVerifier", "VerifierConfig",
     "FAST", "PRECISE", "COMBINED", "TransformerClassifier",
-    "PERF", "PerfRecorder", "TRACER", "CertTracer",
+    "TRACER", "CertTracer",
     "__version__",
 ]

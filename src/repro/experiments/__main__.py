@@ -92,8 +92,9 @@ def _build_parser():
     parser.add_argument(
         "--trace-dir", default=None, metavar="DIR",
         help="record a certification trace (one span per abstract-"
-             "transformer application) to DIR/<table>.jsonl; compare runs "
-             "with `python -m repro.trace diff`")
+             "transformer application) to DIR/<table>.jsonl (serve: "
+             "DIR/serve.jsonl); compare runs with `python -m repro.trace "
+             "diff`")
     parser.add_argument(
         "--check", action="store_true",
         help="(report) exit nonzero when a regression gate fails")
@@ -145,12 +146,16 @@ def _serve(args):
     if args.resume and not journal_path:
         from ..scheduler import default_journal_path
         journal_path = default_journal_path()
+    trace_path = None
     if args.trace_dir:
-        TRACER.enable()  # tracer-backed /result progress
+        os.makedirs(args.trace_dir, exist_ok=True)
+        trace_path = os.path.join(args.trace_dir, "serve.jsonl")
+        TRACER.enable()  # before the fleet forks: workers inherit it
     config = ServiceConfig(workers=args.workers,
                            drain_timeout=args.drain_timeout)
     service = CertService(model, config=config, cache_dir=cache_dir,
-                          journal_path=journal_path, resume=args.resume)
+                          journal_path=journal_path, resume=args.resume,
+                          trace_path=trace_path)
 
     async def run():
         port = await service.start(args.host, args.port)

@@ -184,9 +184,9 @@ def evaluation_sentences(model, dataset, n_sentences, max_tokens=None,
 class RadiusReport:
     """Min / Avg certified radius and wall time for one verifier setting.
 
-    ``perf`` holds the engine's :meth:`repro.perf.PerfRecorder.snapshot`
-    covering the report's propagations (stage seconds, materialization
-    counters, peak symbol counts); None for verifiers that don't record.
+    ``perf`` holds the engine's counters and gauges over the report's
+    queries (:func:`repro.trace.merge_perf`: materialization counters,
+    probes, peak symbol counts).
     """
 
     name: str

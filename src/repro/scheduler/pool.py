@@ -7,12 +7,13 @@ and the service both run their queries on it.
   context — the model is inherited, never pickled), each connected by a
   duplex pipe. Every query is handed out under a **lease** ``(lease id,
   query key, worker id, deadline)``.
-* Workers send **heartbeats** carrying a progress counter derived from
-  the process-global PERF/TRACER recorders (stage calls, event counters,
-  trace spans — all of which advance during real propagation and stand
-  still during a stall). A heartbeat only extends the lease deadline when
-  the progress value *changed*, so a slow-but-alive precise pass is
-  distinguishable from a hung worker that still pumps heartbeats.
+* Workers send **heartbeats** carrying the recorder's monotone
+  ``TRACER.events`` count (every counter event and span; each
+  binary-search probe counts one, whatever the verifier, so it advances
+  during real work and stands still during a stall). A heartbeat only
+  extends the lease deadline when the progress value *changed*, so a
+  slow-but-alive precise pass is distinguishable from a hung worker that
+  still pumps heartbeats.
 * A missed deadline or a dead PID kills the worker, **requeues the
   lease**, and respawns the slot with exponential backoff plus seeded
   jitter. Results commit **at most once** per query position: a late
@@ -54,7 +55,6 @@ from multiprocessing.connection import wait as _connection_wait
 
 from ..faults import (KILL_EXIT_CODE, fault_lease_directives,
                       fault_spawn_directive)
-from ..perf import PERF
 from ..trace import TRACER
 from . import worker as worker_mod
 from .worker import QueryOutcome, ibp_floor_outcome
@@ -117,20 +117,9 @@ def _worker_main(conn, model, worker_id, heartbeat_interval,
     parent_pid = os.getppid()
     if boot_directive and boot_directive.get("boot_kill"):
         os._exit(KILL_EXIT_CODE)
-    PERF.reset()
     TRACER.reset()
     send_lock = threading.Lock()
-    state = {"lease": None, "suppress": False, "progress": 0}
-
-    def progress():
-        # PERF/TRACER are mutated by the executing main thread; the dicts
-        # are replaced wholesale by reset() (safe) but can change size
-        # mid-iteration — fall back to the previous value on that race.
-        try:
-            return (len(TRACER.spans) + sum(PERF.stage_calls.values())
-                    + sum(PERF.counters.values()))
-        except RuntimeError:
-            return state["progress"]
+    state = {"lease": None, "suppress": False}
 
     def send(message):
         if state["suppress"]:
@@ -149,8 +138,7 @@ def _worker_main(conn, model, worker_id, heartbeat_interval,
             lease = state["lease"]
             if lease is None:
                 continue
-            state["progress"] = progress()
-            send(("heartbeat", lease, state["progress"]))
+            send(("heartbeat", lease, TRACER.events))
 
     threading.Thread(target=heartbeat_loop, daemon=True).start()
     # Announce liveness: the supervisor only leases to workers that have

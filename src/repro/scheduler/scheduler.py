@@ -15,8 +15,8 @@ regardless of completion order. Execution strategy per run:
    process;
 3. every completed outcome is committed the moment it completes, through
    :func:`~repro.scheduler.worker.commit_outcome`, under the query it
-   executed; per-worker ``repro.perf`` snapshots ride along on each
-   outcome for the caller to aggregate (:func:`merge_outcome_perf` —
+   executed; each query's counters and gauges ride along on its outcome
+   for the caller to aggregate (:func:`merge_outcome_perf` —
    deterministic query-key order, not completion order).
 
 Because :func:`~repro.scheduler.worker.execute_query` is a pure function of
@@ -29,8 +29,7 @@ from __future__ import annotations
 import multiprocessing
 import weakref
 
-from ..perf import PerfRecorder
-from ..trace import TRACER
+from ..trace import TRACER, merge_perf
 from .cache import ResultCache
 from .pool import WorkerSupervisor
 from .worker import QueryOutcome, commit_outcome, execute_query
@@ -39,17 +38,11 @@ __all__ = ["QueryOutcome", "CertScheduler", "merge_outcome_perf"]
 
 
 def merge_outcome_perf(outcomes):
-    """Aggregate outcome perf snapshots in query-key order.
-
-    Sorting by the content key makes the merged snapshot independent of
-    completion order (stage seconds and counters add commutatively, but a
-    fixed fold order keeps even float summation reproducible run-to-run).
+    """Aggregate outcome perf snapshots (:func:`repro.trace.merge_perf`)
+    in query-key order, so the result is independent of completion order.
     """
-    recorder = PerfRecorder()
-    for outcome in sorted(outcomes, key=lambda o: o.query.key()):
-        if outcome.perf:
-            recorder.merge(outcome.perf)
-    return recorder.snapshot()
+    return merge_perf(outcome.perf for outcome in
+                      sorted(outcomes, key=lambda o: o.query.key()))
 
 
 def _fork_available():

@@ -20,7 +20,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from ..perf import PERF
 from ..trace import TRACER
 from .queries import degrade_query, rung_for_query
 
@@ -104,27 +103,32 @@ def _build_verifier(model, query):
 def execute_query(model, query):
     """Run one certification query; returns (radius, seconds, perf, meta).
 
-    ``perf`` is the :meth:`repro.perf.PerfRecorder.snapshot` covering
-    exactly this query's propagations. ``meta`` reports resilience state:
-    ``degraded`` is True when any certification of the binary search fell
-    down the verifier's fallback ladder, ``fallback_chain`` is the first
-    degraded call's rung sequence and ``fault`` its originating failure.
+    ``perf`` holds the counters and gauges
+    (:meth:`repro.trace.CertTracer.perf_snapshot`) recorded by exactly
+    this query, among them ``probes``, one per certification of the
+    binary search. ``meta`` reports resilience state: ``degraded`` is True
+    when any certification of the binary search fell down the verifier's
+    fallback ladder, ``fallback_chain`` is the first degraded call's rung
+    sequence and ``fault`` its originating failure; ``trace`` holds the
+    query's spans (empty unless tracing is enabled).
     """
     from ..verify.radius import binary_search_radius
 
     start = time.perf_counter()
     token_ids = list(query.sentence)
     meta = {"degraded": False, "fallback_chain": (), "fault": None}
-    # query_scope detaches this query's spans from the global list and
-    # yields them (at scope exit) so they travel back through meta — the
-    # same code path serially and in a pool worker, which is what makes
+    # query_scope records this query apart from the outer recorder and
+    # hands its spans, counters and gauges over at scope exit — the same
+    # code path serially and in a pool worker, which is what makes
     # worker-merged traces identical to a serial run's.
-    with PERF.collecting() as recorder, \
-            TRACER.query_scope(query.key()) as spans:
+    with TRACER.query_scope(query.key()) as record:
         verifier = _build_verifier(model, query)
         true_label = model.predict(token_ids)
 
         def certify(radius):
+            # Every verifier advances the recorder's liveness count here,
+            # including those that record nothing themselves (CROWN, IBP).
+            TRACER.count("probes")
             result = verifier.certify_word_perturbation(
                 token_ids, query.position, radius, query.p,
                 true_label=true_label)
@@ -136,9 +140,8 @@ def execute_query(model, query):
 
         radius = binary_search_radius(certify, initial=query.initial,
                                       n_iterations=query.n_iterations)
-        perf = recorder.snapshot()
-    meta["trace"] = tuple(spans)
-    return radius, time.perf_counter() - start, perf, meta
+    meta["trace"] = tuple(record["spans"])
+    return radius, time.perf_counter() - start, record["perf"], meta
 
 
 def ibp_floor_outcome(model, query, source, fault):

@@ -33,8 +33,8 @@ journal so previously answered queries are served without recomputation.
 
 Concurrency note: query execution is deliberately serialized on one
 executor thread. The engine is single-core CPU-bound numpy, and the
-process-global ``PERF``/``TRACER`` recorders are not thread-safe; the
-service's concurrency win is in dedup and admission, not in parallel
+process-global ``TRACER`` recorder is not thread-safe; the service's
+concurrency win is in dedup and admission, not in parallel
 propagation. The rescue rung runs on its own thread so a stalled
 execution cannot wedge recovery.
 
@@ -61,7 +61,6 @@ from dataclasses import dataclass
 from urllib.parse import parse_qs, urlsplit
 
 from ..faults import fault_service_entry
-from ..perf import PerfRecorder
 from ..scheduler import worker
 from ..scheduler.cache import ResultCache
 from ..scheduler.journal import RunJournal
@@ -70,7 +69,7 @@ from ..scheduler.queries import (degrade_query, model_weight_hash,
                                  rung_for_query)
 from ..scheduler.worker import (QueryOutcome, commit_outcome,
                                  ibp_floor_outcome)
-from ..trace import TRACER
+from ..trace import merge_perf, write_jsonl
 from .admission import AdmissionController
 from .protocol import (BadRequest, Draining, NotFound, Overloaded,
                        RateLimited, ServiceError, error_payload,
@@ -133,10 +132,15 @@ class CertService:
     tenant_policies:
         Optional ``{tenant: TenantPolicy}`` overrides of the default
         bucket.
+    trace_path:
+        JSONL file each executed outcome's spans are appended to
+        (``serve --trace-dir DIR`` passes ``DIR/serve.jsonl``). Spans
+        exist only while :data:`repro.trace.TRACER` is enabled.
     """
 
     def __init__(self, model, config=None, cache_dir=None,
-                 journal_path=None, resume=False, tenant_policies=None):
+                 journal_path=None, resume=False, tenant_policies=None,
+                 trace_path=None):
         self.model = model
         self.config = config or ServiceConfig()
         self.model_hash = model_weight_hash(model)
@@ -151,13 +155,14 @@ class CertService:
         self.cache = ResultCache(cache_dir) if cache_dir else None
         self.journal = RunJournal(journal_path, resume=resume) \
             if journal_path else None
+        self.trace_path = trace_path
 
         self._results = {}    # key -> done payload (sound answers only)
         self._errors = {}     # key -> last error payload (retryable)
         self._inflight = {}   # key -> _Entry (queued or running)
         self._pending = []    # FIFO of queued _Entry objects
         self._metrics = {}
-        self._perf = PerfRecorder()
+        self._perf = {"counters": {}, "gauges": {}}  # merged outcome perf
         self._started_monotonic = None
         self._loop = None
         self._server = None
@@ -273,7 +278,7 @@ class CertService:
             "cache_hit_rate": hits / (hits + misses)
             if hits + misses else None,
             "tenants": self.tenants.snapshot(self._now()),
-            "perf": self._perf.snapshot(),
+            "perf": self._perf,
             "draining": self._draining,
             "drain_seconds": self._drain_seconds,
             "supervisor": dict(self._supervisor.stats)
@@ -375,13 +380,6 @@ class CertService:
         else:
             progress["seconds_running"] = round(
                 self._now() - entry.started_at, 3)
-            # Tracer-backed progress: while the executor thread runs this
-            # query under TRACER.query_scope(key), its spans accumulate in
-            # the global list tagged with the key; counting them is a live
-            # how-far-along signal (None when tracing is disabled).
-            progress["trace_spans"] = sum(
-                1 for span in TRACER.spans
-                if span.get("query") == key) if TRACER.enabled else None
         return 202, progress
 
     async def wait_result(self, key, timeout):
@@ -515,8 +513,12 @@ class CertService:
         self._results[key] = payload
         self._inflight.pop(key, None)
         self._count("completed")
-        if outcome.perf and outcome.source != "cache":
-            self._perf.merge(outcome.perf)  # work this service did
+        if outcome.source != "cache":  # work this service did
+            self._perf = merge_perf((self._perf, outcome.perf))
+        if self.trace_path is not None and outcome.trace:
+            # Straight to the file, never into the global span list: an
+            # executor thread may still hold an open query_scope.
+            write_jsonl(outcome.trace, self.trace_path, append=True)
         if entry is not None:
             self.tenants.count(entry.tenant, "completed")
             if not entry.future.done():

@@ -1,12 +1,31 @@
-"""The span recorder: one structured record per abstract-transformer
-application.
+"""The recorder: counters, gauges and spans of the certification pipeline.
 
-:class:`CertTracer` follows the :class:`repro.perf.PerfRecorder` contract
-exactly — a process-global singleton (:data:`TRACER`), disabled by default,
-every production hook a cheap attribute check when idle, fork-safe via
-``os.register_at_fork`` (a scheduler pool worker starts from a clean span
-list but inherits the enabled flag, so worker-side propagations are traced
-whenever the parent traces).
+:class:`CertTracer` is one process-global singleton (:data:`TRACER`) that
+every pipeline hook reports into:
+
+* **counters** — ``TRACER.count("eps_rows_materialized", k)`` tallies
+  discrete events (eps materializations, buffer reallocations, guard
+  trips, degradations, binary-search probes);
+* **gauges** — ``TRACER.gauge_max("peak_eps_rows", n)`` keeps running
+  maxima (the peak eps-symbol count of a propagation);
+* **spans** — one structured record per abstract-transformer
+  application, described below.
+
+Counters and gauges are always on: each is one dict update. Spans are
+recorded only while tracing is enabled (``TRACER.enable()`` or ``with
+TRACER.collecting():``); when it is off, a span site pays two trivial
+calls (:meth:`CertTracer.start` returns None and
+:meth:`CertTracer.finish` returns at once).
+
+:meth:`CertTracer.query_scope` is the per-query unit: it hands the caller
+one query's spans, counters and gauges and restores the outer ones, which
+is how a scheduler worker ships a query's record back (the serial path
+takes the same code). ``events`` is a monotone count of every count and
+span: a worker's heartbeat reports it as its liveness signal.
+
+Fork safety: a forked scheduler worker starts from an empty recorder
+(``os.register_at_fork``) but keeps the parent's enabled flag, so
+worker-side propagations are traced whenever the parent traces.
 
 A *span* is a plain JSON-serializable dict with the fields
 
@@ -48,19 +67,24 @@ import os
 import time
 from contextlib import contextmanager
 
-__all__ = ["CertTracer", "TRACER", "traced", "write_jsonl", "read_jsonl"]
+__all__ = ["CertTracer", "TRACER", "traced", "merge_perf", "write_jsonl",
+           "read_jsonl"]
 
 
 class CertTracer:
-    """Process-global span recorder for the certification pipeline."""
+    """Process-global recorder for the certification pipeline."""
 
     def __init__(self):
         self.enabled = False
+        self.events = 0
         self.reset()
 
     def reset(self):
-        """Drop all recorded spans (the enabled flag is unchanged)."""
+        """Drop all recorded spans, counters and gauges (the enabled flag
+        and the ``events`` liveness count are unchanged)."""
         self.spans = []
+        self.counters = {}
+        self.gauges = {}
         self._layer = None
         self._query = None
 
@@ -99,31 +123,52 @@ class CertTracer:
 
     @contextmanager
     def query_scope(self, key):
-        """Attribute spans to query ``key`` and hand them to the caller.
+        """Record one query on its own and hand the record to the caller.
 
-        Yields a list that is populated *at scope exit* with every span
-        recorded inside the scope; those spans are removed from the global
-        list. This is how a scheduler worker (or the serial in-process
-        path — deliberately the same code path, so serial and parallel runs
-        produce identical spans) ships a query's trace back to the parent,
-        which re-absorbs all traces in deterministic query-key order.
+        Yields a dict that is filled *at scope exit* with ``spans`` (every
+        span recorded inside the scope, attributed to ``key``) and
+        ``perf`` (the scope's counters and gauges, see
+        :meth:`perf_snapshot`). The outer spans, counters and gauges are
+        restored untouched. This is how a scheduler worker (or the serial
+        in-process path — deliberately the same code path, so serial and
+        parallel runs produce identical records) ships a query's record
+        back to the parent, which re-absorbs all traces in deterministic
+        query-key order.
         """
-        held = []
-        if not self.enabled:
-            yield held
-            return
-        previous = self._query
+        record = {}
+        outer = (self._query, self.spans, self.counters, self.gauges)
         self._query = key
-        start = len(self.spans)
+        self.spans, self.counters, self.gauges = [], {}, {}
         try:
-            yield held
+            yield record
         finally:
-            held.extend(self.spans[start:])
-            del self.spans[start:]
-            self._query = previous
+            record["spans"] = self.spans
+            record["perf"] = self.perf_snapshot()
+            self._query, self.spans, self.counters, self.gauges = outer
 
     # ------------------------------------------------------------- recording
-    def record_op(self, op, zonotope, seconds, eps_before=None, **extra):
+    def count(self, name, k=1):
+        """Add ``k`` to the event counter ``name``."""
+        self.counters[name] = self.counters.get(name, 0) + k
+        self.events += 1
+
+    def gauge_max(self, name, value):
+        """Keep the running maximum of gauge ``name``."""
+        previous = self.gauges.get(name)
+        if previous is None or value > previous:
+            self.gauges[name] = value
+
+    def start(self):
+        """Open an op span: its start time, or None while tracing is off."""
+        return time.perf_counter() if self.enabled else None
+
+    def finish(self, started, op, zonotope, **extra):
+        """Record the op span :meth:`start` opened (nothing if it did not)."""
+        if started is not None:
+            self.record_op(op, zonotope, time.perf_counter() - started,
+                           **extra)
+
+    def record_op(self, op, zonotope, seconds, **extra):
         """Record one abstract-transformer application producing
         ``zonotope``."""
         if not self.enabled:
@@ -131,10 +176,9 @@ class CertTracer:
         span = {"query": self._query, "layer": self._layer, "op": op,
                 "seconds": float(seconds)}
         span.update(_zonotope_stats(zonotope))
-        if eps_before is not None:
-            span["eps_before"] = int(eps_before)
         span.update(extra)
         self.spans.append(span)
+        self.events += 1
 
     def record_event(self, op, **fields):
         """Record a zero-duration pipeline event (guard trip, ladder hop,
@@ -145,18 +189,42 @@ class CertTracer:
                 "seconds": 0.0}
         span.update(fields)
         self.spans.append(span)
+        self.events += 1
 
     # ----------------------------------------------------------- aggregation
     def absorb(self, spans):
         """Fold already-recorded spans (e.g. shipped back from a scheduler
-        worker) into this tracer. Like :meth:`PerfRecorder.merge`, this is
-        bookkeeping over recorded data and bypasses the ``enabled`` gate —
-        callers gate on ``TRACER.enabled`` themselves."""
+        worker) into this tracer. This is bookkeeping over recorded data
+        and bypasses the ``enabled`` gate — callers gate on
+        ``TRACER.enabled`` themselves."""
         self.spans.extend(dict(span) for span in spans)
 
     def snapshot(self):
         """A copy of every recorded span (list of plain dicts)."""
         return [dict(span) for span in self.spans]
+
+    def perf_snapshot(self):
+        """The counters and gauges as a JSON-serializable dict."""
+        return {"counters": dict(sorted(self.counters.items())),
+                "gauges": dict(sorted(self.gauges.items()))}
+
+
+def merge_perf(snapshots):
+    """Fold :meth:`CertTracer.perf_snapshot` dicts into one.
+
+    Counters add and gauges keep the maximum; any other key (the
+    ``stages`` of entries written by older versions) is ignored.
+    ``None`` entries are skipped.
+    """
+    counters, gauges = {}, {}
+    for snapshot in filter(None, snapshots):
+        for name, value in snapshot.get("counters", {}).items():
+            counters[name] = counters.get(name, 0) + value
+        for name, value in snapshot.get("gauges", {}).items():
+            if name not in gauges or value > gauges[name]:
+                gauges[name] = value
+    return {"counters": dict(sorted(counters.items())),
+            "gauges": dict(sorted(gauges.items()))}
 
 
 def _zonotope_stats(z):
@@ -183,28 +251,22 @@ def _zonotope_stats(z):
 
 
 def traced(op):
-    """Decorator tracing a zonotope-in/zonotope-out abstract transformer.
-
-    The wrapped function pays one attribute check when tracing is disabled.
-    """
+    """Decorator tracing a zonotope-in/zonotope-out abstract transformer."""
     def decorate(fn):
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
-            tracer = TRACER
-            if not tracer.enabled:
-                return fn(*args, **kwargs)
-            start = time.perf_counter()
+            started = TRACER.start()
             out = fn(*args, **kwargs)
-            tracer.record_op(op, out, time.perf_counter() - start)
+            TRACER.finish(started, op, out)
             return out
         return wrapper
     return decorate
 
 
 # ------------------------------------------------------------------ JSONL IO
-def write_jsonl(spans, path):
-    """Write spans to ``path`` as one JSON object per line."""
-    with open(path, "w") as f:
+def write_jsonl(spans, path, append=False):
+    """Write (or append) spans to ``path``, one JSON object per line."""
+    with open(path, "a" if append else "w") as f:
         for span in spans:
             f.write(json.dumps(span) + "\n")
 
@@ -221,11 +283,11 @@ def read_jsonl(path):
 
 
 TRACER = CertTracer()
-"""The process-global tracer every pipeline hook reports into."""
+"""The process-global recorder every pipeline hook reports into."""
 
-# Fork safety (same contract as repro.perf.PERF): a forked scheduler worker
-# starts from a clean span list — but keeps the parent's enabled flag, so
-# worker-side propagations are traced whenever the parent traces — and ships
-# its spans back through execute_query's meta for the parent to absorb().
+# Fork safety: a forked scheduler worker starts from an empty recorder —
+# but keeps the parent's enabled flag, so worker-side propagations are
+# traced whenever the parent traces — and ships each query's record back
+# through execute_query for the parent to merge.
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=TRACER.reset)

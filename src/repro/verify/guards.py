@@ -33,7 +33,6 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from ..perf import PERF
 from ..trace import TRACER
 
 __all__ = [
@@ -138,7 +137,7 @@ class PropagationGuard:
 
     def _trip(self, error, stage, detail):
         self.trips += 1
-        PERF.count("guard_trips")
+        TRACER.count("guard_trips")
         TRACER.record_event("guard-trip", stage=stage, detail=detail)
         raise error(stage, detail)
 

@@ -23,13 +23,10 @@ operation by operation:
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from ..faults import fault_zonotope
-from ..perf import PERF
-from ..trace import TRACER
+from ..trace import TRACER, traced
 from ..zonotope import (
     DotProductConfig, apply_eps_rewrites, fast_path_enabled,
     fused_layer_norm, propagation_errstate, reduce_noise_symbols, relu,
@@ -44,18 +41,12 @@ __all__ = ["propagate_linear", "propagate_layer_norm", "propagate_attention",
            "propagate_classifier"]
 
 
+@traced("affine")
 def propagate_linear(z, linear):
     """Exact affine transformer for a :class:`repro.nn.Linear`."""
-    if not TRACER.enabled:
-        out = z.matmul_const(linear.weight.data)
-        if linear.bias is not None:
-            out = out + linear.bias.data
-        return out
-    start = time.perf_counter()
     out = z.matmul_const(linear.weight.data)
     if linear.bias is not None:
         out = out + linear.bias.data
-    TRACER.record_op("affine", out, time.perf_counter() - start)
     return out
 
 
@@ -96,16 +87,14 @@ def _stacked_projection(x, heads, proj_name):
     the fresh symbols different heads introduce stay distinct instead of
     aliasing at overlapping indices.
     """
-    start = time.perf_counter() if TRACER.enabled else 0.0
+    started = TRACER.start()
     weight = np.concatenate(
         [getattr(h, proj_name).weight.data for h in heads], axis=1)
     out = x.matmul_const(weight)
     biases = [getattr(h, proj_name).bias for h in heads]
     if all(b is not None for b in biases):
         out = out + np.concatenate([b.data for b in biases])
-    if TRACER.enabled:
-        TRACER.record_op("affine", out, time.perf_counter() - start,
-                         projection=proj_name)
+    TRACER.finish(started, "affine", out, projection=proj_name)
     return out
 
 
@@ -173,19 +162,14 @@ def propagate_transformer_layer(z, layer, config, dot_config):
     (:func:`repro.verify.guards.check_zonotope`) so a numerical blowup is
     caught at the abstract transformer that produced it, not layers later.
     """
-    with PERF.stage("attention"):
-        attended, z = propagate_attention(z, layer.attention, config,
-                                          dot_config)
-        check_zonotope(attended, "attention")
-    with PERF.stage("layer_norm"):
-        z = propagate_layer_norm(z + attended, layer.norm1, dot_config)
-        check_zonotope(z, "layer_norm1")
-    with PERF.stage("ffn"):
-        ffn_out = propagate_feed_forward(z, layer.ffn)
-        check_zonotope(ffn_out, "ffn")
-    with PERF.stage("layer_norm"):
-        z = propagate_layer_norm(z + ffn_out, layer.norm2, dot_config)
-        check_zonotope(z, "layer_norm2")
+    attended, z = propagate_attention(z, layer.attention, config, dot_config)
+    check_zonotope(attended, "attention")
+    z = propagate_layer_norm(z + attended, layer.norm1, dot_config)
+    check_zonotope(z, "layer_norm1")
+    ffn_out = propagate_feed_forward(z, layer.ffn)
+    check_zonotope(ffn_out, "ffn")
+    z = propagate_layer_norm(z + ffn_out, layer.norm2, dot_config)
+    check_zonotope(z, "layer_norm2")
     return z
 
 
@@ -215,18 +199,17 @@ def propagate_classifier(model, input_zonotope, config=None):
                 z = fault_zonotope(z, index)
                 cap = config.cap_for_layer(index, n_layers)
                 if cap is not None:
-                    with PERF.stage("reduction"):
-                        z = reduce_noise_symbols(
-                            z, cap, tol=config.coeff_tol,
-                            strategy=config.reduction_strategy)
-                        check_zonotope(z, "reduction")
+                    z = reduce_noise_symbols(
+                        z, cap, tol=config.coeff_tol,
+                        strategy=config.reduction_strategy)
+                    check_zonotope(z, "reduction")
                 dot_config = DotProductConfig(
                     variant=config.variant_for_layer(index, n_layers),
                     order=config.dual_norm_order, tol=config.coeff_tol)
                 z = propagate_transformer_layer(z, layer, config,
                                                 dot_config)
-                PERF.gauge_max("peak_eps_rows", z.n_eps)
-        with PERF.stage("classifier_head"), TRACER.layer_scope(n_layers):
+                TRACER.gauge_max("peak_eps_rows", z.n_eps)
+        with TRACER.layer_scope(n_layers):
             pooled = tanh(propagate_linear(z[0], model.pool))
             out = propagate_linear(pooled, model.classifier)
             check_zonotope(out, "classifier_head")

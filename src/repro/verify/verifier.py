@@ -16,7 +16,7 @@ Every rung is itself a sound verifier, so a degraded answer can never flip
 an uncertifiable query to ``certified=True``; looser rungs only lose
 precision. Degradation is reported honestly: the result carries
 ``degraded`` / ``fallback_chain`` / ``fault`` and
-:data:`repro.perf.PERF` counts ``degradations``. On healthy inputs the
+:data:`repro.trace.TRACER` counts ``degradations``. On healthy inputs the
 ladder is invisible — the primary rung runs exactly as before, bitwise.
 """
 
@@ -26,7 +26,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..perf import PERF
 from ..trace import TRACER
 from .config import VerifierConfig
 from .guards import (CertificationFault, PropagationGuard,
@@ -93,9 +92,8 @@ class DeepTVerifier:
         """Certify that every point of ``region`` classifies as
         ``true_label``.
 
-        Stage timings, peak symbol counts and materialization counters are
-        reported into :data:`repro.perf.PERF` when recording is enabled
-        (``PERF.collecting()``); see ``PERF.snapshot()``. On a guard trip
+        Peak symbol counts and materialization counters are reported into
+        :data:`repro.trace.TRACER`'s counters and gauges. On a guard trip
         the query is retried down the degradation ladder (see the module
         docstring) and the result is flagged ``degraded``.
         """
@@ -120,13 +118,13 @@ class DeepTVerifier:
                 continue
             if len(chain) == 1:
                 return result
-            PERF.count("degradations")
-            PERF.count(f"degraded_to_{rung_name}")
+            TRACER.count("degradations")
+            TRACER.count(f"degraded_to_{rung_name}")
             return replace(result, degraded=True,
                            fallback_chain=tuple(chain), fault=fault)
         # Every rung failed: sound, honest "could not certify".
-        PERF.count("degradations")
-        PERF.count("degraded_to_none")
+        TRACER.count("degradations")
+        TRACER.count("degraded_to_none")
         return CertificationResult(certified=False, margin_lower=-np.inf,
                                    true_label=true_label, degraded=True,
                                    fallback_chain=tuple(chain), fault=fault)
@@ -146,16 +144,15 @@ class DeepTVerifier:
         """One guarded zonotope propagation + margin check (no retry)."""
         guard = PropagationGuard(symbol_budget=config.symbol_budget) \
             if config.guards else None
-        with PERF.stage("propagation"), guard_scope(guard):
+        with guard_scope(guard):
             logits = propagate_classifier(self.model, region, config)
-        with PERF.stage("margin_check"):
-            lower, upper = logits.bounds()
-            margins = []
-            for other in range(len(lower)):
-                if other == true_label:
-                    continue
-                margin = (logits[true_label] - logits[other]).bounds()[0]
-                margins.append(float(margin))
+        lower, upper = logits.bounds()
+        margins = []
+        for other in range(len(lower)):
+            if other == true_label:
+                continue
+            margin = (logits[true_label] - logits[other]).bounds()[0]
+            margins.append(float(margin))
         worst = min(margins)
         return CertificationResult(
             certified=certified_from_margin(worst), margin_lower=worst,
@@ -229,8 +226,7 @@ class IBPVerifier:
         self.config = config
 
     def certify_region(self, region, true_label):
-        with PERF.stage("propagation"):
-            return ibp_certify_region(self.model, region, true_label)
+        return ibp_certify_region(self.model, region, true_label)
 
     def certify_word_perturbation(self, token_ids, position, radius, p,
                                   true_label=None):

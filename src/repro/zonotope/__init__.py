@@ -3,9 +3,7 @@
 from .multinorm import MultiNormZonotope, dual_exponent, norm_along_axis0
 from .numeric import (PROPAGATION_ERRSTATE, propagation_errstate,
                       under_propagation_errstate)
-from .storage import (EpsBuffer, EpsCapacityPool, EpsTail, capacity_pool,
-                      dense_engine, fast_path_enabled, reset_capacity_pool,
-                      set_fast_path)
+from .storage import EpsBuffer, EpsTail, dense_engine, fast_path_enabled
 from . import elementwise
 from .elementwise import relu, tanh, exp, reciprocal, rsqrt, sigmoid, gelu
 from .fused import fused_affine_response, fused_layer_norm
@@ -22,9 +20,7 @@ __all__ = [
     "MultiNormZonotope", "dual_exponent", "norm_along_axis0",
     "PROPAGATION_ERRSTATE", "propagation_errstate",
     "under_propagation_errstate",
-    "EpsBuffer", "EpsTail", "EpsCapacityPool",
-    "capacity_pool", "reset_capacity_pool", "dense_engine",
-    "fast_path_enabled", "set_fast_path",
+    "EpsBuffer", "EpsTail", "dense_engine", "fast_path_enabled",
     "elementwise", "relu", "tanh", "exp", "reciprocal", "rsqrt",
     "sigmoid", "gelu", "fused_affine_response", "fused_layer_norm",
     "zonotope_matmul", "zonotope_multiply", "DotProductConfig",

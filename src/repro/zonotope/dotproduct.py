@@ -34,8 +34,6 @@ stay ``einsum``.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from ..trace import TRACER
@@ -293,12 +291,9 @@ def zonotope_matmul(x, y, config=None):
     if (x.ndim < 2 or y.ndim != x.ndim or x.shape[-1] != y.shape[-2]
             or x.shape[:-2] != y.shape[:-2]):
         raise ValueError(f"incompatible shapes {x.shape} @ {y.shape}")
-    if not TRACER.enabled:
-        return _matmul_impl(x, y, config)
-    start = time.perf_counter()
+    started = TRACER.start()
     out = _matmul_impl(x, y, config)
-    TRACER.record_op(f"dot-{config.variant}", out,
-                     time.perf_counter() - start)
+    TRACER.finish(started, f"dot-{config.variant}", out)
     return out
 
 
@@ -342,16 +337,7 @@ def zonotope_multiply(x, y, config=None):
     per-row 1/sigma multiplies a full row).
     """
     config = config or DotProductConfig()
-    if not TRACER.enabled:
-        return _multiply_impl(x, y, config)
-    start = time.perf_counter()
-    out = _multiply_impl(x, y, config)
-    TRACER.record_op(f"multiply-{config.variant}", out,
-                     time.perf_counter() - start)
-    return out
-
-
-def _multiply_impl(x, y, config):
+    started = TRACER.start()
     x, y = x.aligned_with(y)
     out_shape = np.broadcast_shapes(x.shape, y.shape)
     x = _broadcast_vars(x, out_shape)
@@ -365,8 +351,10 @@ def _multiply_impl(x, y, config):
 
     lower, upper = _elementwise_quadratic_bounds(x, y, config)
     center = center + 0.5 * (lower + upper)
-    out = MultiNormZonotope(center, phi, eps, x.p)
-    return out.append_fresh_eps(0.5 * (upper - lower), tol=config.tol)
+    out = MultiNormZonotope(center, phi, eps, x.p).append_fresh_eps(
+        0.5 * (upper - lower), tol=config.tol)
+    TRACER.finish(started, f"multiply-{config.variant}", out)
+    return out
 
 
 def _broadcast_vars(z, shape):

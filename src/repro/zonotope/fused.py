@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..perf import PERF
+from ..trace import TRACER
 from .multinorm import MultiNormZonotope
 from .storage import EpsBuffer, EpsTail
 
@@ -27,7 +27,7 @@ def fused_affine_response(x, lam, mu, beta_new, tol=0.0):
     zonotope between them, rescaling the lazy tail and concatenating the
     fresh symbols directly into the output.
     """
-    PERF.count("fused_affine_responses")
+    TRACER.count("fused_affine_responses")
     lam = np.asarray(lam, dtype=np.float64)
     center = lam * x.center
     if mu is not None:
@@ -40,8 +40,7 @@ def fused_affine_response(x, lam, mu, beta_new, tol=0.0):
         tail = tail.scale_flat(lam_flat)
     fresh = EpsTail.from_magnitudes(beta_new, tol=tol)
     if len(fresh):
-        if PERF.enabled:
-            PERF.gauge_max("peak_eps_rows", x.n_eps + len(fresh))
+        TRACER.gauge_max("peak_eps_rows", x.n_eps + len(fresh))
         tail = EpsTail.concatenated(tail, fresh)
     return MultiNormZonotope._build(center, phi, EpsBuffer.from_rows(dense),
                                     dense.shape[0], tail, x.p)
@@ -69,7 +68,7 @@ def fused_layer_norm(z, gamma, beta):
     chain densifies it inside the subtraction anyway), so the fused form
     does strictly less allocation for the same arithmetic.
     """
-    PERF.count("fused_layer_norms")
+    TRACER.count("fused_layer_norms")
     inv = 1.0 / z.shape[-1]
     center = _normalized(z.center, inv, gamma) + beta
     phi = _normalized(z.phi, inv, gamma)

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..perf import PERF
+from ..trace import TRACER
 from .numeric import propagation_errstate
 from .storage import EpsBuffer, EpsTail, fast_path_enabled
 
@@ -125,8 +125,8 @@ class MultiNormZonotope:
         tail = self._eps_tail
         if tail is None:
             return
-        PERF.count("eps_materializations")
-        PERF.count("eps_rows_materialized", len(tail))
+        TRACER.count("eps_materializations")
+        TRACER.count("eps_rows_materialized", len(tail))
         total = self._eps_count + len(tail)
         dense = np.zeros((total,) + self.shape)
         dense[:self._eps_count] = self._dense_rows()
@@ -348,8 +348,7 @@ class MultiNormZonotope:
         fresh = EpsTail.from_magnitudes(magnitudes, tol=tol)
         if len(fresh) == 0:
             return self
-        if PERF.enabled:
-            PERF.gauge_max("peak_eps_rows", self.n_eps + len(fresh))
+        TRACER.gauge_max("peak_eps_rows", self.n_eps + len(fresh))
         if fast_path_enabled():
             tail = EpsTail.concatenated(self._eps_tail, fresh)
             return MultiNormZonotope._build(self.center, self.phi,

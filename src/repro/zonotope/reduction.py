@@ -16,8 +16,6 @@ symbol space.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from ..trace import TRACER
@@ -74,20 +72,13 @@ def reduce_noise_symbols(z, k, tol=0.0, strategy="mass"):
         raise ValueError("k must be non-negative")
     if z.n_eps <= k:
         return z
-    if not TRACER.enabled:
-        return _reduce_impl(z, k, tol, strategy)
-    start = time.perf_counter()
-    out = _reduce_impl(z, k, tol, strategy)
-    TRACER.record_op("reduce", out, time.perf_counter() - start,
-                     eps_before=z.n_eps)
-    return out
-
-
-def _reduce_impl(z, k, tol, strategy):
+    started = TRACER.start()
     scores = symbol_scores(z, strategy)
     keep = np.sort(np.argsort(scores)[::-1][:k])
     drop_mask = np.ones(z.n_eps, dtype=bool)
     drop_mask[keep] = False
     dropped_mass = np.abs(z.eps[drop_mask]).sum(axis=0)
     reduced = MultiNormZonotope(z.center, z.phi, z.eps[keep], z.p)
-    return reduced.append_fresh_eps(dropped_mass, tol=tol)
+    out = reduced.append_fresh_eps(dropped_mass, tol=tol)
+    TRACER.finish(started, "reduce", out, eps_before=z.n_eps)
+    return out

@@ -35,8 +35,6 @@ decorrelates the rewritten copies).
 
 from __future__ import annotations
 
-import time
-
 from dataclasses import dataclass
 
 import numpy as np
@@ -249,12 +247,10 @@ def refine_softmax_rows(z):
     """
     if z.ndim != 2:
         raise ValueError(f"expected an (n, m) zonotope, got {z.shape}")
-    if not TRACER.enabled:
-        return _refine_impl(z)
-    start = time.perf_counter()
+    started = TRACER.start()
     out, rewrites = _refine_impl(z)
-    TRACER.record_op("softmax-sum-refine", out,
-                     time.perf_counter() - start, n_rewrites=len(rewrites))
+    TRACER.finish(started, "softmax-sum-refine", out,
+                  n_rewrites=len(rewrites))
     return out, rewrites
 
 

@@ -23,8 +23,6 @@ binary search relies on.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from ..trace import TRACER
@@ -52,7 +50,7 @@ def softmax(scores, refine_sum=False):
     """
     if scores.ndim != 2:
         raise ValueError(f"softmax expects an (n, m) zonotope, got {scores.shape}")
-    start = time.perf_counter() if TRACER.enabled else 0.0
+    started = TRACER.start()
     # d[i, j, j'] = scores[i, j'] - scores[i, j]; the j' = j diagonal is an
     # exact zero (all coefficients cancel), so exp maps it exactly to 1.
     diffs = scores.expand_dims(1) - scores.expand_dims(2)
@@ -69,8 +67,7 @@ def softmax(scores, refine_sum=False):
     # The span covers the whole composed form (the nested exp/reciprocal
     # applications also record their own spans); the Section 5.3 refinement
     # is attributed separately by refine_softmax_rows.
-    if TRACER.enabled:
-        TRACER.record_op("softmax", out, time.perf_counter() - start)
+    TRACER.finish(started, "softmax", out)
     if not refine_sum:
         return out
     from .refinement import refine_softmax_rows

@@ -28,8 +28,8 @@ This module provides the two structures that remove both costs:
     (matrix products, concatenation, symbol reduction, refinement)
     materialize the tail into dense rows.
 
-The global fast-path switch exists so the dense execution mode stays
-available: :func:`dense_engine` forces the pre-optimization representation
+The fast-path switch exists so the dense execution mode stays available:
+:func:`dense_engine` forces the pre-optimization representation
 (immediate dense appends, no tails, no spare capacity), which the
 equivalence tests and ``benchmarks/bench_engine_speed.py`` use as the
 old-engine baseline.
@@ -37,17 +37,41 @@ old-engine baseline.
 
 from __future__ import annotations
 
+import ctypes
 from contextlib import contextmanager
 
 import numpy as np
 
-from ..perf import PERF
+from ..trace import TRACER
 
-__all__ = ["EpsBuffer", "EpsTail", "EpsCapacityPool", "capacity_pool",
-           "reset_capacity_pool", "fast_path_enabled", "set_fast_path",
-           "dense_engine"]
+__all__ = ["EpsBuffer", "EpsTail", "fast_path_enabled", "dense_engine"]
 
 _MIN_CAPACITY = 16
+
+# glibc mallopt parameters (malloc.h).
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_memory():
+    """Serve the engine's transient blocks from a heap that is not trimmed.
+
+    Every probe allocates and frees eps blocks and kernel workspaces of up
+    to a few MB. Under glibc's self-adjusting default thresholds, whether
+    the next probe finds that memory still mapped or faults it in afresh
+    depends on where unrelated small allocations happen to sit: the same
+    ``table4-precise`` benchmark pass took 9 or 88k minor page faults
+    (about 25% more CPU time) from one build to the next. Fixed
+    thresholds make every probe reuse the heap. A no-op where the C
+    library has no ``mallopt``.
+    """
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+        mallopt(_M_TRIM_THRESHOLD, 512 << 20)
+
+
+_keep_freed_memory()
 
 
 class _EngineState:
@@ -63,11 +87,6 @@ _STATE = _EngineState()
 def fast_path_enabled():
     """Whether the structured fast path (buffers + tails) is active."""
     return _STATE.fast
-
-
-def set_fast_path(enabled):
-    """Globally enable/disable the structured fast path."""
-    _STATE.fast = bool(enabled)
 
 
 @contextmanager
@@ -86,66 +105,6 @@ def _grow_capacity(needed):
     if needed <= _MIN_CAPACITY:
         return _MIN_CAPACITY
     return 1 << (int(needed) - 1).bit_length()
-
-
-class EpsCapacityPool:
-    """Capacity hints for eps-row buffers, keyed by variable shape.
-
-    A propagation's symbol count grows along a trajectory that is identical
-    from one radius probe to the next (same network, same region shape), so
-    the capacity-doubling reallocations the perf counters record
-    (``eps_buffer_reallocations`` / ``eps_rows_materialized``) repeat the
-    same growth ladder for every query.  The pool remembers the high-water
-    capacity observed per row shape; the *next* allocation for that shape
-    starts at the peak, collapsing the ladder to (at most) one reallocation
-    per shape.  Purely an allocation-size hint: buffer contents and row
-    counts are untouched, so results are bitwise identical with the pool on
-    or off.
-    """
-
-    __slots__ = ("enabled", "_hints")
-
-    _MAX_SHAPES = 64  # hints are a few ints each; bound the dict anyway
-
-    def __init__(self):
-        self.enabled = True
-        self._hints = {}
-
-    def suggest(self, extra_shape, needed):
-        """Capacity to allocate for ``needed`` rows of shape ``extra_shape``."""
-        grown = _grow_capacity(needed)
-        if not self.enabled:
-            return grown
-        hint = self._hints.get(extra_shape, 0)
-        if hint > grown:
-            PERF.count("eps_pool_hits")
-            return hint
-        return grown
-
-    def observe(self, extra_shape, capacity):
-        """Record the capacity a shape actually reached."""
-        if not self.enabled:
-            return
-        if capacity > self._hints.get(extra_shape, 0):
-            if len(self._hints) >= self._MAX_SHAPES:
-                self._hints.clear()
-            self._hints[extra_shape] = capacity
-
-    def clear(self):
-        self._hints.clear()
-
-
-_POOL = EpsCapacityPool()
-
-
-def capacity_pool():
-    """The process-global eps capacity pool."""
-    return _POOL
-
-
-def reset_capacity_pool():
-    """Drop all capacity hints (fork hooks, tests)."""
-    _POOL.clear()
 
 
 class EpsBuffer:
@@ -181,11 +140,9 @@ class EpsBuffer:
         return self.data[:count]
 
     def _reallocate(self, count, extra_shape, needed):
-        PERF.count("eps_buffer_reallocations")
-        capacity = _POOL.suggest(extra_shape, needed)
-        fresh = np.zeros((capacity,) + extra_shape)
+        TRACER.count("eps_buffer_reallocations")
+        fresh = np.zeros((_grow_capacity(needed),) + extra_shape)
         fresh[:count] = self.data[:count]
-        _POOL.observe(extra_shape, capacity)
         return EpsBuffer(fresh, count)
 
     def append(self, count, block):
@@ -202,7 +159,7 @@ class EpsBuffer:
             target = self._reallocate(count, block.shape[1:], count + k)
         target.data[count:count + k] = block
         target.used = count + k
-        PERF.count("eps_rows_appended", k)
+        TRACER.count("eps_rows_appended", k)
         return target, count + k
 
     def pad(self, count, n_total, extra_shape):

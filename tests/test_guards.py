@@ -5,7 +5,7 @@ on healthy inputs, and the sound precise -> fast -> interval fallback."""
 import numpy as np
 import pytest
 
-from repro.perf import PERF
+from repro.trace import TRACER
 from repro.verify import (CertificationResult, DeepTVerifier, FAST, PRECISE,
                           NumericalBlowupError, PropagationGuard,
                           SymbolBudgetExceeded, VerifierConfig,
@@ -97,10 +97,10 @@ class TestDegradationLadder:
         plain = DeepTVerifier(tiny_model, FAST(
             noise_symbol_cap=64, guards=False, degradation_ladder=False))
         guarded = DeepTVerifier(tiny_model, FAST(noise_symbol_cap=64))
-        with PERF.collecting() as recorder:
+        with TRACER.query_scope(None) as record:
             a = plain.certify_region(region, true_label)
             b = guarded.certify_region(region, true_label)
-            snapshot = recorder.snapshot()
+        snapshot = record["perf"]
         assert b.margin_lower == a.margin_lower  # bitwise, not approx
         assert b.certified == a.certified
         assert not b.degraded and b.fallback_chain == ()
@@ -110,9 +110,9 @@ class TestDegradationLadder:
                                                     region, true_label):
         verifier = DeepTVerifier(tiny_model, FAST(
             noise_symbol_cap=64, symbol_budget=1))
-        with PERF.collecting() as recorder:
+        with TRACER.query_scope(None) as record:
             result = verifier.certify_region(region, true_label)
-            snapshot = recorder.snapshot()
+        snapshot = record["perf"]
         assert result.degraded
         assert result.fallback_chain == ("fast", "ibp")
         assert "SymbolBudgetExceeded" in result.fault

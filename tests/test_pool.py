@@ -169,6 +169,40 @@ class TestLeaseRequeue:
         assert scheduler.last_stats["supervised"]["worker_deaths"] == 0
         assert scheduler.last_stats["supervised"]["lease_timeouts"] == 0
 
+    def test_verifier_that_records_nothing_is_not_killed(
+            self, tiny_model, sentences, monkeypatch):
+        """CROWN records no counter or span of its own; the probe count of
+        execute_query alone must keep its lease alive. Each probe here
+        takes 0.2 s, so the query outlives the 0.6 s lease only by
+        proving progress probe by probe."""
+        from repro.baselines.crown import CrownVerifier
+
+        real = CrownVerifier.certify_word_perturbation
+
+        def slow(self, *args, **kwargs):
+            time.sleep(0.2)
+            return real(self, *args, **kwargs)
+
+        # Patched before the fleet forks, so the worker runs it too.
+        monkeypatch.setattr(CrownVerifier, "certify_word_perturbation",
+                            slow)
+        query = expand_word_queries(
+            tiny_model, sentences[:1], 2.0, verifier="crown",
+            backsub_depth=1, n_positions=1, n_iterations=3)[0]
+        start = time.monotonic()
+        reference = CertScheduler(workers=0).run(tiny_model, [query])[0]
+        assert time.monotonic() - start > 2 * 0.6  # outlives the lease
+        scheduler = _supervised(workers=1, lease_timeout=0.6,
+                                heartbeat_interval=0.05)
+        try:
+            outcome = scheduler.run(tiny_model, [query])[0]
+        finally:
+            scheduler.close()
+        assert outcome.source == "worker"
+        assert not outcome.degraded
+        assert outcome.radius == reference.radius
+        assert scheduler.last_stats["supervised"]["lease_timeouts"] == 0
+
 
 class TestPoisonQuarantine:
     def test_poison_query_lands_on_ibp_floor_under_twin_key(

@@ -1,6 +1,6 @@
 """Tests for the certification scheduler: query expansion, determinism
 across worker counts, the persistent result cache, fallback paths, and the
-fork-safe PERF recorder."""
+fork-safe recorder."""
 
 import gc
 import json
@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 
 from repro.experiments.harness import ExperimentScale, radius_report_deept
-from repro.perf import PERF, PerfRecorder
 from repro.scheduler import (CertQuery, CertScheduler, ResultCache,
                              corpus_fingerprint, execute_query,
                              expand_word_queries, merge_outcome_perf,
                              model_weight_hash, positions_for)
+from repro.trace import TRACER, merge_perf
 from repro.verify import FAST
+from repro.zonotope import MultiNormZonotope
 
 TINY_SCALE = ExperimentScale(n_positions=2, search_iterations=3)
 
@@ -306,56 +307,61 @@ class TestOutOfOrderCompletion:
 
 
 class TestPerfForkSafety:
-    """The global PERF recorder across worker processes (reset + merge)."""
+    """The global recorder across worker processes (reset + merge)."""
 
     @staticmethod
     def _child_record(counter_value, queue):
         # after_in_child hook must have wiped the parent's recorded data.
-        queue.put({"inherited_counters": dict(PERF.counters)})
-        with PERF.collecting() as recorder:
-            PERF.count("fuzz_events", counter_value)
-            PERF.gauge_max("peak", counter_value * 10)
-            with PERF.stage("work"):
-                pass
-            queue.put(recorder.snapshot())
+        queue.put({"inherited": {"counters": dict(TRACER.counters),
+                                 "gauges": dict(TRACER.gauges),
+                                 "spans": len(TRACER.spans)}})
+        with TRACER.query_scope("child") as record:
+            TRACER.count("fuzz_events", counter_value)
+            TRACER.gauge_max("peak", counter_value * 10)
+        queue.put(record["perf"])
 
     def test_children_start_clean_and_merge_aggregates(self):
         context = multiprocessing.get_context("fork")
-        with PERF.collecting():
-            PERF.count("fuzz_events", 100)  # parent-side data pre-fork
-            queue = context.Queue()
-            children = [context.Process(target=self._child_record,
-                                        args=(k, queue))
-                        for k in (3, 4)]
-            for child in children:
-                child.start()
-            payloads = [queue.get(timeout=30) for _ in range(4)]
-            for child in children:
-                child.join(timeout=30)
+        try:
+            with TRACER.collecting():
+                # Parent-side data recorded before the fork.
+                TRACER.count("fuzz_events", 100)
+                TRACER.gauge_max("peak", 1000)
+                TRACER.record_op("relu", MultiNormZonotope(np.ones(2)), 0.0)
+                queue = context.Queue()
+                children = [context.Process(target=self._child_record,
+                                            args=(k, queue))
+                            for k in (3, 4)]
+                for child in children:
+                    child.start()
+                payloads = [queue.get(timeout=30) for _ in range(4)]
+                for child in children:
+                    child.join(timeout=30)
+        finally:
+            TRACER.reset()
 
-        inherited = [p for p in payloads if "inherited_counters" in p]
-        snapshots = [p for p in payloads if "inherited_counters" not in p]
+        inherited = [p for p in payloads if "inherited" in p]
+        snapshots = [p for p in payloads if "inherited" not in p]
         assert len(inherited) == 2 and len(snapshots) == 2
         for payload in inherited:
-            assert payload["inherited_counters"] == {}
+            assert payload["inherited"] == {"counters": {}, "gauges": {},
+                                            "spans": 0}
 
-        merged = PerfRecorder()
-        for snapshot in snapshots:
-            merged.merge(snapshot)
-        assert merged.counters["fuzz_events"] == 7
-        assert merged.gauges["peak"] == 40
-        assert merged.stage_calls["work"] == 2
+        merged = merge_perf(snapshots)
+        assert merged["counters"]["fuzz_events"] == 7  # counters add
+        assert merged["gauges"]["peak"] == 40  # gauges keep the maximum
 
     def test_merge_ignores_enabled_gate(self):
-        recorder = PerfRecorder()
-        assert not recorder.enabled
-        recorder.merge({"counters": {"a": 2}, "gauges": {"g": 5},
-                        "stages": {"s": {"seconds": 0.5, "calls": 3}}})
-        recorder.merge({"counters": {"a": 1}, "gauges": {"g": 4}})
-        snapshot = recorder.snapshot()
-        assert snapshot["counters"] == {"a": 3}
-        assert snapshot["gauges"] == {"g": 5}
-        assert snapshot["stages"]["s"] == {"seconds": 0.5, "calls": 3}
+        """Merging is bookkeeping over recorded data: it folds snapshots
+        whatever the tracer's state, and ignores the ``stages`` key of
+        entries written by older versions."""
+        assert not TRACER.enabled
+        merged = merge_perf([
+            {"counters": {"a": 2}, "gauges": {"g": 5},
+             "stages": {"s": {"seconds": 0.5, "calls": 3}}},
+            None,
+            {"counters": {"a": 1}, "gauges": {"g": 4}}])
+        assert merged == {"counters": {"a": 3}, "gauges": {"g": 5}}
 
     def test_merge_outcome_perf_key_ordered(self, queries):
         from repro.scheduler import QueryOutcome

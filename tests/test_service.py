@@ -7,11 +7,14 @@ concurrency soak with radii bitwise identical to serial execution.
 """
 
 import asyncio
+import multiprocessing
 
 import pytest
 
 from repro.scheduler.worker import execute_query
 from repro.service import ServiceConfig, parse_submission
+from repro.trace import TRACER, read_jsonl
+from repro.trace.__main__ import main as trace_main
 from tests.service_utils import (make_sentences, serving, serving_held,
                                  submission)
 
@@ -157,6 +160,38 @@ class TestHealthAndMetrics:
             assert field in metrics, field
         assert isinstance(metrics["counters"], dict)
         assert isinstance(metrics["tenants"], dict)
+
+
+class TestTraceFile:
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_executed_spans_reach_the_trace_file(self, tiny_model,
+                                                 sentences, tmp_path,
+                                                 workers):
+        """``serve --trace-dir`` backs onto ``trace_path``: every executed
+        outcome's spans land in the file, tagged with the executed
+        query's key, in-process and from a pool worker alike."""
+        if workers and "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("supervised pool requires the fork start method")
+        path = str(tmp_path / "serve.jsonl")
+
+        async def main():
+            config = ServiceConfig(workers=workers)
+            async with serving(tiny_model, config=config,
+                               trace_path=path) as (_, client):
+                status, done = await client.submit(
+                    submission(sentences[3]), wait=120)
+                assert status == 200 and done["status"] == "done"
+                return done
+
+        with TRACER.collecting():  # before the fleet forks
+            done = asyncio.run(main())
+            # Spans go to the file only, never into the global list.
+            assert TRACER.spans == []
+        assert done["source"] == ("worker" if workers else "executed")
+        spans = read_jsonl(path)
+        assert spans, "an executed traced query must write spans"
+        assert {span["query"] for span in spans} == {done["key"]}
+        assert trace_main(["diff", path, path]) == 0
 
 
 class TestSoak:

@@ -10,6 +10,7 @@ with a non-zero exit.
 
 import collections
 import os
+import time
 
 import numpy as np
 import pytest
@@ -80,9 +81,10 @@ class TestTracerCore:
         z = MultiNormZonotope(np.ones(2))
         with tracer.collecting():
             tracer.record_op("relu", z, 0.0)
-            with tracer.query_scope("deadbeef") as held:
+            with tracer.query_scope("deadbeef") as record:
                 tracer.record_op("exp", z, 0.0)
                 tracer.record_op("tanh", z, 0.0)
+            held = record["spans"]
             assert [s["op"] for s in held] == ["exp", "tanh"]
             assert all(s["query"] == "deadbeef" for s in held)
             # Scoped spans left the global list; the outer span remains.
@@ -90,6 +92,63 @@ class TestTracerCore:
             tracer.absorb(held)
             assert [s["op"] for s in tracer.spans] == ["relu", "exp",
                                                        "tanh"]
+
+    def test_counters_and_gauges_record_with_tracing_off(self):
+        tracer = CertTracer()
+        assert not tracer.enabled
+        tracer.count("probes")
+        tracer.count("eps_rows_materialized", 5)
+        tracer.count("eps_rows_materialized", 2)
+        tracer.gauge_max("peak_eps_rows", 7)
+        tracer.gauge_max("peak_eps_rows", 3)
+        assert tracer.perf_snapshot() == {
+            "counters": {"eps_rows_materialized": 7, "probes": 1},
+            "gauges": {"peak_eps_rows": 7}}
+        assert tracer.spans == []
+
+    def test_query_scope_hands_over_counters_and_restores_outer(self):
+        tracer = CertTracer()
+        z = MultiNormZonotope(np.ones(2))
+        with tracer.collecting():
+            tracer.count("probes", 10)
+            tracer.gauge_max("peak_eps_rows", 50)
+            tracer.record_op("relu", z, 0.0)
+            with tracer.query_scope("cafe") as record:
+                assert record == {}  # filled at scope exit
+                tracer.count("probes")
+                tracer.gauge_max("peak_eps_rows", 4)
+                tracer.record_op("exp", z, 0.0)
+            assert [s["op"] for s in record["spans"]] == ["exp"]
+            assert record["perf"] == {"counters": {"probes": 1},
+                                      "gauges": {"peak_eps_rows": 4}}
+            # The outer record is untouched and keeps recording.
+            assert tracer.counters == {"probes": 10}
+            assert tracer.gauges == {"peak_eps_rows": 50}
+            assert [s["op"] for s in tracer.spans] == ["relu"]
+            assert tracer._query is None
+            tracer.count("probes")
+            assert tracer.counters == {"probes": 11}
+
+    def test_events_advance_on_counts_and_spans_only(self):
+        tracer = CertTracer()
+        z = MultiNormZonotope(np.ones(2))
+        before = tracer.events
+        tracer.count("probes")
+        assert tracer.events == before + 1
+        tracer.record_op("relu", z, 0.0)  # tracing off: no span, no event
+        tracer.gauge_max("peak_eps_rows", 3)
+        assert tracer.events == before + 1
+        with tracer.collecting():
+            tracer.record_op("relu", z, 0.0)
+            tracer.record_event("guard-trip", stage="ffn", detail="x")
+        assert tracer.events == before + 3
+        # A stall (time passing, nothing recorded) leaves it where it is,
+        # and neither a scope nor a reset moves it back.
+        time.sleep(0.05)
+        with tracer.query_scope("k"):
+            pass
+        tracer.reset()
+        assert tracer.events == before + 3
 
     def test_span_statistics_fields(self):
         tracer = CertTracer()
