@@ -25,14 +25,14 @@ Top-level layout:
 """
 
 from .trace import TRACER, CertTracer
-from .zonotope import MultiNormZonotope, dense_engine
+from .zonotope import MultiNormZonotope
 from .verify import DeepTVerifier, VerifierConfig, FAST, PRECISE, COMBINED
 from .nn import TransformerClassifier
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "MultiNormZonotope", "dense_engine", "DeepTVerifier", "VerifierConfig",
+    "MultiNormZonotope", "DeepTVerifier", "VerifierConfig",
     "FAST", "PRECISE", "COMBINED", "TransformerClassifier",
     "TRACER", "CertTracer",
     "__version__",

@@ -7,7 +7,6 @@ benchmark, a trend row per results file, and a regression-check table.
 With ``--check`` the exit code turns nonzero when any regression gate
 fails, so CI can run the report as a quality bar:
 
-* engine        — fast-vs-dense bounds bitwise identical, fast not slower;
 * resilience    — guard overhead under budget, healthy runs untouched;
 * scheduler     — radii identical across serial/parallel/warm, warm
                   cache recomputes nothing;
@@ -67,15 +66,6 @@ def _check(rows, benchmark, label, ok, value):
 def build_checks(results):
     """Regression gates over whichever results files exist."""
     rows = []
-    engine = results.get("engine")
-    if engine:
-        diff = engine.get("bounds_max_abs_diff")
-        _check(rows, "engine", "fast bounds bitwise identical to dense",
-               diff == 0.0, f"max abs diff {diff:.1e}")
-        speedup = engine.get("speedup", 0.0)
-        _check(rows, "engine", "fast path not slower than dense",
-               speedup >= 1.0, f"{speedup:.2f}x")
-
     resilience = results.get("resilience")
     if resilience:
         overhead = resilience.get("guard_overhead_fraction", 1.0)
@@ -153,8 +143,6 @@ def build_checks(results):
 
 
 def _headline(key, data):
-    if key == "engine":
-        return f"fast {data.get('speedup', 0):.2f}x vs dense"
     if key == "resilience":
         return (f"guard overhead "
                 f"{data.get('guard_overhead_fraction', 0):+.1%}")

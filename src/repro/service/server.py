@@ -32,11 +32,12 @@ full-precision result — and a restart with ``resume=True`` replays the
 journal so previously answered queries are served without recomputation.
 
 Concurrency note: query execution is deliberately serialized on one
-executor thread. The engine is single-core CPU-bound numpy, and the
-process-global ``TRACER`` recorder is not thread-safe; the service's
-concurrency win is in dedup and admission, not in parallel
-propagation. The rescue rung runs on its own thread so a stalled
-execution cannot wedge recovery.
+executor thread. The engine is single-core CPU-bound numpy with
+process-global state (the active guard); the service's concurrency win
+is in dedup and admission, not in parallel propagation. The rescue rung
+runs on its own thread so a stalled execution cannot wedge recovery;
+``TRACER`` keeps query scopes per thread, so the stalled execution and
+its rescue each get their own record.
 
 With ``ServiceConfig.workers > 0`` the executor thread hands each query to
 the supervised multi-process pool
@@ -516,8 +517,8 @@ class CertService:
         if outcome.source != "cache":  # work this service did
             self._perf = merge_perf((self._perf, outcome.perf))
         if self.trace_path is not None and outcome.trace:
-            # Straight to the file, never into the global span list: an
-            # executor thread may still hold an open query_scope.
+            # Straight to the file: the process-wide span list of a
+            # long-running service would only grow.
             write_jsonl(outcome.trace, self.trace_path, append=True)
         if entry is not None:
             self.tenants.count(entry.tenant, "completed")

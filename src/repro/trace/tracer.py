@@ -4,8 +4,8 @@
 every pipeline hook reports into:
 
 * **counters** — ``TRACER.count("eps_rows_materialized", k)`` tallies
-  discrete events (eps materializations, buffer reallocations, guard
-  trips, degradations, binary-search probes);
+  discrete events (eps materializations, fused layer norms, guard trips,
+  degradations, binary-search probes);
 * **gauges** — ``TRACER.gauge_max("peak_eps_rows", n)`` keeps running
   maxima (the peak eps-symbol count of a propagation);
 * **spans** — one structured record per abstract-transformer
@@ -20,12 +20,17 @@ calls (:meth:`CertTracer.start` returns None and
 :meth:`CertTracer.query_scope` is the per-query unit: it hands the caller
 one query's spans, counters and gauges and restores the outer ones, which
 is how a scheduler worker ships a query's record back (the serial path
-takes the same code). ``events`` is a monotone count of every count and
-span: a worker's heartbeat reports it as its liveness signal.
+takes the same code). Scopes are per thread: a thread records into its
+innermost open scope, and a thread with none into the shared outer
+record, so two queries running at once on different threads (a stalled
+execution and its rescue) keep their records apart. ``enabled`` and
+``events`` are process-wide; ``events`` is a monotone count of every
+count and span: a worker's heartbeat reports it as its liveness signal.
 
-Fork safety: a forked scheduler worker starts from an empty recorder
-(``os.register_at_fork``) but keeps the parent's enabled flag, so
-worker-side propagations are traced whenever the parent traces.
+Fork safety: a forked scheduler worker starts from an empty recorder with
+no open scope (``os.register_at_fork``) but keeps the parent's enabled
+flag, so worker-side propagations are traced whenever the parent
+traces.
 
 A *span* is a plain JSON-serializable dict with the fields
 
@@ -64,11 +69,26 @@ from __future__ import annotations
 import functools
 import json
 import os
+import threading
 import time
 from contextlib import contextmanager
 
 __all__ = ["CertTracer", "TRACER", "traced", "merge_perf", "write_jsonl",
            "read_jsonl"]
+
+
+class _Record:
+    """What one scope records: spans, counters, gauges, and the query and
+    layer its spans are attributed to."""
+
+    __slots__ = ("query", "layer", "spans", "counters", "gauges")
+
+    def __init__(self, query=None):
+        self.query = query
+        self.layer = None
+        self.spans = []
+        self.counters = {}
+        self.gauges = {}
 
 
 class CertTracer:
@@ -80,13 +100,29 @@ class CertTracer:
         self.reset()
 
     def reset(self):
-        """Drop all recorded spans, counters and gauges (the enabled flag
-        and the ``events`` liveness count are unchanged)."""
-        self.spans = []
-        self.counters = {}
-        self.gauges = {}
-        self._layer = None
-        self._query = None
+        """Drop all recorded spans, counters and gauges and every open
+        query scope (the enabled flag and the ``events`` liveness count
+        are unchanged)."""
+        self._outer = _Record()
+        self._scopes = threading.local()
+
+    def _record(self):
+        """The calling thread's innermost open query scope, or the shared
+        outer record when it has none."""
+        return getattr(self._scopes, "record", None) or self._outer
+
+    @property
+    def spans(self):
+        """The spans of the calling thread's current record."""
+        return self._record().spans
+
+    @property
+    def counters(self):
+        return self._record().counters
+
+    @property
+    def gauges(self):
+        return self._record().gauges
 
     # ------------------------------------------------------------- lifecycle
     def enable(self):
@@ -114,12 +150,13 @@ class CertTracer:
         if not self.enabled:
             yield
             return
-        previous = self._layer
-        self._layer = index
+        record = self._record()
+        previous = record.layer
+        record.layer = index
         try:
             yield
         finally:
-            self._layer = previous
+            record.layer = previous
 
     @contextmanager
     def query_scope(self, key):
@@ -133,30 +170,33 @@ class CertTracer:
         in-process path — deliberately the same code path, so serial and
         parallel runs produce identical records) ships a query's record
         back to the parent, which re-absorbs all traces in deterministic
-        query-key order.
+        query-key order. The scope belongs to the calling thread: other
+        threads keep recording into their own scopes or the outer record.
         """
         record = {}
-        outer = (self._query, self.spans, self.counters, self.gauges)
-        self._query = key
-        self.spans, self.counters, self.gauges = [], {}, {}
+        scope = _Record(key)
+        outer = getattr(self._scopes, "record", None)
+        self._scopes.record = scope
         try:
             yield record
         finally:
-            record["spans"] = self.spans
-            record["perf"] = self.perf_snapshot()
-            self._query, self.spans, self.counters, self.gauges = outer
+            record["spans"] = scope.spans
+            record["perf"] = _perf(scope)
+            self._scopes.record = outer
 
     # ------------------------------------------------------------- recording
     def count(self, name, k=1):
         """Add ``k`` to the event counter ``name``."""
-        self.counters[name] = self.counters.get(name, 0) + k
+        counters = self._record().counters
+        counters[name] = counters.get(name, 0) + k
         self.events += 1
 
     def gauge_max(self, name, value):
         """Keep the running maximum of gauge ``name``."""
-        previous = self.gauges.get(name)
+        gauges = self._record().gauges
+        previous = gauges.get(name)
         if previous is None or value > previous:
-            self.gauges[name] = value
+            gauges[name] = value
 
     def start(self):
         """Open an op span: its start time, or None while tracing is off."""
@@ -173,11 +213,12 @@ class CertTracer:
         ``zonotope``."""
         if not self.enabled:
             return
-        span = {"query": self._query, "layer": self._layer, "op": op,
+        record = self._record()
+        span = {"query": record.query, "layer": record.layer, "op": op,
                 "seconds": float(seconds)}
         span.update(_zonotope_stats(zonotope))
         span.update(extra)
-        self.spans.append(span)
+        record.spans.append(span)
         self.events += 1
 
     def record_event(self, op, **fields):
@@ -185,10 +226,11 @@ class CertTracer:
         injected fault)."""
         if not self.enabled:
             return
-        span = {"query": self._query, "layer": self._layer, "op": op,
+        record = self._record()
+        span = {"query": record.query, "layer": record.layer, "op": op,
                 "seconds": 0.0}
         span.update(fields)
-        self.spans.append(span)
+        record.spans.append(span)
         self.events += 1
 
     # ----------------------------------------------------------- aggregation
@@ -205,8 +247,12 @@ class CertTracer:
 
     def perf_snapshot(self):
         """The counters and gauges as a JSON-serializable dict."""
-        return {"counters": dict(sorted(self.counters.items())),
-                "gauges": dict(sorted(self.gauges.items()))}
+        return _perf(self._record())
+
+
+def _perf(record):
+    return {"counters": dict(sorted(record.counters.items())),
+            "gauges": dict(sorted(record.gauges.items()))}
 
 
 def merge_perf(snapshots):

@@ -121,7 +121,7 @@ class PropagationGuard:
             self._trip(NumericalBlowupError, stage,
                        "non-finite phi coefficients")
         if z.n_eps:
-            if not self._finite(z._dense_rows()):
+            if not self._finite(z._eps_rows):
                 self._trip(NumericalBlowupError, stage,
                            "non-finite eps coefficients")
             tail = z._eps_tail

@@ -28,10 +28,9 @@ import numpy as np
 from ..faults import fault_zonotope
 from ..trace import TRACER, traced
 from ..zonotope import (
-    DotProductConfig, apply_eps_rewrites, fast_path_enabled,
-    fused_layer_norm, propagation_errstate, reduce_noise_symbols, relu,
-    tanh, rsqrt, softmax as zonotope_softmax, zonotope_matmul,
-    zonotope_multiply,
+    DotProductConfig, apply_eps_rewrites, fused_layer_norm,
+    propagation_errstate, reduce_noise_symbols, relu, tanh, rsqrt,
+    softmax as zonotope_softmax, zonotope_matmul, zonotope_multiply,
 )
 from .config import VerifierConfig
 from .guards import check_zonotope
@@ -58,18 +57,17 @@ def propagate_layer_norm(z, norm, dot_config):
     the 1/sqrt transformer — the extra over-approximation is what Table 7
     measures.
     """
-    if not norm.divide_by_std and fast_path_enabled():
+    if not norm.divide_by_std:
         # One multi-array pass per coefficient block; bitwise identical to
-        # the chained form below (see repro.zonotope.fused).
+        # the chained form ``(z - mean).scale(gamma) + beta``.
         return fused_layer_norm(z, norm.gamma.data, norm.beta.data)
     centered = z - z.mean_vars(axis=-1, keepdims=True)
-    if norm.divide_by_std:
-        squares = zonotope_multiply(centered, centered, dot_config)
-        variance = squares.mean_vars(axis=-1, keepdims=True)
-        # The true variance is non-negative even when the multiplication
-        # transformer's abstract lower bound is not.
-        inv_std = rsqrt(variance, shift=norm.eps, assume_nonnegative=True)
-        centered = zonotope_multiply(centered, inv_std, dot_config)
+    squares = zonotope_multiply(centered, centered, dot_config)
+    variance = squares.mean_vars(axis=-1, keepdims=True)
+    # The true variance is non-negative even when the multiplication
+    # transformer's abstract lower bound is not.
+    inv_std = rsqrt(variance, shift=norm.eps, assume_nonnegative=True)
+    centered = zonotope_multiply(centered, inv_std, dot_config)
     return centered.scale(norm.gamma.data) + norm.beta.data
 
 

@@ -3,10 +3,10 @@
 from .multinorm import MultiNormZonotope, dual_exponent, norm_along_axis0
 from .numeric import (PROPAGATION_ERRSTATE, propagation_errstate,
                       under_propagation_errstate)
-from .storage import EpsBuffer, EpsTail, dense_engine, fast_path_enabled
+from .storage import EpsTail
 from . import elementwise
 from .elementwise import relu, tanh, exp, reciprocal, rsqrt, sigmoid, gelu
-from .fused import fused_affine_response, fused_layer_norm
+from .fused import fused_layer_norm
 from .dotproduct import zonotope_matmul, zonotope_multiply, DotProductConfig
 from .softmax import softmax
 from .refinement import (
@@ -20,9 +20,8 @@ __all__ = [
     "MultiNormZonotope", "dual_exponent", "norm_along_axis0",
     "PROPAGATION_ERRSTATE", "propagation_errstate",
     "under_propagation_errstate",
-    "EpsBuffer", "EpsTail", "dense_engine", "fast_path_enabled",
-    "elementwise", "relu", "tanh", "exp", "reciprocal", "rsqrt",
-    "sigmoid", "gelu", "fused_affine_response", "fused_layer_norm",
+    "EpsTail", "elementwise", "relu", "tanh", "exp", "reciprocal", "rsqrt",
+    "sigmoid", "gelu", "fused_layer_norm",
     "zonotope_matmul", "zonotope_multiply", "DotProductConfig",
     "softmax", "EpsRewrite", "apply_eps_rewrites", "refine_softmax_rows",
     "minimize_coefficient_mass",

@@ -39,7 +39,6 @@ import numpy as np
 from ..trace import TRACER
 from .multinorm import MultiNormZonotope, dual_exponent, norm_along_axis0
 from .numeric import under_propagation_errstate
-from .storage import fast_path_enabled
 
 __all__ = ["zonotope_matmul", "zonotope_multiply", "DotProductConfig"]
 
@@ -170,7 +169,8 @@ def _quadratic_bounds(x, y, config):
 
     ``x``: zonotope (..., n, k), ``y``: zonotope (..., k, m); returns
     (l, u) of shape (..., n, m) bounding
-    (A1 phi + B1 eps)_i . (A2 phi + B2 eps)_j.
+    (A1 phi + B1 eps)_i . (A2 phi + B2 eps)_j. This is the Precise
+    variant's bound: the eps-eps case takes Eq. (6), the others Eq. (5).
     """
     q = x.q
     bound = np.zeros(x.shape[:-1] + (y.shape[-1],))
@@ -194,13 +194,9 @@ def _quadratic_bounds(x, y, config):
 
     lower, upper = -bound, bound
 
-    # eps-eps: fast cascade or the precise pairwise analysis.
+    # eps-eps: the precise pairwise analysis.
     if x.n_eps and y.n_eps:
-        if config.variant == "precise":
-            l_ee, u_ee = _precise_eps_bounds(x.eps, y.eps)
-        else:
-            b_ee = _fast_case_bound(y.eps, 1.0, x.eps, 1.0, "row-col")
-            l_ee, u_ee = -b_ee, b_ee
+        l_ee, u_ee = _precise_eps_bounds(x.eps, y.eps)
         lower = lower + l_ee
         upper = upper + u_ee
     return lower, upper
@@ -209,8 +205,9 @@ def _quadratic_bounds(x, y, config):
 def _matmul_fast_path(x, y, config):
     """Structure-aware DeepT-Fast matmul: no padding, no materialization.
 
-    Numerically equivalent to the aligned dense route (same Eq. (5)
-    cascades, reassociated), but exploits the engine's lazy representation:
+    Numerically equivalent to running Eq. (5) on aligned dense blocks (the
+    same cascades, reassociated), but exploits the engine's lazy
+    representation:
 
     * operands are never zero-padded to a common symbol count — each
       operand's cross matmul runs over its own rows only, and the output
@@ -235,13 +232,13 @@ def _matmul_fast_path(x, y, config):
         phi = np.zeros((0,) + out_shape)
 
     eps = np.zeros((max(x.n_eps, y.n_eps),) + out_shape)
-    cx, cy = x._eps_count, y._eps_count
+    cx, cy = x._eps_rows.shape[0], y._eps_rows.shape[0]
     if cx:
-        eps[:cx] += np.matmul(x._dense_rows(), y.center)
+        eps[:cx] += np.matmul(x._eps_rows, y.center)
     if x._eps_tail is not None and len(x._eps_tail):
         x._eps_tail.scatter_cross(eps, cx, x.shape, y.center, "x")
     if cy:
-        eps[:cy] += np.matmul(x.center, y._dense_rows())
+        eps[:cy] += np.matmul(x.center, y._eps_rows)
     if y._eps_tail is not None and len(y._eps_tail):
         y._eps_tail.scatter_cross(eps, cy, y.shape, x.center, "y")
 
@@ -280,10 +277,10 @@ def zonotope_matmul(x, y, config=None):
     with identical batch shapes — this is how multi-head attention runs all
     heads' score and mixing products as single batched matmuls.
 
-    Both operands live in the same symbol space. On the structured engine
-    the fast variant takes :func:`_matmul_fast_path` (padding-free, tails
-    never densified); otherwise the operands are aligned first and the
-    bounds run over dense blocks. The affine part is exact; the quadratic
+    Both operands live in the same symbol space. The fast variant takes
+    :func:`_matmul_fast_path` (padding-free, tails never densified); the
+    precise variant aligns the operands first and bounds the quadratic
+    term over dense blocks. The affine part is exact; the quadratic
     interaction is folded into a center shift plus a fresh eps symbol per
     output variable.
     """
@@ -298,7 +295,7 @@ def zonotope_matmul(x, y, config=None):
 
 
 def _matmul_impl(x, y, config):
-    if fast_path_enabled() and config.variant == "fast":
+    if config.variant == "fast":
         return _matmul_fast_path(x, y, config)
     x, y = x.aligned_with(y)
 

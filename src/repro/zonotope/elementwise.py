@@ -31,9 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..trace import traced
-from .fused import fused_affine_response
 from .numeric import under_propagation_errstate
-from .storage import fast_path_enabled
 
 __all__ = ["relu", "tanh", "exp", "reciprocal", "rsqrt", "sigmoid",
            "gelu", "affine_response"]
@@ -52,12 +50,10 @@ _EXP_MAX_TANGENT_WIDTH = 30.0
 def affine_response(x, lam, mu, beta_new, tol=0.0):
     """Assemble ``y = lam*x + mu + beta_new*eps_new`` for arrays of params.
 
-    Runs through :meth:`MultiNormZonotope.affine_image`, which rescales a
-    lazy eps tail in O(symbols) instead of densifying it. On the
-    structured engine the two links are fused into one pass.
+    :meth:`MultiNormZonotope.affine_image` rescales a lazy eps tail in
+    O(symbols) instead of densifying it, and
+    :meth:`~MultiNormZonotope.append_fresh_eps` extends that tail.
     """
-    if fast_path_enabled():
-        return fused_affine_response(x, lam, mu, beta_new, tol=tol)
     return x.affine_image(lam, mu).append_fresh_eps(beta_new, tol=tol)
 
 

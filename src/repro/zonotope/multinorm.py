@@ -14,16 +14,16 @@ Storage layout: for a variable tensor of shape ``S``,
 * ``center`` has shape ``S``,
 * ``phi`` has shape ``(Ep,) + S``  (symbol axis first),
 * the eps block logically has shape ``(Einf,) + S`` but is held in
-  structured form: a capacity-doubling dense row buffer
-  (:class:`~repro.zonotope.storage.EpsBuffer`) followed by an optional lazy
-  *tail* of one-nonzero-per-variable symbols
+  structured form: an exactly-sized dense row array followed by an
+  optional lazy *tail* of one-nonzero-per-variable symbols
   (:class:`~repro.zonotope.storage.EpsTail`) — the shape every fresh symbol
   from :meth:`append_fresh_eps` has.  Elementwise transformers, variable
   sums/reshapes/transposes and interval bounds operate on the tail in
-  O(symbols) without densifying; mixing operations (matrix products,
-  concatenation, slicing, symbol reduction) materialize it first.  The
-  ``eps`` property always yields the dense block, so external code sees the
-  classical layout.
+  O(symbols) without densifying; ``matmul_const`` and the Fast dot product
+  scatter it; the other mixing operations (sums of zonotopes,
+  concatenation, slicing, symbol reduction, the Precise dot product)
+  materialize it first.  The ``eps`` property always yields the dense
+  block, so external code sees the classical layout.
 
 Concrete interval bounds follow Theorem 1 via the dual norm (Lemma 1):
 ``l = c - ||A_k||_q - ||B_k||_1`` and ``u = c + ||A_k||_q + ||B_k||_1``
@@ -36,7 +36,7 @@ import numpy as np
 
 from ..trace import TRACER
 from .numeric import propagation_errstate
-from .storage import EpsBuffer, EpsTail, fast_path_enabled
+from .storage import EpsTail
 
 __all__ = ["MultiNormZonotope", "dual_exponent", "norm_along_axis0"]
 
@@ -77,7 +77,7 @@ class MultiNormZonotope:
     (coefficient arrays may be shared when unchanged).
     """
 
-    __slots__ = ("center", "phi", "p", "_eps_buf", "_eps_count", "_eps_tail")
+    __slots__ = ("center", "phi", "p", "_eps_rows", "_eps_tail")
 
     def __init__(self, center, phi=None, eps=None, p=np.inf):
         self.center = np.asarray(center, dtype=np.float64)
@@ -95,27 +95,23 @@ class MultiNormZonotope:
             raise ValueError(
                 f"coefficient shapes {self.phi.shape} / {eps.shape} do "
                 f"not match variable shape {shape}")
-        self._eps_buf = EpsBuffer.from_rows(eps)
-        self._eps_count = eps.shape[0]
+        self._eps_rows = eps
         self._eps_tail = None
 
     @classmethod
-    def _build(cls, center, phi, buf, count, tail, p):
-        """Unvalidated construction from internal storage (hot path)."""
+    def _build(cls, center, phi, rows, tail, p):
+        """Unvalidated construction from internal storage (hot path):
+        ``rows`` is the dense eps rows, ``tail`` an :class:`EpsTail` or
+        None."""
         obj = object.__new__(cls)
         obj.center = center
         obj.phi = phi
         obj.p = p
-        obj._eps_buf = buf
-        obj._eps_count = count
+        obj._eps_rows = rows
         obj._eps_tail = tail
         return obj
 
     # ----------------------------------------------------------- eps storage
-    def _dense_rows(self):
-        """The dense (non-tail) eps rows, as a read-only view."""
-        return self._eps_buf.rows(self._eps_count)
-
     def _ensure_dense(self):
         """Fold the lazy tail into dense rows (mixing ops need them).
 
@@ -127,25 +123,25 @@ class MultiNormZonotope:
             return
         TRACER.count("eps_materializations")
         TRACER.count("eps_rows_materialized", len(tail))
-        total = self._eps_count + len(tail)
+        count = self._eps_rows.shape[0]
+        total = count + len(tail)
         dense = np.zeros((total,) + self.shape)
-        dense[:self._eps_count] = self._dense_rows()
+        dense[:count] = self._eps_rows
         flat = dense.reshape(total, -1)
-        tail.scatter_rows(flat[self._eps_count:])
-        self._eps_buf = EpsBuffer.from_rows(dense)
-        self._eps_count = total
+        tail.scatter_rows(flat[count:])
+        self._eps_rows = dense
         self._eps_tail = None
 
     @property
     def eps(self):
         """Dense ``(Einf,) + S`` eps block (materializes any lazy tail)."""
         self._ensure_dense()
-        return self._dense_rows()
+        return self._eps_rows
 
     def _eps_l1(self):
         """Per-variable ℓ1 mass of the eps block, tail-aware."""
-        if self._eps_count:
-            total = np.abs(self._dense_rows()).sum(axis=0)
+        if self._eps_rows.shape[0]:
+            total = np.abs(self._eps_rows).sum(axis=0)
         else:
             total = np.zeros(self.shape)
         if self._eps_tail is not None:
@@ -179,8 +175,8 @@ class MultiNormZonotope:
     @property
     def n_eps(self):
         """Number of ℓ∞ noise symbols (E_∞)."""
-        tail = self._eps_tail
-        return self._eps_count + (len(tail) if tail is not None else 0)
+        count, tail = self._eps_rows.shape[0], self._eps_tail
+        return count if tail is None else count + len(tail)
 
     @property
     def q(self):
@@ -309,20 +305,13 @@ class MultiNormZonotope:
         if n_total == self.n_eps:
             return self
         extra = n_total - self.n_eps
-        if self._eps_tail is not None:
-            tail = EpsTail.concatenated(self._eps_tail, EpsTail.zeros(extra))
-            return MultiNormZonotope._build(self.center, self.phi,
-                                            self._eps_buf, self._eps_count,
-                                            tail, self.p)
-        if fast_path_enabled():
-            buf, count = self._eps_buf.pad(self._eps_count, n_total,
-                                           self.shape)
-            return MultiNormZonotope._build(self.center, self.phi, buf,
-                                            count, None, self.p)
-        pad = np.zeros((extra,) + self.shape)
-        return MultiNormZonotope(self.center, self.phi,
-                                 np.concatenate([self.eps, pad], axis=0),
-                                 self.p)
+        rows, tail = self._eps_rows, self._eps_tail
+        if tail is not None:
+            tail = EpsTail.concatenated(tail, EpsTail.zeros(extra))
+        else:
+            rows = np.concatenate([rows, np.zeros((extra,) + self.shape)])
+        return MultiNormZonotope._build(self.center, self.phi, rows, tail,
+                                        self.p)
 
     def aligned_with(self, other):
         """Return (self', other') with identical symbol counts.
@@ -342,22 +331,16 @@ class MultiNormZonotope:
         ``magnitudes`` has the variable shape; variables with magnitude
         ``<= tol`` get no symbol (their rows would be all-zero). This is how
         every non-linear transformer introduces its ``beta_new eps_new``
-        term.  On the fast path the fresh block is kept as a lazy
-        one-nonzero-per-variable tail instead of densified rows.
+        term.  The fresh block extends the lazy one-nonzero-per-variable
+        tail instead of being densified into rows.
         """
         fresh = EpsTail.from_magnitudes(magnitudes, tol=tol)
         if len(fresh) == 0:
             return self
         TRACER.gauge_max("peak_eps_rows", self.n_eps + len(fresh))
-        if fast_path_enabled():
-            tail = EpsTail.concatenated(self._eps_tail, fresh)
-            return MultiNormZonotope._build(self.center, self.phi,
-                                            self._eps_buf, self._eps_count,
-                                            tail, self.p)
-        block = fresh.materialize(self.shape)
-        return MultiNormZonotope(self.center, self.phi,
-                                 np.concatenate([self.eps, block], axis=0),
-                                 self.p)
+        return MultiNormZonotope._build(
+            self.center, self.phi, self._eps_rows,
+            EpsTail.concatenated(self._eps_tail, fresh), self.p)
 
     # -------------------------------------------------- affine (Theorem 2)
     def affine_image(self, lam, mu=None):
@@ -373,14 +356,12 @@ class MultiNormZonotope:
         if mu is not None:
             center = center + mu
         phi = lam * self.phi
-        dense = lam * self._dense_rows()
+        rows = lam * self._eps_rows
         tail = self._eps_tail
         if tail is not None:
             lam_flat = np.broadcast_to(lam, self.shape).reshape(-1)
             tail = tail.scale_flat(lam_flat)
-        return MultiNormZonotope._build(center, phi,
-                                        EpsBuffer.from_rows(dense),
-                                        dense.shape[0], tail, self.p)
+        return MultiNormZonotope._build(center, phi, rows, tail, self.p)
 
     def _binary_affine(self, other, f):
         a, b = self.aligned_with(other)
@@ -396,9 +377,8 @@ class MultiNormZonotope:
             raise ValueError(
                 f"constant of shape {other.shape} broadcasts the variable "
                 f"shape {self.shape}")
-        return MultiNormZonotope._build(center, self.phi, self._eps_buf,
-                                        self._eps_count, self._eps_tail,
-                                        self.p)
+        return MultiNormZonotope._build(center, self.phi, self._eps_rows,
+                                        self._eps_tail, self.p)
 
     __radd__ = __add__
 
@@ -411,9 +391,8 @@ class MultiNormZonotope:
             raise ValueError(
                 f"constant of shape {other.shape} broadcasts the variable "
                 f"shape {self.shape}")
-        return MultiNormZonotope._build(center, self.phi, self._eps_buf,
-                                        self._eps_count, self._eps_tail,
-                                        self.p)
+        return MultiNormZonotope._build(center, self.phi, self._eps_rows,
+                                        self._eps_tail, self.p)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -421,8 +400,7 @@ class MultiNormZonotope:
     def __neg__(self):
         tail = self._eps_tail
         return MultiNormZonotope._build(
-            -self.center, -self.phi,
-            EpsBuffer.from_rows(-self._dense_rows()), self._eps_count,
+            -self.center, -self.phi, -self._eps_rows,
             tail.negated() if tail is not None else None, self.p)
 
     def scale(self, factor):
@@ -449,18 +427,17 @@ class MultiNormZonotope:
         """
         weight = np.asarray(weight, dtype=np.float64)
         center = self.center @ weight
-        tail = self._eps_tail
-        if fast_path_enabled() and tail is not None and len(tail):
-            count = self._eps_count
+        rows, tail = self._eps_rows, self._eps_tail
+        if tail is not None and len(tail):
+            count = rows.shape[0]
             eps = np.zeros((self.n_eps,) + center.shape)
             if count:
-                eps[:count] = self._dense_rows() @ weight
+                eps[:count] = rows @ weight
             tail.scatter_matmul(eps, count, self.shape, weight)
         else:
             eps = self.eps @ weight
-        return MultiNormZonotope._build(
-            center, self.phi @ weight,
-            EpsBuffer.from_rows(eps), eps.shape[0], None, self.p)
+        return MultiNormZonotope._build(center, self.phi @ weight, eps, None,
+                                        self.p)
 
     def const_matmul(self, weight):
         """Left-multiply by a constant matrix: ``W @ x`` (exact)."""
@@ -487,11 +464,10 @@ class MultiNormZonotope:
         new_shape = center.shape
         # C-order reshapes preserve flat variable indices, so a lazy tail
         # carries over untouched.
+        rows = self._eps_rows
         return MultiNormZonotope._build(
             center, self.phi.reshape((self.n_phi,) + new_shape),
-            EpsBuffer.from_rows(
-                self._dense_rows().reshape((self._eps_count,) + new_shape)),
-            self._eps_count, self._eps_tail, self.p)
+            rows.reshape(rows.shape[:1] + new_shape), self._eps_tail, self.p)
 
     def transpose_vars(self, *axes):
         """Transpose the variable axes (symbol axis stays first)."""
@@ -506,8 +482,7 @@ class MultiNormZonotope:
             tail = tail.transposed(self.shape, axes, center.shape)
         return MultiNormZonotope._build(
             center, self.phi.transpose(sym_axes),
-            EpsBuffer.from_rows(self._dense_rows().transpose(sym_axes)),
-            self._eps_count, tail, self.p)
+            self._eps_rows.transpose(sym_axes), tail, self.p)
 
     def sum_vars(self, axis, keepdims=False):
         """Sum variables along an axis (exact affine transformer).
@@ -523,9 +498,8 @@ class MultiNormZonotope:
         return MultiNormZonotope._build(
             center,
             self.phi.sum(axis=axis + 1, keepdims=keepdims),
-            EpsBuffer.from_rows(
-                self._dense_rows().sum(axis=axis + 1, keepdims=keepdims)),
-            self._eps_count, tail, self.p)
+            self._eps_rows.sum(axis=axis + 1, keepdims=keepdims), tail,
+            self.p)
 
     def mean_vars(self, axis, keepdims=False):
         """Mean of variables along an axis (exact)."""
@@ -556,8 +530,7 @@ class MultiNormZonotope:
         center = np.expand_dims(self.center, axis)
         return MultiNormZonotope._build(
             center, np.expand_dims(self.phi, axis + 1),
-            EpsBuffer.from_rows(np.expand_dims(self._dense_rows(), axis + 1)),
-            self._eps_count, self._eps_tail, self.p)
+            np.expand_dims(self._eps_rows, axis + 1), self._eps_tail, self.p)
 
     def contains_point(self, point, tol=1e-7):
         """Cheap necessary check: ``point`` within the interval bounds."""

@@ -1,52 +1,34 @@
-"""Structured storage for eps-coefficient blocks (the engine fast path).
+"""Structured storage for eps-coefficient blocks.
 
 Profiling a DeepT propagation shows the dense ``(E, *S)`` eps block is the
 engine's cost centre — not because of the math done *on* it, but because of
-how it grows and what shape the growth has:
+the shape its growth has: every non-linear transformer appends fresh
+symbols that are *one-hot per variable* (each fresh symbol touches exactly
+one variable), so a dense append copies the whole block to add rows that
+are almost all zeros.
 
-* every non-linear transformer appends fresh symbols with
-  ``np.concatenate``, copying the whole block each time (O(E^2) total
-  allocation over a propagation), and
-* the appended rows are *one-hot per variable* (each fresh symbol touches
-  exactly one variable), so almost all of the copied memory is zeros.
-
-This module provides the two structures that remove both costs:
-
-:class:`EpsBuffer`
-    Capacity-doubling dense row storage.  Appends and zero-padding reuse
-    spare capacity in amortized O(rows-written) instead of copying the
-    block; rows beyond the high-water mark are kept zero so padding is a
-    bookkeeping change.
-
-:class:`EpsTail`
-    A trailing block of symbols each of which touches exactly **one**
-    variable, stored as parallel ``(index, magnitude)`` arrays over the
-    flattened variable tensor.  This is the closure of what
-    ``append_fresh_eps`` produces under the elementwise transformers
-    (per-variable rescaling), variable-axis sums, transposes and reshapes —
-    exactly the ops between one mixing operation and the next.  Mixing ops
-    (matrix products, concatenation, symbol reduction, refinement)
-    materialize the tail into dense rows.
-
-The fast-path switch exists so the dense execution mode stays available:
-:func:`dense_engine` forces the pre-optimization representation
-(immediate dense appends, no tails, no spare capacity), which the
-equivalence tests and ``benchmarks/bench_engine_speed.py`` use as the
-old-engine baseline.
+:class:`EpsTail` removes that cost. It holds a trailing block of symbols
+each of which touches exactly **one** variable, as parallel ``(index,
+magnitude)`` arrays over the flattened variable tensor. This is the
+closure of what ``append_fresh_eps`` produces under the elementwise
+transformers (per-variable rescaling), variable-axis sums, transposes and
+reshapes — exactly the ops between one mixing operation and the next.
+Mixing ops (sums of two zonotopes, slicing, concatenation, symbol
+reduction, refinement, the Precise dot product) materialize the tail into
+dense rows; the Fast dot product and ``matmul_const`` consume it by
+scatter. The dense rows before the tail are one exactly-sized array:
+fresh symbols always join the tail and mixing ops rebuild the rows, so a
+spare capacity would be allocated but never claimed (DESIGN §8 has the
+census).
 """
 
 from __future__ import annotations
 
 import ctypes
-from contextlib import contextmanager
 
 import numpy as np
 
-from ..trace import TRACER
-
-__all__ = ["EpsBuffer", "EpsTail", "fast_path_enabled", "dense_engine"]
-
-_MIN_CAPACITY = 16
+__all__ = ["EpsTail"]
 
 # glibc mallopt parameters (malloc.h).
 _M_TRIM_THRESHOLD = -1
@@ -74,119 +56,12 @@ def _keep_freed_memory():
 _keep_freed_memory()
 
 
-class _EngineState:
-    __slots__ = ("fast",)
-
-    def __init__(self):
-        self.fast = True
-
-
-_STATE = _EngineState()
-
-
-def fast_path_enabled():
-    """Whether the structured fast path (buffers + tails) is active."""
-    return _STATE.fast
-
-
-@contextmanager
-def dense_engine():
-    """Run a scope with the dense (pre-optimization) engine semantics."""
-    previous = _STATE.fast
-    _STATE.fast = False
-    try:
-        yield
-    finally:
-        _STATE.fast = previous
-
-
-def _grow_capacity(needed):
-    """Smallest power of two >= max(needed, minimum capacity)."""
-    if needed <= _MIN_CAPACITY:
-        return _MIN_CAPACITY
-    return 1 << (int(needed) - 1).bit_length()
-
-
-class EpsBuffer:
-    """Growable dense eps-row storage shared between derived zonotopes.
-
-    Invariants:
-
-    * ``data[used:]`` is all zeros (so zero-padding can hand out rows
-      without writing them);
-    * rows ``[0, used)`` are immutable once exposed — in-place appends are
-      taken only by the zonotope whose logical row count equals ``used``
-      (the tip owner); everyone else copies into a fresh buffer.
-    """
-
-    __slots__ = ("data", "used")
-
-    def __init__(self, data, used):
-        self.data = data
-        self.used = used
-
-    @classmethod
-    def from_rows(cls, rows):
-        """Wrap an exactly-sized dense block (no spare capacity)."""
-        rows = np.asarray(rows, dtype=np.float64)
-        return cls(rows, rows.shape[0])
-
-    @property
-    def capacity(self):
-        return self.data.shape[0]
-
-    def rows(self, count):
-        """Read-only view of the first ``count`` rows."""
-        return self.data[:count]
-
-    def _reallocate(self, count, extra_shape, needed):
-        TRACER.count("eps_buffer_reallocations")
-        fresh = np.zeros((_grow_capacity(needed),) + extra_shape)
-        fresh[:count] = self.data[:count]
-        return EpsBuffer(fresh, count)
-
-    def append(self, count, block):
-        """Append ``block`` after row ``count``; returns (buffer, count').
-
-        Appends in place when this zonotope owns the buffer tip and spare
-        capacity suffices; otherwise copies into a doubled buffer.
-        """
-        k = block.shape[0]
-        if k == 0:
-            return self, count
-        target = self
-        if self.used != count or count + k > self.capacity:
-            target = self._reallocate(count, block.shape[1:], count + k)
-        target.data[count:count + k] = block
-        target.used = count + k
-        TRACER.count("eps_rows_appended", k)
-        return target, count + k
-
-    def pad(self, count, n_total, extra_shape):
-        """Logically extend to ``n_total`` zero rows; returns (buffer, n).
-
-        Free when this zonotope owns the buffer tip and capacity suffices:
-        rows beyond ``used`` are zero by invariant, so claiming them is a
-        bookkeeping change.  Claiming them also bumps ``used``, which makes
-        any later append from a *shorter* holder copy out instead of
-        writing into rows handed out here as padding.
-        """
-        if n_total <= count:
-            return self, count
-        if self.used == count and n_total <= self.capacity:
-            self.used = n_total
-            return self, n_total
-        fresh = self._reallocate(count, extra_shape, n_total)
-        fresh.used = n_total
-        return fresh, n_total
-
-
 class EpsTail:
     """A block of eps symbols each touching exactly one variable.
 
     ``idx[s]`` is the flattened variable index symbol ``s`` touches and
     ``mag[s]`` its coefficient.  Symbol order equals dense row order, so
-    materializing reproduces bit-for-bit the rows the dense engine builds.
+    materializing reproduces bit-for-bit the rows a dense append builds.
     Zero-magnitude entries represent padded (all-zero) rows.  Instances are
     immutable; every transformation returns a new tail.
     """
@@ -226,13 +101,6 @@ class EpsTail:
         """Per-variable ℓ1 mass of the tail (flattened)."""
         return np.bincount(self.idx, weights=np.abs(self.mag),
                            minlength=n_flat)
-
-    def materialize(self, shape):
-        """The dense ``(len, *shape)`` block this tail represents."""
-        n = len(self)
-        block = np.zeros((n, int(np.prod(shape, dtype=np.intp))))
-        self.scatter_rows(block)
-        return block.reshape((n,) + tuple(shape))
 
     def scatter_rows(self, flat_block):
         """Write each symbol's nonzero into preallocated ``(len, M)`` rows."""
@@ -277,9 +145,6 @@ class EpsTail:
     def scale_flat(self, factor_flat):
         """Per-variable rescale (elementwise transformers): mag *= f[idx]."""
         return EpsTail(self.idx, self.mag * factor_flat[self.idx])
-
-    def scale_scalar(self, factor):
-        return EpsTail(self.idx, self.mag * factor)
 
     def negated(self):
         return EpsTail(self.idx, -self.mag)

@@ -1,0 +1,100 @@
+"""Test oracle: the dense eps engine, replayed by patching the structured one.
+
+The engine keeps every fresh eps symbol in a lazy one-nonzero-per-variable
+tail (``repro.zonotope.storage.EpsTail``), runs the Fast dot product on
+unpadded operands with the tails scattered, and fuses the no-division
+layer norm. :func:`dense_engine` runs a scope with the dense semantics
+those optimisations replaced, made of three patches:
+
+1. ``MultiNormZonotope.append_fresh_eps`` materializes its tail at once,
+   so no tail ever exists inside the scope;
+2. the verifier's ``fused_layer_norm`` becomes the op-by-op chain
+   ``(z - z.mean_vars(-1, keepdims=True)).scale(gamma) + beta``;
+3. the Fast variant of ``zonotope_matmul`` aligns both operands to one
+   dense symbol block and runs the cross terms and every Eq. (5) case over
+   it, eps-eps included. The contractions are ``np.matmul`` like the
+   engine's, so the two engines' logit bounds stay bitwise equal.
+
+The Precise variant, the elementwise product and every other transformer
+run unpatched (on tail-free operands). Only tests import this module.
+"""
+
+from contextlib import contextmanager
+from unittest import mock
+
+import numpy as np
+
+from repro.verify import propagation
+from repro.zonotope import dotproduct
+from repro.zonotope.dotproduct import _fast_case_bound
+from repro.zonotope.multinorm import MultiNormZonotope
+
+__all__ = ["dense_engine"]
+
+
+def _chained_layer_norm(z, gamma, beta):
+    return (z - z.mean_vars(-1, keepdims=True)).scale(gamma) + beta
+
+
+def _aligned_fast_matmul(x, y, config):
+    """DeepT-Fast ``x @ y`` over aligned dense eps blocks (Eq. (5))."""
+    x, y = x.aligned_with(y)
+    out_shape = x.shape[:-1] + (y.shape[-1],)
+    center = np.matmul(x.center, y.center)
+
+    def cross(coeff_x, coeff_y):
+        """c2-weighted x-coeffs plus c1-weighted y-coeffs (exact part)."""
+        if not coeff_x.shape[0]:
+            return np.zeros((0,) + out_shape)
+        return np.matmul(coeff_x, y.center) + np.matmul(x.center, coeff_y)
+
+    phi, eps = cross(x.phi, y.phi), cross(x.eps, y.eps)
+
+    q = x.q
+    bound = np.zeros(out_shape)
+    if x.n_phi:
+        bound = bound + _fast_case_bound(y.phi, q, x.phi, q, "row-col")
+    if x.n_phi and x.n_eps:
+        if config.order == "linf_first":
+            bound = bound + _fast_case_bound(y.eps, 1.0, x.phi, q,
+                                             "row-col")
+            bound = bound + _fast_case_bound(x.eps, 1.0, y.phi, q,
+                                             "col-row")
+        else:
+            bound = bound + _fast_case_bound(x.phi, q, y.eps, 1.0,
+                                             "col-row")
+            bound = bound + _fast_case_bound(y.phi, q, x.eps, 1.0,
+                                             "row-col")
+    lower, upper = -bound, bound
+    if x.n_eps:
+        b_ee = _fast_case_bound(y.eps, 1.0, x.eps, 1.0, "row-col")
+        lower, upper = lower - b_ee, upper + b_ee
+
+    center = center + 0.5 * (lower + upper)
+    out = MultiNormZonotope(center, phi, eps, x.p)
+    return out.append_fresh_eps(0.5 * (upper - lower), tol=config.tol)
+
+
+@contextmanager
+def dense_engine():
+    """Run a scope with the dense (pre-optimisation) engine semantics."""
+    append_fresh_eps = MultiNormZonotope.append_fresh_eps
+    matmul_impl = dotproduct._matmul_impl
+
+    def append_dense(self, magnitudes, tol=0.0):
+        out = append_fresh_eps(self, magnitudes, tol=tol)
+        out._ensure_dense()
+        return out
+
+    def dense_matmul_impl(x, y, config):
+        if config.variant == "fast":
+            return _aligned_fast_matmul(x, y, config)
+        return matmul_impl(x, y, config)
+
+    with mock.patch.object(MultiNormZonotope, "append_fresh_eps",
+                           append_dense), \
+            mock.patch.object(propagation, "fused_layer_norm",
+                              _chained_layer_norm), \
+            mock.patch.object(dotproduct, "_matmul_impl",
+                              dense_matmul_impl):
+        yield

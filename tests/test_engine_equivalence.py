@@ -1,24 +1,30 @@
-"""Structured fast path vs dense path: identical abstract semantics.
+"""Structured engine vs the dense oracle: identical abstract semantics.
 
 The engine keeps fresh eps symbols as lazy one-nonzero-per-variable tails
-inside a capacity-doubling buffer (``repro.zonotope.storage``); forcing
-``dense_engine()`` reproduces the pre-optimization dense representation.
-Both paths must compute the *same* abstract values — these tests pin that
-down at the micro level (single transformers on random zonotopes) and end
-to end (full 2-layer propagations for every norm, both dot-product
-variants, with DecorrelateMin_k reduction enabled).
+beside one exactly-sized dense row array (``repro.zonotope.storage``), and
+runs the Fast dot product without padding its operands. The test-side
+oracle ``tests.engine_oracle.dense_engine()`` replays the dense
+representation those optimisations replaced. Both must compute the *same*
+abstract values — these tests pin that down at the micro level (single
+transformers on random zonotopes, at relative 1e-10) and end to end, where
+the output-logit bounds must be bitwise equal: full propagations of the
+2-layer test model (DecorrelateMin_k reduction forced at every layer) and
+of the cached 3-layer ``sst-small`` model at the verifier defaults, for
+every norm and both dot-product variants.
 """
 
 import numpy as np
 import pytest
 
-from repro.zonotope import (MultiNormZonotope, dense_engine,
-                            fast_path_enabled, relu, tanh, exp, softmax,
+from repro.experiments.harness import evaluation_sentences, get_transformer
+from repro.zonotope import (MultiNormZonotope, relu, tanh, exp, softmax,
                             zonotope_matmul, DotProductConfig,
                             reduce_noise_symbols)
 from repro.verify import VerifierConfig
 from repro.verify.propagation import propagate_classifier
 from repro.verify.regions import word_perturbation_region
+
+from tests.engine_oracle import dense_engine
 
 RTOL, ATOL = 1e-10, 1e-12
 NORMS = [1.0, 2.0, np.inf]
@@ -31,12 +37,11 @@ def random_zonotope(rng, shape, p, n_phi=3, n_eps=4):
         eps=0.2 * rng.normal(size=(n_eps,) + shape), p=p)
 
 
-def both_paths(fn, *zonotope_args):
-    """Run ``fn`` on the fast path and on the dense path; return both."""
-    assert fast_path_enabled()
-    fast = fn(*zonotope_args)
+def both_paths(fn, *args):
+    """Run ``fn`` on the engine and under the dense oracle; return both."""
+    fast = fn(*args)
     with dense_engine():
-        dense = fn(*zonotope_args)
+        dense = fn(*args)
     return fast, dense
 
 
@@ -118,8 +123,22 @@ class TestMicroEquivalence:
         assert_same(fast, dense)
 
 
+@pytest.fixture(scope="module")
+def sst_small_l3():
+    """The cached 3-layer sst-small model and the longest of its first 10
+    evaluation sentences (the attention blocks' heaviest input)."""
+    model, dataset, _ = get_transformer("sst-small", n_layers=3)
+    return model, max(evaluation_sentences(model, dataset, 10), key=len)
+
+
+def logit_bounds(model, sentence, p, radius, config):
+    """Output-logit bounds of a propagation with word 1 perturbed."""
+    region = word_perturbation_region(model, sentence, 1, radius, p)
+    return propagate_classifier(model, region, config).bounds()
+
+
 class TestEndToEndEquivalence:
-    """Full 2-layer propagations agree across every engine configuration."""
+    """Full propagations: logit bounds bitwise equal on both engines."""
 
     @pytest.mark.parametrize("p", NORMS)
     @pytest.mark.parametrize("variant", ["fast", "precise"])
@@ -129,14 +148,15 @@ class TestEndToEndEquivalence:
         config = VerifierConfig(dot_product_variant=variant,
                                 noise_symbol_cap=48,
                                 reduction_strategy="mass")
-        region = word_perturbation_region(tiny_model, tiny_sentence, 1,
-                                          0.02, p)
-        fast = propagate_classifier(tiny_model, region, config)
-        with dense_engine():
-            region = word_perturbation_region(tiny_model, tiny_sentence, 1,
-                                              0.02, p)
-            dense = propagate_classifier(tiny_model, region, config)
-        fl, fu = fast.bounds()
-        dl, du = dense.bounds()
-        np.testing.assert_allclose(fl, dl, rtol=RTOL, atol=ATOL)
-        np.testing.assert_allclose(fu, du, rtol=RTOL, atol=ATOL)
+        structured, dense = both_paths(logit_bounds, tiny_model,
+                                       tiny_sentence, p, 0.02, config)
+        np.testing.assert_array_equal(structured, dense)
+
+    @pytest.mark.parametrize("p", NORMS)
+    @pytest.mark.parametrize("variant", ["fast", "precise"])
+    def test_sst_small_l3_bounds_match(self, sst_small_l3, p, variant):
+        model, sentence = sst_small_l3
+        config = VerifierConfig(dot_product_variant=variant)
+        structured, dense = both_paths(logit_bounds, model, sentence, p,
+                                       0.05, config)
+        np.testing.assert_array_equal(structured, dense)

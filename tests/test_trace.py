@@ -10,6 +10,7 @@ with a non-zero exit.
 
 import collections
 import os
+import threading
 import time
 
 import numpy as np
@@ -125,9 +126,56 @@ class TestTracerCore:
             assert tracer.counters == {"probes": 10}
             assert tracer.gauges == {"peak_eps_rows": 50}
             assert [s["op"] for s in tracer.spans] == ["relu"]
-            assert tracer._query is None
             tracer.count("probes")
             assert tracer.counters == {"probes": 11}
+            tracer.record_op("tanh", z, 0.0)
+            assert tracer.spans[-1]["query"] is None
+
+    def test_query_scopes_on_two_threads_keep_their_own_records(self):
+        """A stalled query's scope and its rescue's scope, open at once on
+        two threads and closed out of order, never mix records: A opens
+        and counts, B opens, A records a span and closes, B counts, records
+        and closes."""
+        tracer = CertTracer()
+        z = MultiNormZonotope(np.ones(2))
+        records = {}
+        a_counted, b_opened, a_closed = (threading.Event()
+                                         for _ in range(3))
+
+        def query_a():
+            with tracer.query_scope("a") as record:
+                tracer.count("probes")
+                a_counted.set()
+                assert b_opened.wait(10)
+                tracer.record_op("relu", z, 0.0)
+            records["a"] = record
+            a_closed.set()
+
+        def query_b():
+            assert a_counted.wait(10)
+            with tracer.query_scope("b") as record:
+                b_opened.set()
+                assert a_closed.wait(10)
+                tracer.count("probes")
+                tracer.record_op("exp", z, 0.0)
+            records["b"] = record
+
+        with tracer.collecting():
+            tracer.count("outer")
+            threads = [threading.Thread(target=query_a),
+                       threading.Thread(target=query_b)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        for key, op in (("a", "relu"), ("b", "exp")):
+            assert records[key]["perf"] == {"counters": {"probes": 1},
+                                            "gauges": {}}
+            assert [(s["op"], s["query"]) for s in records[key]["spans"]] \
+                == [(op, key)]
+        assert tracer.counters == {"outer": 1}
+        assert tracer.spans == []
 
     def test_events_advance_on_counts_and_spans_only(self):
         tracer = CertTracer()

@@ -5,9 +5,10 @@ precision ordering between them, both dual-norm application orders, the
 degenerate point cases (where the transformer must be exact), and
 broadcasting in the elementwise product. Two kernels are compared against
 the forms they replaced, kept here as test oracles: the support-pruned
-Eq. (6) kernel against the dense pairwise-tensor kernel, and both matmul
-routes (the structured Fast path and the aligned dense route) against the
-ellipsis-einsum form of Eq. (5) and of the exact cross terms.
+Eq. (6) kernel against the dense pairwise-tensor kernel, and the matmul
+(the structured Fast path, the aligned dense route of the test-side dense
+engine, and the Precise variant) against the ellipsis-einsum form of
+Eq. (5) and of the exact cross terms.
 """
 
 import numpy as np
@@ -16,10 +17,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.zonotope import (MultiNormZonotope, zonotope_matmul,
                             zonotope_multiply, DotProductConfig,
-                            dense_engine, norm_along_axis0)
+                            norm_along_axis0)
 from repro.zonotope.dotproduct import _precise_eps_bounds
 
 from tests.conftest import sample_lp_ball
+from tests.engine_oracle import dense_engine
 
 
 def pair(rng, n=3, k=4, m=2, n_phi=3, n_eps=4, p=2.0, scale=0.3):
@@ -384,10 +386,11 @@ MATMUL_CASES = ["plain", "heads", "no-phi", "y-no-eps", "x-tail", "y-tail",
 
 
 class TestMatmulReference:
-    """Both matmul routes against the einsum form of Eq. (5).
+    """Every matmul route against the einsum form of Eq. (5).
 
-    The structured Fast path, the dense route under ``dense_engine()`` and
-    the Precise variant (always the dense route) must all reproduce the
+    The structured Fast path, the aligned dense route of the test oracle
+    (``tests.engine_oracle.dense_engine()``, which this also validates) and
+    the Precise variant (always aligned) must all reproduce the
     reference. The tolerance is fixed at relative 1e-9 of each array's
     magnitude: BLAS sums in its own order, and the Fast path collapses
     eps blocks to their ℓ1 mass before contracting."""
