@@ -66,8 +66,8 @@ def _build_parser():
         "--workers", type=int, default=0, metavar="N",
         help="certification-query worker processes on the supervised pool "
              "(heartbeats, requeue-on-death, poison quarantine, graceful "
-             "SIGTERM drain); also the serve executor (0 = serial, "
-             "default)")
+             "SIGTERM drain); serve runs up to N queries at once on them "
+             "(0 = serial in-process, default)")
     # Accepted for old command lines; --workers N alone selects the pool.
     parser.add_argument("--supervised", action="store_true",
                         help=argparse.SUPPRESS)

@@ -7,6 +7,13 @@ and the service both run their queries on it.
   context — the model is inherited, never pickled), each connected by a
   duplex pipe. Every query is handed out under a **lease** ``(lease id,
   query key, worker id, deadline)``.
+* One **lease loop** thread, started by the first submission, owns the
+  slots, leases, kill counts, poison memo and respawns. :meth:`run` and
+  :meth:`run_batch` are thread-safe: a caller puts its queries in the
+  loop's inbox, wakes the loop through a pipe, and blocks until its own
+  answers arrive, so N concurrent callers keep N workers leased.
+  ``on_result`` fires on the calling thread. :meth:`start`, :meth:`stop`
+  and :meth:`request_drain` may be called from any thread.
 * Workers send **heartbeats** carrying the recorder's monotone
   ``TRACER.events`` count (every counter event and span; each
   binary-search probe counts one, whatever the verifier, so it advances
@@ -32,9 +39,10 @@ and the service both run their queries on it.
   travels in the outcome's ``fault`` field.
 * **Graceful drain**: :meth:`WorkerSupervisor.request_drain` (safe to
   call from a signal handler) stops leasing; in-flight leases finish
-  under a drain deadline, then :meth:`run` raises :class:`DrainedRun`
-  carrying the completed results (already committed through
-  ``on_result``, i.e. journaled) and the queries left for ``--resume``.
+  under a drain deadline, then every waiting :meth:`run` raises its own
+  :class:`DrainedRun`, carrying that caller's completed results (already
+  committed through ``on_result``, i.e. journaled) and its queries left
+  for ``--resume``.
 
 Fault injection is parent-side: the supervisor consults
 :func:`repro.faults.fault_lease_directives` /
@@ -174,15 +182,42 @@ def _worker_main(conn, model, worker_id, heartbeat_interval,
 
 # ----------------------------------------------------------- parent-side run
 
+class _Call:
+    """One :meth:`WorkerSupervisor.run` caller: its queries and answers.
+
+    The lease loop writes ``results`` and posts each committed outcome (or
+    the exception that ends the run) to the caller, who blocks in
+    :meth:`take`.
+    """
+
+    __slots__ = ("queries", "results", "remaining", "_posted", "_items")
+
+    def __init__(self, queries):
+        self.queries = queries
+        self.results = [None] * len(queries)
+        self.remaining = len(queries)
+        self._posted = threading.Semaphore(0)
+        self._items = deque()
+
+    def post(self, item):
+        self._items.append(item)
+        self._posted.release()
+
+    def take(self):
+        self._posted.acquire()
+        return self._items.popleft()
+
+
 class _Task:
-    """Unit of leased work: one query bound to its input index."""
+    """Unit of leased work: one query of one caller's run."""
 
-    __slots__ = ("index", "query", "attempts")
+    __slots__ = ("call", "index", "query", "attempts")
 
-    def __init__(self, index, query, attempts=0):
+    def __init__(self, call, index, query):
+        self.call = call
         self.index = index
         self.query = query
-        self.attempts = attempts
+        self.attempts = 0
 
 
 class _Lease:
@@ -272,6 +307,7 @@ class WorkerSupervisor:
         self._poison_memo = {}     # key -> committed poisoned QueryOutcome
         self._drain = threading.Event()
         self._started = False
+        self._stopped = False
         self.drain_seconds = None
         self.stats = {
             "leases": 0, "heartbeats": 0, "respawns": 0,
@@ -280,24 +316,38 @@ class WorkerSupervisor:
             "duplicate_results_dropped": 0, "errored_leases": 0,
             "dead_slots": 0, "fallbacks": 0, "drains": 0,
         }
+        # Guards start, submission and stop; the lease loop never takes it.
+        self._lock = threading.RLock()
+        self._inbox = deque()      # submitted _Calls the loop has not seen
+        self._thread = None        # the lease loop, started on submission
+        self._wake_r = self._wake_w = None  # its wake pipe, made by start()
+        # Owned by the lease loop thread (by stop() once it has joined).
+        self._calls = set()        # admitted _Calls still owed outcomes
+        self._pending = deque()    # _Tasks waiting for a ready worker
+        self._active = {}          # lease id -> _Lease
 
     # ------------------------------------------------------------- lifecycle
     def start(self):
         """Spawn the fleet (idempotent). Raises if no worker can start."""
-        if self._started:
+        with self._lock:
+            if self._stopped:
+                raise RuntimeError("worker supervisor is stopped")
+            if self._started:
+                return self
+            if self._context is None:
+                import multiprocessing
+                self._context = multiprocessing.get_context("fork")
+            self._wake_r, self._wake_w = os.pipe()
+            os.set_blocking(self._wake_w, False)
+            self._slots = [_Slot(i) for i in range(self.workers)]
+            try:
+                for slot in self._slots:
+                    self._spawn(slot, initial=True)
+            except BaseException:
+                self.stop()  # no worker outlives a fleet that failed to start
+                raise
+            self._started = True
             return self
-        if self._context is None:
-            import multiprocessing
-            self._context = multiprocessing.get_context("fork")
-        self._slots = [_Slot(i) for i in range(self.workers)]
-        try:
-            for slot in self._slots:
-                self._spawn(slot, initial=True)
-        except BaseException:
-            self.stop()  # no worker outlives a fleet that failed to start
-            raise
-        self._started = True
-        return self
 
     def _spawn(self, slot, initial=False):
         directive = fault_spawn_directive()
@@ -317,7 +367,25 @@ class WorkerSupervisor:
             self.stats["respawns"] += 1
 
     def stop(self):
-        """Terminate the fleet (graceful exit message, then SIGKILL)."""
+        """Stop the lease loop, then the fleet; fail every waiting run.
+
+        The loop finishes the step it is in (an in-process answer in
+        progress included) and exits; then each worker gets an exit
+        message, then SIGKILL. Every caller still waiting in :meth:`run`
+        raises ``RuntimeError``. A stopped supervisor serves no more runs.
+        """
+        with self._lock:
+            if self._stopped:
+                return
+            self._stopped = True  # no run() gets past start() from here
+            thread = self._thread
+            if thread is not None:
+                self._wake()
+        if thread is not None:
+            thread.join()
+        if self._wake_r is not None:
+            os.close(self._wake_r)
+            os.close(self._wake_w)
         for slot in self._slots:
             if slot.live and slot.conn is not None:
                 try:
@@ -336,11 +404,13 @@ class WorkerSupervisor:
             slot.conn = None
             slot.lease_id = None
         self._started = False
+        self._fail_calls("worker supervisor stopped")
 
     def request_drain(self, timeout=None):
         """Stop leasing; finish in-flight leases, then raise DrainedRun.
 
-        Only sets flags — safe to call from a signal handler.
+        Only sets flags — safe to call from a signal handler. The lease
+        loop sees them within one ``heartbeat_interval``.
         """
         if timeout is not None:
             self.drain_timeout = float(timeout)
@@ -350,141 +420,116 @@ class WorkerSupervisor:
     def run(self, queries, *, on_result=None):
         """Execute ``queries``; one ``QueryOutcome`` each, in input order.
 
-        Each query is leased on its own. ``on_result`` fires once per
-        committed result, in completion order — the journaling hook that
-        makes commitment at-most-once durable. Raises :class:`DrainedRun`
-        if a drain request lands mid-run.
+        Thread-safe: the queries join the lease loop's work list and this
+        thread blocks until all of them are answered, so concurrent
+        callers share the fleet. ``on_result`` fires once per committed
+        result, in completion order, on this thread — the journaling hook
+        that makes commitment at-most-once durable. Raises
+        :class:`DrainedRun` (this caller's own completed and remaining
+        queries) if a drain request lands mid-run, and ``RuntimeError`` if
+        the supervisor stops first.
         """
-        self.start()
-        queries = list(queries)
-        results = [None] * len(queries)
-        state = {"remaining": len(queries)}
-
-        def commit(index, result):
-            if results[index] is not None:
-                self.stats["duplicate_results_dropped"] += 1
-                return
-            results[index] = result
-            state["remaining"] -= 1
+        call = _Call(list(queries))
+        with self._lock:
+            self.start()
+            if self._thread is None:
+                self._thread = threading.Thread(
+                    target=self._lease_loop, name="cert-lease-loop",
+                    daemon=True)
+                self._thread.start()
+            self._inbox.append(call)
+            self._wake()
+        for _ in call.queries:
+            item = call.take()
+            if isinstance(item, BaseException):
+                raise item
             if on_result is not None:
-                on_result(result)
+                on_result(item)
+        return call.results
 
-        def poison_answer(index, query):
-            key = query.key()
-            if key not in self._poison_memo:
-                self._poison_memo[key] = ibp_floor_outcome(
-                    self.model, query, "poisoned", self._poisoned[key])
-            commit(index, self._poison_memo[key])
+    def run_batch(self, queries):
+        """Service-executor entry: :meth:`run` without a commit hook."""
+        return self.run(queries)
 
-        def requeue_or_poison(task):
-            key = task.query.key()
-            kills = self._kill_counts.get(key, 0) + 1
-            self._kill_counts[key] = kills
-            if kills >= self.poison_threshold:
-                error = PoisonedQueryError(key, kills)
-                self._poisoned[key] = f"PoisonedQueryError: {error}"
-                self.stats["poisoned_queries"] += 1
-                poison_answer(task.index, task.query)
-            else:
-                self.stats["requeued_leases"] += 1
-                pending.appendleft(task)
+    def _wake(self):
+        """Interrupt the lease loop's wait (caller holds ``_lock``)."""
+        try:
+            os.write(self._wake_w, b"\0")
+        except BlockingIOError:
+            pass  # the pipe is full of wake-ups the loop has yet to read
 
-        def handle_death(slot, now):
-            """A dead PID (or EOF pipe): bury, requeue, schedule respawn."""
-            if slot.process is not None:
-                slot.process.join(timeout=1.0)
-            if slot.conn is not None:
-                slot.conn.close()
-            self.stats["worker_deaths"] += 1
-            lease = active.pop(slot.lease_id, None) \
-                if slot.lease_id is not None else None
-            boot_death = lease is None and not slot.ready
-            slot.process = None
-            slot.conn = None
-            slot.lease_id = None
-            if lease is not None:
-                self.stats["lease_deaths"] += 1
-                slot.boot_failures = 0
-                requeue_or_poison(lease.task)
-            elif boot_death:
-                slot.boot_failures += 1
-                if slot.boot_failures >= self.max_boot_failures:
-                    slot.disabled = True
-                    self.stats["dead_slots"] += 1
-                    return
-            backoff = min(self.respawn_cap,
-                          self.respawn_backoff * 2 ** slot.boot_failures)
-            slot.next_spawn_at = now + backoff * (1.0 + self._rng.random())
+    # ------------------------------------------------------------ lease loop
+    def _lease_loop(self):
+        try:
+            self._serve_leases()
+        except BaseException as error:
+            # A failed step must not leave a caller waiting forever; the
+            # next submission starts a fresh loop over the same fleet.
+            with self._lock:
+                self._thread = None
+                self._fail_calls(
+                    f"lease loop failed: {type(error).__name__}: {error}")
+            raise
 
-        def kill_slot(slot):
-            if slot.live:
-                try:
-                    os.kill(slot.process.pid, signal.SIGKILL)
-                except (ProcessLookupError, OSError):
-                    pass
-                slot.process.join(timeout=2.0)
-
-        # Seed the work list; quarantined keys never touch a worker again.
-        pending = deque()
-        active = {}
-        for index, query in enumerate(queries):
-            if query.key() in self._poisoned:
-                poison_answer(index, query)
-            else:
-                pending.append(_Task(index, query))
-
-        drain_started = None
-        drain_deadline = None
-        while state["remaining"] > 0:
+    def _serve_leases(self):
+        drain_started = drain_deadline = None
+        while not self._stopped:
             now = time.monotonic()
 
-            # 1. Reap dead PIDs (covers kills we issued and injected ones).
+            # 1. Admit submitted runs.
+            while self._inbox:
+                self._admit(self._inbox.popleft())
+
+            # 2. Reap dead PIDs (covers kills we issued and injected ones).
             for slot in self._slots:
                 if slot.process is not None and not slot.process.is_alive():
-                    handle_death(slot, now)
+                    self._handle_death(slot, now)
 
-            # 2. Drain: stop leasing; once in-flight leases resolve (or
-            #    the drain deadline passes), hand back what completed.
+            # 3. Drain: stop leasing; once in-flight leases resolve (or
+            #    the drain deadline passes), hand each waiting run back
+            #    what it completed.
             if self._drain.is_set():
-                if drain_started is None:
+                if self._calls and drain_started is None:
                     drain_started = now
                     drain_deadline = now + self.drain_timeout
-                if not active or now >= drain_deadline:
-                    for lease in list(active.values()):
-                        kill_slot(lease.slot)
-                    active.clear()
+                if self._calls and (not self._active
+                                    or now >= drain_deadline):
+                    for lease in list(self._active.values()):
+                        self._kill_slot(lease.slot)
+                    self._active.clear()
                     self.drain_seconds = time.monotonic() - drain_started
                     self.stats["drains"] += 1
-                    raise DrainedRun(
-                        [r for r in results if r is not None],
-                        [queries[i] for i, r in enumerate(results)
-                         if r is None])
+                    for call in list(self._calls):
+                        self._end(call, DrainedRun(
+                            [r for r in call.results if r is not None],
+                            [q for q, r in zip(call.queries, call.results)
+                             if r is None]))
+                    drain_started = drain_deadline = None
             else:
-                # 3. Respawn slots whose backoff matured, if work remains.
-                want = len(pending) + len(active)
+                # 4. Respawn slots whose backoff matured, work or not: an
+                #    idle fleet is back at full size for the next query.
                 for slot in self._slots:
-                    if (want > 0 and slot.process is None
-                            and not slot.disabled
+                    if (slot.process is None and not slot.disabled
                             and now >= slot.next_spawn_at):
                         self._spawn(slot)
-                # 4. Lease pending work onto idle live workers that have
+                # 5. Lease pending work onto idle live workers that have
                 #    proven boot liveness (sent "ready").
                 for slot in self._slots:
-                    if not pending:
+                    if not self._pending:
                         break
                     if not slot.live or not slot.ready \
                             or slot.lease_id is not None:
                         continue
-                    task = pending.popleft()
+                    task = self._pending.popleft()
                     if task.query.key() in self._poisoned:
-                        poison_answer(task.index, task.query)
+                        self._answer_inprocess(task, self._poison_outcome)
                         continue
                     task.attempts += 1
                     self._lease_seq += 1
                     lease = _Lease(self._lease_seq, task, slot,
                                    deadline=now + self.lease_timeout)
                     directives = fault_lease_directives(task.query.key())
-                    active[lease.id] = lease
+                    self._active[lease.id] = lease
                     slot.lease_id = lease.id
                     self.stats["leases"] += 1
                     try:
@@ -493,63 +538,171 @@ class WorkerSupervisor:
                     except (BrokenPipeError, OSError):
                         pass  # death will be reaped; the lease requeues
 
-            # 5. No worker will ever serve the rest: finish in-process.
-            if pending and not active \
+            # 6. No worker will ever serve the rest: finish in-process.
+            if self._pending and not self._active \
                     and all(slot.disabled for slot in self._slots):
                 self.stats["fallbacks"] += 1
-                while pending:
-                    self._commit_inprocess(pending.popleft(), commit)
+                while self._pending and not self._stopped:
+                    self._answer_inprocess(self._pending.popleft(),
+                                           self._execute_inprocess)
                 continue
 
-            if state["remaining"] <= 0:
-                break
-
-            # 6. Wait for messages / deadlines / respawn timers.
-            timeout = self.heartbeat_interval
-            for lease in active.values():
-                timeout = min(timeout, lease.deadline - now)
-            for slot in self._slots:
-                if slot.process is None and not slot.disabled:
-                    timeout = min(timeout, slot.next_spawn_at - now)
+            # 7. Wait for a submission or a message, or until the next
+            #    lease deadline, respawn timer (a matured one only lingers
+            #    while draining), drain deadline or, with work in hand,
+            #    heartbeat tick. An idle loop blocks.
+            deadlines = [lease.deadline for lease in self._active.values()]
+            deadlines += [slot.next_spawn_at for slot in self._slots
+                          if slot.process is None and not slot.disabled
+                          and slot.next_spawn_at > now]
             if drain_deadline is not None:
-                timeout = min(timeout, drain_deadline - now)
-            timeout = max(0.005, timeout)
+                deadlines.append(drain_deadline)
+            if self._pending or self._active:
+                deadlines.append(now + self.heartbeat_interval)
+            timeout = max(0.005, min(deadlines) - now) if deadlines \
+                else None
             conns = {slot.conn: slot for slot in self._slots
                      if slot.conn is not None and slot.process is not None}
-            ready = _connection_wait(list(conns), timeout) if conns \
-                else time.sleep(timeout)
+            ready = _connection_wait([self._wake_r, *conns], timeout)
 
-            # 7. Drain every readable pipe.
-            for conn in ready or ():
-                slot = conns[conn]
+            # 8. Drain every readable pipe.
+            for conn in ready:
+                slot = conns.get(conn)
+                if slot is None:
+                    os.read(self._wake_r, 4096)  # submissions' wake-ups
+                    continue
                 try:
                     while conn.poll():
-                        self._handle_message(slot, conn.recv(), active,
-                                             pending, commit)
+                        self._handle_message(slot, conn.recv())
                 except (EOFError, OSError):
-                    handle_death(slot, time.monotonic())
+                    self._handle_death(slot, time.monotonic())
 
-            # 8. Expire leases whose progress-extended deadline passed.
+            # 9. Expire leases whose progress-extended deadline passed.
             now = time.monotonic()
-            for lease in list(active.values()):
+            for lease in list(self._active.values()):
                 if now >= lease.deadline:
                     self.stats["lease_timeouts"] += 1
-                    kill_slot(lease.slot)
-                    handle_death(lease.slot, now)
-
-        return results
-
-    def run_batch(self, queries):
-        """Service-executor entry: :meth:`run` without a commit hook."""
-        return self.run(queries)
+                    self._kill_slot(lease.slot)
+                    self._handle_death(lease.slot, now)
 
     # --------------------------------------------------------------- helpers
-    def _handle_message(self, slot, message, active, pending, commit):
+    def _admit(self, call):
+        """Queue a run's queries; quarantined keys never touch a worker."""
+        if call.queries:
+            self._calls.add(call)
+        for index, query in enumerate(call.queries):
+            task = _Task(call, index, query)
+            if query.key() in self._poisoned:
+                self._answer_inprocess(task, self._poison_outcome)
+            elif call in self._calls:
+                self._pending.append(task)
+
+    def _commit(self, task, outcome):
+        """At most once per query position: a late duplicate is dropped."""
+        call = task.call
+        if call.results[task.index] is not None:
+            self.stats["duplicate_results_dropped"] += 1
+            return
+        call.results[task.index] = outcome
+        call.remaining -= 1
+        if call.remaining == 0:
+            self._calls.discard(call)
+        call.post(outcome)
+
+    def _end(self, call, error):
+        """Raise ``error`` in a waiting run; its pending queries drop."""
+        if call not in self._calls:
+            return
+        self._calls.discard(call)
+        self._pending = deque(task for task in self._pending
+                              if task.call is not call)
+        call.post(error)
+
+    def _fail_calls(self, message):
+        """End every submitted run still waiting (stop or loop failure)."""
+        self._calls.update(self._inbox)
+        self._inbox.clear()
+        for call in list(self._calls):
+            self._end(call, RuntimeError(message))
+
+    def _answer_inprocess(self, task, answer):
+        """Commit ``answer(query)`` computed in this process; an engine
+        error ends the task's run, as it would have raised there."""
+        try:
+            outcome = answer(task.query)
+        except Exception as error:
+            self._end(task.call, error)
+        else:
+            self._commit(task, outcome)
+
+    def _execute_inprocess(self, query):
+        """Answer a query in this process (no worker will serve it)."""
+        # Through the module attribute so monkeypatched engines (tests)
+        # behave identically in the parent and in forked workers.
+        result = worker_mod.execute_query(self.model, query)
+        return QueryOutcome.from_result(query, result, "inprocess")
+
+    def _poison_outcome(self, query):
+        key = query.key()
+        if key not in self._poison_memo:
+            self._poison_memo[key] = ibp_floor_outcome(
+                self.model, query, "poisoned", self._poisoned[key])
+        return self._poison_memo[key]
+
+    def _requeue_or_poison(self, task):
+        key = task.query.key()
+        kills = self._kill_counts.get(key, 0) + 1
+        self._kill_counts[key] = kills
+        if kills >= self.poison_threshold:
+            error = PoisonedQueryError(key, kills)
+            self._poisoned[key] = f"PoisonedQueryError: {error}"
+            self.stats["poisoned_queries"] += 1
+            self._answer_inprocess(task, self._poison_outcome)
+        else:
+            self.stats["requeued_leases"] += 1
+            self._pending.appendleft(task)
+
+    def _handle_death(self, slot, now):
+        """A dead PID (or EOF pipe): bury, requeue, schedule respawn."""
+        if slot.process is not None:
+            slot.process.join(timeout=1.0)
+        if slot.conn is not None:
+            slot.conn.close()
+        self.stats["worker_deaths"] += 1
+        lease = self._active.pop(slot.lease_id, None) \
+            if slot.lease_id is not None else None
+        boot_death = lease is None and not slot.ready
+        slot.process = None
+        slot.conn = None
+        slot.lease_id = None
+        if lease is not None:
+            self.stats["lease_deaths"] += 1
+            slot.boot_failures = 0
+            self._requeue_or_poison(lease.task)
+        elif boot_death:
+            slot.boot_failures += 1
+            if slot.boot_failures >= self.max_boot_failures:
+                slot.disabled = True
+                self.stats["dead_slots"] += 1
+                return
+        backoff = min(self.respawn_cap,
+                      self.respawn_backoff * 2 ** slot.boot_failures)
+        slot.next_spawn_at = now + backoff * (1.0 + self._rng.random())
+
+    def _kill_slot(self, slot):
+        if slot.live:
+            try:
+                os.kill(slot.process.pid, signal.SIGKILL)
+            except (ProcessLookupError, OSError):
+                pass
+            slot.process.join(timeout=2.0)
+
+    def _handle_message(self, slot, message):
         kind = message[0]
         if kind == "ready":
             slot.ready = True
             return
-        lease = active.get(message[1]) if len(message) > 1 else None
+        lease = self._active.get(message[1]) if len(message) > 1 else None
         if kind == "heartbeat":
             self.stats["heartbeats"] += 1
             if lease is not None:
@@ -565,27 +718,19 @@ class WorkerSupervisor:
             return
         task = lease.task
         if kind == "result":
-            active.pop(lease.id, None)
+            self._active.pop(lease.id, None)
             lease.slot.lease_id = None
             source = "worker" if task.attempts == 1 else "worker-retry"
-            commit(task.index,
-                   QueryOutcome.from_result(task.query, message[2], source))
+            self._commit(task, QueryOutcome.from_result(
+                task.query, message[2], source))
         elif kind == "error":
             # The worker survived but the engine raised: retry once on a
             # (possibly different) worker, then fall back in-process.
-            active.pop(lease.id, None)
+            self._active.pop(lease.id, None)
             lease.slot.lease_id = None
             self.stats["errored_leases"] += 1
             if task.attempts < 2:
                 self.stats["requeued_leases"] += 1
-                pending.appendleft(task)
+                self._pending.appendleft(task)
             else:
-                self._commit_inprocess(task, commit)
-
-    def _commit_inprocess(self, task, commit):
-        """Answer a task in this process (no worker will serve it)."""
-        # Through the module attribute so monkeypatched engines (tests)
-        # behave identically in the parent and in forked workers.
-        result = worker_mod.execute_query(self.model, task.query)
-        commit(task.index,
-               QueryOutcome.from_result(task.query, result, "inprocess"))
+                self._answer_inprocess(task, self._execute_inprocess)

@@ -18,11 +18,11 @@ answers them with certified radii. The request path, in order:
    :class:`~repro.service.admission.AdmissionController`: under load the
    query itself is rewritten down the degradation ladder
    (full -> fast -> IBP) or shed with a typed 503;
-4. **execution** — the dispatcher pops the oldest queued query and runs
-   it on a worker thread so the event loop keeps serving;
-   a deadline (``query_timeout``) plus an IBP *rescue* rung guarantee
-   every waiter resolves with a done, degraded or typed-error payload —
-   never a hang.
+4. **execution** — while fewer queries run than the executor has room
+   for, the dispatcher pops the oldest queued query and runs it on an
+   executor thread so the event loop keeps serving; a deadline
+   (``query_timeout``) plus an IBP *rescue* rung guarantee every waiter
+   resolves with a done, degraded or typed-error payload — never a hang.
 
 Completed outcomes flow through the result cache and the run journal keyed
 by the query that actually executed
@@ -31,20 +31,22 @@ under the degraded query's key, so it can never impersonate the
 full-precision result — and a restart with ``resume=True`` replays the
 journal so previously answered queries are served without recomputation.
 
-Concurrency note: query execution is deliberately serialized on one
-executor thread. The engine is single-core CPU-bound numpy with
-process-global state (the active guard); the service's concurrency win
-is in dedup and admission, not in parallel propagation. The rescue rung
-runs on its own thread so a stalled execution cannot wedge recovery;
-``TRACER`` keeps query scopes per thread, so the stalled execution and
-its rescue each get their own record.
+Concurrency note: the executor runs as many queries at once as the
+worker fleet that started has workers. With ``ServiceConfig.workers > 0``
+each executor thread hands its query to the supervised multi-process pool
+(:class:`~repro.scheduler.pool.WorkerSupervisor`), whose lease loop keeps
+one lease per worker in flight: leased worker processes with heartbeat
+liveness, requeue-on-death, and poison-query quarantine to the IBP floor
+(journaled/cached only under the rewritten IBP key, like the rescue
+rung's answer). Without a fleet (``workers=0``, or a fleet that could not
+start) execution stays serial on one executor thread: the engine runs
+in-process there, and its active guard is process-global. Every answer
+commits on the event-loop thread, through one ``_finish``. The rescue
+rung runs on its own thread so a stalled execution cannot wedge
+recovery; ``TRACER`` keeps query scopes per thread, so the stalled
+execution and its rescue each get their own record.
 
-With ``ServiceConfig.workers > 0`` the executor thread hands each query to
-the supervised multi-process pool
-(:class:`~repro.scheduler.pool.WorkerSupervisor`): leased worker
-processes with heartbeat liveness, requeue-on-death, and poison-query
-quarantine to the IBP floor (journaled/cached only under the rewritten
-IBP key, like the rescue rung's answer). ``POST /drain`` — or SIGTERM via
+``POST /drain`` — or SIGTERM via
 the CLI — triggers a graceful drain: new submissions get a typed 503
 (``draining``) while every already-accepted waiter resolves
 (done/degraded/typed-error) under ``drain_timeout``; ``drain_seconds``
@@ -90,7 +92,7 @@ class ServiceConfig:
     query_timeout: float = 120.0   # execution deadline before rescue
     default_rate: float = 50.0     # tenant bucket: tokens per second
     default_burst: int = 20        # tenant bucket: capacity
-    workers: int = 0               # >0: supervised multi-process pool
+    workers: int = 0               # >0: pool size = queries run at once
     lease_timeout: float = 30.0    # supervised: no-progress kill deadline
     heartbeat_interval: float = 0.5  # supervised: worker heartbeat cadence
     poison_threshold: int = 2      # worker kills before quarantine
@@ -169,6 +171,8 @@ class CertService:
         self._server = None
         self._dispatcher = None
         self._executor = None
+        self._capacity = 1    # executions at once: the fleet's workers
+        self._running = set()  # _execute tasks in flight
         self._rescue_executor = None
         self._wakeup = None
         self._supervisor = None
@@ -192,10 +196,6 @@ class CertService:
         self._loop = asyncio.get_running_loop()
         self._stopped = False
         self._wakeup = asyncio.Event()
-        self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="cert-exec")
-        self._rescue_executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="cert-rescue")
         if self.config.workers > 0 and self._supervisor is None:
             try:
                 self._supervisor = WorkerSupervisor(
@@ -208,6 +208,12 @@ class CertService:
                 # No fork / spawn failure: stay on the thread executor.
                 self._supervisor = None
                 self._count("supervisor_unavailable")
+        self._capacity = self._supervisor.workers \
+            if self._supervisor is not None else 1
+        self._executor = ThreadPoolExecutor(
+            max_workers=self._capacity, thread_name_prefix="cert-exec")
+        self._rescue_executor = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="cert-rescue")
         self._started_monotonic = self._loop.time()
         self._dispatcher = asyncio.ensure_future(self._dispatch_loop())
         self._server = await asyncio.start_server(self._handle_connection,
@@ -230,6 +236,10 @@ class CertService:
                 await self._dispatcher
             except asyncio.CancelledError:
                 pass
+        running = list(self._running)
+        for task in running:
+            task.cancel()
+        await asyncio.gather(*running, return_exceptions=True)
         for entry in list(self._inflight.values()):
             if not entry.future.done():
                 entry.future.set_result({
@@ -290,6 +300,7 @@ class CertService:
     async def submit(self, payload):
         """Admit one submission; returns its ack (raises ServiceError)."""
         query, tenant = parse_submission(payload, self.model_hash)
+        self._check_embeddable(query.sentence)
         now = self._now()
         self._count("submitted")
         if self._draining:
@@ -335,6 +346,22 @@ class CertService:
         self._wakeup.set()
         return {"status": "queued", "key": key, "tenant": tenant,
                 "qos_rung": applied_rung, "position": depth}
+
+    def _check_embeddable(self, sentence):
+        """Typed 400 for a sentence the served model cannot embed.
+
+        Caught here, before admission, instead of as an engine error after
+        leases and a rescue (a negative id would even index from the end
+        of the embedding table).
+        """
+        if len(sentence) > self.model.max_len:
+            raise BadRequest(f"sentence exceeds the served model's "
+                             f"{self.model.max_len} tokens")
+        vocab = self.model.vocab_size
+        outside = sorted({t for t in sentence if not 0 <= t < vocab})
+        if outside:
+            raise BadRequest(f"token ids {outside} outside the served "
+                             f"vocabulary [0, {vocab})")
 
     def _lookup(self, query, tenant, count_miss=True):
         """Answer from memory, in-flight attach, or the result cache."""
@@ -405,11 +432,18 @@ class CertService:
     # ------------------------------------------------------------ dispatcher
     async def _dispatch_loop(self):
         while True:
-            if not self._pending:
+            if not self._pending or len(self._running) >= self._capacity:
                 self._wakeup.clear()
                 await self._wakeup.wait()
                 continue
-            await self._execute(self._pending.pop(0))
+            task = asyncio.ensure_future(
+                self._execute(self._pending.pop(0)))
+            self._running.add(task)
+            task.add_done_callback(self._execution_done)
+
+    def _execution_done(self, task):
+        self._running.discard(task)
+        self._wakeup.set()  # a free slot: dispatch the next queued query
 
     # ------------------------------------------------------------- execution
     def _run_query(self, query):

@@ -5,6 +5,8 @@ Session-scoped fixtures train once; every network is deliberately small
 exercising the real code paths.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,34 @@ def tiny_sentence(tiny_corpus, tiny_model):
         if len(seq) <= 8 and tiny_model.predict(seq) == int(lab):
             return seq
     return tiny_corpus.test_sequences[0]
+
+
+@pytest.fixture
+def rendezvous_engine(tmp_path, monkeypatch):
+    """Make every query wait up to 1 s for a second one to start.
+
+    Patches ``worker.execute_query`` — before any fleet forks, so pool
+    workers run the wrapper too. Each call drops a start marker in
+    ``tmp_path``, waits for a second marker, then runs the real query.
+    Returns a function counting the calls that met another one: two
+    queries that run at the same time both meet; run one after the other,
+    only the second does.
+    """
+    import repro.scheduler.worker as worker_mod
+    real = worker_mod.execute_query
+
+    def rendezvous(model, query):
+        (tmp_path / f"start-{query.key()}").touch()
+        deadline = time.monotonic() + 1.0
+        while time.monotonic() < deadline:
+            if len(list(tmp_path.glob("start-*"))) >= 2:
+                (tmp_path / f"met-{query.key()}").touch()
+                break
+            time.sleep(0.01)
+        return real(model, query)
+
+    monkeypatch.setattr(worker_mod, "execute_query", rendezvous)
+    return lambda: len(list(tmp_path.glob("met-*")))
 
 
 @pytest.fixture(scope="session")

@@ -472,6 +472,108 @@ class TestSupervisorEdges:
         assert scheduler.last_stats["fallbacks"] == 1
 
 
+class TestConcurrentCallers:
+    """``run``/``run_batch`` are thread-safe: every caller hands its
+    queries to the one lease loop and gets back only its own answers."""
+
+    @staticmethod
+    def _in_threads(target, jobs, timeout=60.0):
+        """``target(job)`` on one thread per job; bounded joins."""
+        answers = [None] * len(jobs)
+
+        def call(index):
+            try:
+                answers[index] = target(jobs[index])
+            except BaseException as error:  # re-raised below
+                answers[index] = error
+
+        threads = [threading.Thread(target=call, args=(i,), daemon=True)
+                   for i in range(len(jobs))]
+        for thread in threads:
+            thread.start()
+        deadline = time.monotonic() + timeout
+        for thread in threads:
+            thread.join(max(0.0, deadline - time.monotonic()))
+        assert not any(t.is_alive() for t in threads), \
+            "a caller was never answered"
+        return answers
+
+    def test_three_callers_share_one_worker(self, tiny_model, queries,
+                                            serial_outcomes):
+        supervisor = WorkerSupervisor(tiny_model, workers=1,
+                                      lease_timeout=10.0,
+                                      heartbeat_interval=0.1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the callers' threads
+        try:
+            answers = self._in_threads(
+                lambda query: supervisor.run_batch([query])[0],
+                queries[:3])
+        finally:
+            sys.setswitchinterval(interval)
+            supervisor.stop()
+        assert [a.radius for a in answers] == \
+            [o.radius for o in serial_outcomes[:3]]
+        assert [a.query for a in answers] == queries[:3]
+
+    def test_two_callers_lease_both_workers_at_once(
+            self, tiny_model, queries, serial_outcomes, rendezvous_engine):
+        supervisor = WorkerSupervisor(tiny_model, workers=2,
+                                      lease_timeout=10.0,
+                                      heartbeat_interval=0.1)
+        try:
+            answers = self._in_threads(
+                lambda query: supervisor.run_batch([query])[0],
+                queries[:2])
+            stats = dict(supervisor.stats)
+        finally:
+            supervisor.stop()
+        assert [a.source for a in answers] == ["worker", "worker"]
+        assert [a.radius for a in answers] == \
+            [o.radius for o in serial_outcomes[:2]]
+        assert stats["leases"] == 2
+        assert stats["duplicate_results_dropped"] == 0
+        assert rendezvous_engine() == 2  # both leases were in flight
+
+    def test_drain_hands_each_caller_its_own_remainder(self, tiny_model,
+                                                       queries):
+        work = [dataclasses.replace(q, n_iterations=3 + i // len(queries))
+                for i, q in enumerate(queries * 4)]
+        shares = [work[0::2], work[1::2]]
+        supervisor = WorkerSupervisor(tiny_model, workers=2,
+                                      lease_timeout=10.0,
+                                      heartbeat_interval=0.1,
+                                      drain_timeout=10.0)
+
+        def drain_once_leased():
+            deadline = time.monotonic() + 30.0
+            while supervisor.stats["leases"] < 2 \
+                    and time.monotonic() < deadline:
+                time.sleep(0.01)
+            supervisor.request_drain()
+
+        timer = threading.Thread(target=drain_once_leased, daemon=True)
+        timer.start()
+        try:
+            answers = self._in_threads(supervisor.run, shares)
+        finally:
+            timer.join(30.0)
+            supervisor.stop()
+        for share, drained in zip(shares, answers):
+            assert isinstance(drained, DrainedRun)
+            assert sorted([q.key() for q in drained.remaining]
+                          + [o.query.key() for o in drained.completed]) \
+                == sorted(q.key() for q in share)
+        assert any(drained.remaining for drained in answers)
+
+    def test_stopped_supervisor_fails_a_late_caller(self, tiny_model,
+                                                    queries):
+        supervisor = WorkerSupervisor(tiny_model, workers=1)
+        supervisor.stop()
+        with pytest.raises(RuntimeError, match="stopped"):
+            supervisor.run_batch(queries[:1])
+
+
 def _running(pid):
     """True while ``pid`` exists and is not a zombie awaiting its reaper."""
     try:

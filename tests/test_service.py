@@ -101,6 +101,27 @@ class TestLifecycle:
 
         asyncio.run(main())
 
+    def test_sentences_the_model_cannot_embed_are_typed_400s(
+            self, tiny_model):
+        """Token ids outside the served vocabulary and sentences longer
+        than the model's ``max_len`` are refused before admission — a
+        negative id would otherwise certify another token by wrapping."""
+        vocab, max_len = tiny_model.vocab_size, tiny_model.max_len
+        bad = [submission([-1, 5, 7, 9]),
+               submission([vocab, 5, 7, 9]),
+               submission([5] * (max_len + 1))]
+
+        async def main():
+            async with serving(tiny_model) as (service, client):
+                for payload in bad:
+                    status, body = await client.submit(payload, wait=30)
+                    assert status == 400, payload
+                    assert body["code"] == "bad-request"
+                return service.metrics_payload()["counters"]
+
+        counters = asyncio.run(main())
+        assert counters.get("executed_queries", 0) == 0
+
 
 class TestDedup:
     def test_concurrent_identical_queries_execute_once(self, tiny_model,

@@ -8,11 +8,14 @@ previously completed queries without recomputation. The supervised-pool
 battery at the bottom replays the same faults against the multi-process
 executor: a killed worker requeues its lease, a poison query quarantines
 to the IBP floor under its rewritten key, and a drain resolves every
-accepted waiter.
+accepted waiter; two submissions to a two-worker fleet hold both
+leases at once, and a stop with a lease in flight leaves no worker alive.
 """
 
 import asyncio
 import multiprocessing
+import os
+import time
 
 import pytest
 
@@ -22,6 +25,7 @@ from repro.scheduler.queries import model_weight_hash
 from repro.scheduler.worker import execute_query
 from repro.service import (ServiceConfig, degrade_query, parse_submission)
 from tests.service_utils import make_sentences, serving, submission
+from tests.test_pool import _running
 
 
 @pytest.fixture(scope="module")
@@ -387,3 +391,69 @@ class TestSupervisedPool:
         assert metrics["drain_seconds"] is not None
         assert metrics["counters"]["drains"] == 1
         assert metrics["counters"]["rejected_draining"] == 1
+
+    def test_two_submissions_hold_two_leases_at_once(
+            self, tiny_model, sentences, rendezvous_engine):
+        """Both queries are leased while the other runs. The 2 s heartbeat
+        outlasts the 1 s rendezvous, so only a lease loop woken by the
+        second submission itself leases it in time."""
+        payloads = [submission(sentences[0]), submission(sentences[1])]
+
+        async def main():
+            config = self._config(heartbeat_interval=2.0)
+            async with serving(tiny_model, config=config) as (_, client):
+                return await asyncio.gather(
+                    *(client.submit(payload, wait=60)
+                      for payload in payloads))
+
+        answers = asyncio.run(main())
+        for status, done in answers:
+            assert status == 200
+            assert done["status"] == "done"
+            assert done["source"] == "worker"
+        assert rendezvous_engine() == 2
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs procfs")
+    def test_stop_with_a_lease_in_flight_leaks_no_worker(self, tiny_model,
+                                                         sentences):
+        """Leaving the service while a worker stalls mid-lease: stop()
+        raises nothing, the waiter gets the typed shutting-down error,
+        and no worker process outlives the service."""
+        plan = FaultPlan(kind="stall", stall_seconds=3.0, max_faults=1)
+        before = set(_children())
+
+        async def main():
+            config = self._config(workers=1, lease_timeout=1.0)
+            with install_fault_plan(plan):
+                async with serving(tiny_model, config=config) as (service,
+                                                                  client):
+                    status, ack = await client.submit(
+                        submission(sentences[2]))
+                    assert status == 202
+                    waiter = asyncio.ensure_future(
+                        service.wait_result(ack["key"], 30))
+                    await asyncio.sleep(0.5)
+            return await asyncio.wait_for(waiter, 5)
+
+        answer = asyncio.run(main())
+        assert answer["status"] == "error"
+        assert answer["code"] == "shutting-down"
+        time.sleep(2.0)
+        assert not [pid for pid in _children()
+                    if pid not in before and _running(pid)]
+
+
+def _children():
+    """PIDs whose parent is this process, from procfs."""
+    pids = []
+    for name in os.listdir("/proc"):
+        if not name.isdigit():
+            continue
+        try:
+            with open(f"/proc/{name}/stat") as handle:
+                parent = int(handle.read().rsplit(")", 1)[1].split()[1])
+        except (OSError, IndexError, ValueError):
+            continue
+        if parent == os.getpid():
+            pids.append(int(name))
+    return pids
