@@ -4,7 +4,6 @@ from .graph import Graph, Node, build_transformer_graph, interval_propagate
 from .crown import (
     CrownVerifier, LpBallInputRegion, BoxInputRegion, BACKWARD_UNLIMITED,
 )
-from .interval import IntervalVerifier
 from .enumeration import (
     EnumerationResult, enumerate_synonym_attack,
     estimate_enumeration_seconds,
@@ -15,7 +14,6 @@ __all__ = [
     "Graph", "Node", "build_transformer_graph", "interval_propagate",
     "CrownVerifier", "LpBallInputRegion", "BoxInputRegion",
     "BACKWARD_UNLIMITED",
-    "IntervalVerifier",
     "EnumerationResult", "enumerate_synonym_attack",
     "estimate_enumeration_seconds",
     "BranchAndBoundVerifier",

@@ -31,12 +31,6 @@ class VerifierConfig:
     softmax_sum_refinement:
         Enable the Section 5.3 sum-constraint refinement (Table 13
         ablation).
-    propagate_rewrites:
-        Apply refinement symbol tightenings to all live zonotopes of the
-        propagation (preserving correlations), not only the softmax output.
-    coeff_tol:
-        Fresh-symbol magnitudes at or below this are dropped (pure zeros by
-        default).
     guards:
         Check zonotope invariants (finite center/coefficients, symbol
         budget) after every propagation stage; violations raise typed
@@ -58,8 +52,6 @@ class VerifierConfig:
     noise_symbol_cap: int = 256
     last_layer_cap: int = None
     softmax_sum_refinement: bool = True
-    propagate_rewrites: bool = True
-    coeff_tol: float = 0.0
     reduction_strategy: str = "mass"
     guards: bool = True
     symbol_budget: int = None

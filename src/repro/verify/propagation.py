@@ -131,7 +131,7 @@ def propagate_attention(z, attention, config, dot_config):
     flat_scores = scores.reshape(-1, n_tokens)
     if config.softmax_sum_refinement:
         weights, rewrites = zonotope_softmax(flat_scores, refine_sum=True)
-        if rewrites and config.propagate_rewrites:
+        if rewrites:
             x, vh = _apply_rewrites_everywhere(rewrites, [x, vh])
     else:
         weights = zonotope_softmax(flat_scores)
@@ -198,12 +198,11 @@ def propagate_classifier(model, input_zonotope, config=None):
                 cap = config.cap_for_layer(index, n_layers)
                 if cap is not None:
                     z = reduce_noise_symbols(
-                        z, cap, tol=config.coeff_tol,
-                        strategy=config.reduction_strategy)
+                        z, cap, strategy=config.reduction_strategy)
                     check_zonotope(z, "reduction")
                 dot_config = DotProductConfig(
                     variant=config.variant_for_layer(index, n_layers),
-                    order=config.dual_norm_order, tol=config.coeff_tol)
+                    order=config.dual_norm_order)
                 z = propagate_transformer_layer(z, layer, config,
                                                 dot_config)
                 TRACER.gauge_max("peak_eps_rows", z.n_eps)

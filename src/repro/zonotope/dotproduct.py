@@ -11,23 +11,25 @@ variables sharing noise symbols), the dot product expands into
 whose four symbol-pair cases are bounded by intervals and folded into a
 center shift plus one fresh eps symbol per output variable.
 
-Two bounding strategies are provided:
+Both variants share the exact affine part and the Eq. (5) bounds of the
+phi-phi and mixed cases; they differ only in the eps-eps case:
 
-``fast``     the dual-norm cascade of Eq. (5): O(N (Ep + Einf)); applies to
-             every case; the bound is not symmetric in the operands, and the
-             ``order`` flag selects which norm the dual trick hits first for
-             the mixed phi/eps cases (Table 6 ablates this; ℓ∞-first is the
-             paper's default).
-``precise``  the pairwise interval analysis of Eq. (6) for the eps-eps case
-             only, exploiting eps_i^2 in [0, 1]; the mixed and phi-phi
-             cases still use the fast bound. This is the DeepT-Precise dot
-             product. Output row i costs O(m k |S_i| |T|), where S_i are the
-             eps symbols with a coefficient in x's row i and T those with
-             one anywhere in y: exact-zero symbols are skipped, so the cost
-             is not the O(N Einf^2) of the dense pairwise tensor.
+``fast``     the dual-norm cascade of Eq. (5): O(N (Ep + Einf)); the bound
+             is not symmetric in the operands, and the ``order`` flag
+             selects which norm the dual trick hits first for the mixed
+             phi/eps cases (Table 6 ablates this; ℓ∞-first is the paper's
+             default).
+``precise``  the pairwise interval analysis of Eq. (6), exploiting
+             eps_i^2 in [0, 1]. This is the DeepT-Precise dot product.
+             Output row i costs O(m k |S_i| |T|), where S_i are the eps
+             symbols with a coefficient in x's row i and T those with one
+             anywhere in y: exact-zero symbols are skipped, so the cost is
+             not the O(N Einf^2) of the dense pairwise tensor.
 
-Every contraction over the k axis runs as a broadcast ``np.matmul`` (BLAS
-per 2-D slice, the symbol and head axes as batch axes). The elementwise
+The operands are never padded to a common symbol count, and lazy eps
+tails enter the exact part by scatter (:func:`_matmul_impl`). Every
+contraction over the k axis runs as a broadcast ``np.matmul`` (BLAS per
+2-D slice, the symbol and head axes as batch axes). The elementwise
 pairwise products of Section 4.9 are outer products, not contractions, and
 stay ``einsum``.
 """
@@ -37,7 +39,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..trace import TRACER
-from .multinorm import MultiNormZonotope, dual_exponent, norm_along_axis0
+from .multinorm import MultiNormZonotope, norm_along_axis0
 from .numeric import under_propagation_errstate
 
 __all__ = ["zonotope_matmul", "zonotope_multiply", "DotProductConfig"]
@@ -55,56 +57,26 @@ class DotProductConfig:
         ``"linf_first"`` applies the dual-norm trick to the ℓ∞-norm symbols
         first in the mixed phi/eps cases (paper default, Section 6.5);
         ``"lp_first"`` is the opposite order.
-    tol:
-        Quadratic-term magnitudes below this get no fresh noise symbol.
     """
 
-    def __init__(self, variant="fast", order="linf_first", tol=0.0):
+    def __init__(self, variant="fast", order="linf_first"):
         if variant not in ("fast", "precise"):
             raise ValueError(f"unknown dot-product variant {variant!r}")
         if order not in ("linf_first", "lp_first"):
             raise ValueError(f"unknown dual-norm order {order!r}")
         self.variant = variant
         self.order = order
-        self.tol = tol
-
-
-def _fast_case_bound(inner_coeffs, inner_q, outer_coeffs, outer_q, pattern):
-    """Eq. (5) bound for one symbol-pair case, batched over output pairs.
-
-    ``inner_coeffs`` plays W (collapsed first with its dual norm
-    ``inner_q``), ``outer_coeffs`` plays V (collapsed second with
-    ``outer_q``). ``pattern`` names the contraction:
-
-    * ``"row-col"``: outputs (n, m) from x rows (E, n, k) . y cols (E, k, m)
-      — inner must be the y-side array, outer the x-side array.
-    * ``"col-row"``: the transposed pairing (inner = x side, outer = y
-      side), used when the operand roles are swapped.
-
-    Both are one broadcast ``np.matmul`` with the symbol axis as a batch
-    axis, so the bound batches over any leading (e.g. per-head) variable
-    axes shared by the operands.
-    """
-    if pattern == "row-col":
-        # inner: (E2, ..., k, m) -> s[..., k, m]; outer: (E1, ..., n, k)
-        s = norm_along_axis0(inner_coeffs, inner_q)
-        t = np.matmul(np.abs(outer_coeffs), s)
-    elif pattern == "col-row":
-        # inner: (E1, ..., n, k) -> s[..., n, k]; outer: (E2, ..., k, m)
-        s = norm_along_axis0(inner_coeffs, inner_q)
-        t = np.matmul(s, np.abs(outer_coeffs))
-    else:
-        raise ValueError(pattern)
-    return norm_along_axis0(t, outer_q)
 
 
 def _precise_eps_bounds(x_eps, y_eps):
     """Eq. (6) interval bounds of ``(B1 eps).(B2 eps)`` per output pair.
 
-    ``x_eps``: (E, ..., n, k), ``y_eps``: (E, ..., k, m). Returns (l, u) of
-    shape (..., n, m). For output (i, j) the pairwise matrix is
-    M[a, b] = sum_t x[a,i,t] y[b,t,j]; its diagonal takes eps_a^2 in
-    [0, 1] and every off-diagonal entry costs |M_ab|.
+    ``x_eps``: (Ex, ..., n, k), ``y_eps``: (Ey, ..., k, m), where symbol
+    ``a`` is the same in both and the operand with fewer symbols has
+    exact zeros for the others. Returns (l, u) of shape (..., n, m). For
+    output (i, j) the pairwise matrix is M[a, b] = sum_t x[a,i,t] y[b,t,j];
+    its diagonal takes eps_a^2 in [0, 1] and every off-diagonal entry costs
+    |M_ab|.
 
     A symbol with no coefficient in row i of ``x`` (outside S_i), or none
     anywhere in ``y`` (outside T), contributes exact zeros to M, so each
@@ -119,16 +91,16 @@ def _precise_eps_bounds(x_eps, y_eps):
     dynamic mmap threshold, which earlier allocations move, so the
     kernel's speed would depend on what ran before it.
     """
-    n_eps = x_eps.shape[0]
+    n_x, n_y = x_eps.shape[0], y_eps.shape[0]
     batch_shape = x_eps.shape[1:-2]
     n, k = x_eps.shape[-2:]
     m = y_eps.shape[-1]
     lower = np.zeros(batch_shape + (n, m))
     upper = np.zeros(batch_shape + (n, m))
-    if n_eps == 0:
+    if n_x == 0 or n_y == 0:
         return lower, upper
-    x_flat = x_eps.reshape((n_eps, -1, n, k))
-    y_flat = y_eps.reshape((n_eps, -1, k, m))
+    x_flat = x_eps.reshape((n_x, -1, n, k))
+    y_flat = y_eps.reshape((n_y, -1, k, m))
     lower_flat = lower.reshape((-1, n, m))
     upper_flat = upper.reshape((-1, n, m))
     for b in range(x_flat.shape[1]):
@@ -138,7 +110,7 @@ def _precise_eps_bounds(x_eps, y_eps):
             continue
         # (m, k, |T|), contiguous so every (k, |T|) slice is BLAS-able.
         y_live = np.ascontiguousarray(y_b[live_y].transpose(2, 1, 0))
-        position_in_y = np.full(n_eps, -1)
+        position_in_y = np.full(max(n_x, n_y), -1)
         position_in_y[live_y] = np.arange(len(live_y))
         x_b = x_flat[:, b]
         live_x = (x_b != 0).any(axis=2)                         # (E, n)
@@ -164,62 +136,45 @@ def _precise_eps_bounds(x_eps, y_eps):
     return lower, upper
 
 
-def _quadratic_bounds(x, y, config):
-    """Interval bounds of the full quadratic interaction term, per output.
+@under_propagation_errstate
+def zonotope_matmul(x, y, config=None):
+    """Abstract matrix product of two zonotopes: (n, k) @ (k, m) -> (n, m).
 
-    ``x``: zonotope (..., n, k), ``y``: zonotope (..., k, m); returns
-    (l, u) of shape (..., n, m) bounding
-    (A1 phi + B1 eps)_i . (A2 phi + B2 eps)_j. This is the Precise
-    variant's bound: the eps-eps case takes Eq. (6), the others Eq. (5).
+    Leading variable axes batch: (..., n, k) @ (..., k, m) -> (..., n, m)
+    with identical batch shapes — this is how multi-head attention runs all
+    heads' score and mixing products as single batched matmuls.
+
+    Both operands live in the same symbol space, possibly with different
+    eps counts (later symbols are fresh). Both variants run
+    :func:`_matmul_impl`, which never pads the operands or densifies a
+    lazy tail for the exact part; only Precise materializes the eps blocks,
+    for its Eq. (6) eps-eps bound. The affine part is exact; the quadratic
+    interaction is folded into a center shift plus a fresh eps symbol per
+    output variable.
     """
-    q = x.q
-    bound = np.zeros(x.shape[:-1] + (y.shape[-1],))
-
-    # phi-phi: both sides carry the ℓp norm; collapse the y side first.
-    if x.n_phi and y.n_phi:
-        bound = bound + _fast_case_bound(y.phi, q, x.phi, q, "row-col")
-
-    # Mixed cases: the order flag decides which norm the dual trick
-    # collapses first (the first-collapsed operand is the inner one).
-    if x.n_phi and y.n_eps:
-        if config.order == "linf_first":
-            bound = bound + _fast_case_bound(y.eps, 1.0, x.phi, q, "row-col")
-        else:
-            bound = bound + _fast_case_bound(x.phi, q, y.eps, 1.0, "col-row")
-    if x.n_eps and y.n_phi:
-        if config.order == "linf_first":
-            bound = bound + _fast_case_bound(x.eps, 1.0, y.phi, q, "col-row")
-        else:
-            bound = bound + _fast_case_bound(y.phi, q, x.eps, 1.0, "row-col")
-
-    lower, upper = -bound, bound
-
-    # eps-eps: the precise pairwise analysis.
-    if x.n_eps and y.n_eps:
-        l_ee, u_ee = _precise_eps_bounds(x.eps, y.eps)
-        lower = lower + l_ee
-        upper = upper + u_ee
-    return lower, upper
+    config = config or DotProductConfig()
+    if (x.ndim < 2 or y.ndim != x.ndim or x.shape[-1] != y.shape[-2]
+            or x.shape[:-2] != y.shape[:-2]):
+        raise ValueError(f"incompatible shapes {x.shape} @ {y.shape}")
+    started = TRACER.start()
+    out = _matmul_impl(x, y, config)
+    TRACER.finish(started, f"dot-{config.variant}", out)
+    return out
 
 
-def _matmul_fast_path(x, y, config):
-    """Structure-aware DeepT-Fast matmul: no padding, no materialization.
+def _matmul_impl(x, y, config):
+    """The product of both variants, on the operands as they are stored.
 
-    Numerically equivalent to running Eq. (5) on aligned dense blocks (the
-    same cascades, reassociated), but exploits the engine's lazy
-    representation:
-
-    * operands are never zero-padded to a common symbol count — each
-      operand's cross matmul runs over its own rows only, and the output
-      block is allocated at ``max`` size directly;
-    * lazy tails contribute exact cross rows by scatter instead of a dense
-      matmul over one-nonzero rows;
-    * every eps-side Eq. (5) cascade starts (or ends) with the dual ℓ1
-      norm, which is just the per-variable ℓ1 mass — so the eps blocks
-      collapse through :meth:`MultiNormZonotope.eps_l1` in O(E·N) and the
-      remaining contraction is symbol-free: the eps-eps case becomes a
-      single ``l1(x) @ l1(y)`` product instead of an O(E·n·k·m)
-      contraction.
+    The operands are never zero-padded to a common symbol count: each
+    operand's exact cross term runs over its own eps rows, lazy tails
+    contribute their cross rows by scatter, and the output block is
+    allocated at ``max`` size directly. Every Eq. (5) cascade that touches
+    an eps block starts or ends with the dual ℓ1 norm, which is just the
+    per-variable ℓ1 mass, so the eps blocks collapse through
+    :meth:`MultiNormZonotope.eps_l1` in O(E·N) and the remaining
+    contraction is symbol-free. Fast bounds the eps-eps case the same way,
+    with one ``l1(x) @ l1(y)`` product; Precise materializes both eps
+    blocks for the Eq. (6) pass of :func:`_precise_eps_bounds`.
     """
     if x.n_phi != y.n_phi or x.p != y.p:
         raise ValueError("zonotopes come from different symbol spaces")
@@ -243,11 +198,14 @@ def _matmul_fast_path(x, y, config):
         y._eps_tail.scatter_cross(eps, cy, y.shape, x.center, "y")
 
     q = x.q
+    fast = config.variant == "fast"
+    # Precise reads the ℓ1 masses only in the mixed cases.
+    x_l1 = x.eps_l1() if x.n_eps and (y.n_phi or fast) else None
+    y_l1 = y.eps_l1() if y.n_eps and (x.n_phi or fast) else None
     bound = np.zeros(out_shape)
-    x_l1 = x.eps_l1() if x.n_eps else None
-    y_l1 = y.eps_l1() if y.n_eps else None
     if x.n_phi and y.n_phi:
-        bound += _fast_case_bound(y.phi, q, x.phi, q, "row-col")
+        s = norm_along_axis0(y.phi, q)
+        bound += norm_along_axis0(np.matmul(np.abs(x.phi), s), q)
     if x.n_phi and y.n_eps:
         if config.order == "linf_first":
             t = np.matmul(np.abs(x.phi), y_l1)
@@ -262,66 +220,21 @@ def _matmul_fast_path(x, y, config):
         else:
             s = norm_along_axis0(y.phi, q)
             bound += np.matmul(x_l1, s)
+
+    if fast:
+        if x.n_eps and y.n_eps:
+            bound += np.matmul(x_l1, y_l1)
+        out = MultiNormZonotope(center, phi, eps, x.p)
+        return out.append_fresh_eps(bound)
+
+    lower, upper = -bound, bound
     if x.n_eps and y.n_eps:
-        bound += np.matmul(x_l1, y_l1)
-
-    out = MultiNormZonotope(center, phi, eps, x.p)
-    return out.append_fresh_eps(bound, tol=config.tol)
-
-
-@under_propagation_errstate
-def zonotope_matmul(x, y, config=None):
-    """Abstract matrix product of two zonotopes: (n, k) @ (k, m) -> (n, m).
-
-    Leading variable axes batch: (..., n, k) @ (..., k, m) -> (..., n, m)
-    with identical batch shapes — this is how multi-head attention runs all
-    heads' score and mixing products as single batched matmuls.
-
-    Both operands live in the same symbol space. The fast variant takes
-    :func:`_matmul_fast_path` (padding-free, tails never densified); the
-    precise variant aligns the operands first and bounds the quadratic
-    term over dense blocks. The affine part is exact; the quadratic
-    interaction is folded into a center shift plus a fresh eps symbol per
-    output variable.
-    """
-    config = config or DotProductConfig()
-    if (x.ndim < 2 or y.ndim != x.ndim or x.shape[-1] != y.shape[-2]
-            or x.shape[:-2] != y.shape[:-2]):
-        raise ValueError(f"incompatible shapes {x.shape} @ {y.shape}")
-    started = TRACER.start()
-    out = _matmul_impl(x, y, config)
-    TRACER.finish(started, f"dot-{config.variant}", out)
-    return out
-
-
-def _matmul_impl(x, y, config):
-    if config.variant == "fast":
-        return _matmul_fast_path(x, y, config)
-    x, y = x.aligned_with(y)
-
-    center = np.matmul(x.center, y.center)
-    n_out_shape = x.shape[:-1] + (y.shape[-1],)
-
-    def cross(coeff_x, coeff_y):
-        """c2-weighted x-coeffs plus c1-weighted y-coeffs (exact part)."""
-        parts = []
-        if coeff_x.shape[0]:
-            parts.append(np.matmul(coeff_x, y.center))
-        if coeff_y.shape[0]:
-            parts.append(np.matmul(x.center, coeff_y))
-        if not parts:
-            return np.zeros((0,) + n_out_shape)
-        return parts[0] + parts[1] if len(parts) == 2 else parts[0]
-
-    phi = cross(x.phi, y.phi) if (x.n_phi or y.n_phi) \
-        else np.zeros((0,) + n_out_shape)
-    eps = cross(x.eps, y.eps) if (x.n_eps or y.n_eps) \
-        else np.zeros((0,) + n_out_shape)
-
-    lower, upper = _quadratic_bounds(x, y, config)
+        l_ee, u_ee = _precise_eps_bounds(x.eps, y.eps)
+        lower = lower + l_ee
+        upper = upper + u_ee
     center = center + 0.5 * (lower + upper)
     out = MultiNormZonotope(center, phi, eps, x.p)
-    return out.append_fresh_eps(0.5 * (upper - lower), tol=config.tol)
+    return out.append_fresh_eps(0.5 * (upper - lower))
 
 
 @under_propagation_errstate
@@ -349,7 +262,7 @@ def zonotope_multiply(x, y, config=None):
     lower, upper = _elementwise_quadratic_bounds(x, y, config)
     center = center + 0.5 * (lower + upper)
     out = MultiNormZonotope(center, phi, eps, x.p).append_fresh_eps(
-        0.5 * (upper - lower), tol=config.tol)
+        0.5 * (upper - lower))
     TRACER.finish(started, f"multiply-{config.variant}", out)
     return out
 

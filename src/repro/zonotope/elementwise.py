@@ -47,14 +47,14 @@ _EPS_SHIFT = 0.01
 _EXP_MAX_TANGENT_WIDTH = 30.0
 
 
-def affine_response(x, lam, mu, beta_new, tol=0.0):
+def affine_response(x, lam, mu, beta_new):
     """Assemble ``y = lam*x + mu + beta_new*eps_new`` for arrays of params.
 
     :meth:`MultiNormZonotope.affine_image` rescales a lazy eps tail in
     O(symbols) instead of densifying it, and
     :meth:`~MultiNormZonotope.append_fresh_eps` extends that tail.
     """
-    return x.affine_image(lam, mu).append_fresh_eps(beta_new, tol=tol)
+    return x.affine_image(lam, mu).append_fresh_eps(beta_new)
 
 
 @traced("relu")

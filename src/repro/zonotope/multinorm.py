@@ -19,9 +19,9 @@ Storage layout: for a variable tensor of shape ``S``,
   (:class:`~repro.zonotope.storage.EpsTail`) — the shape every fresh symbol
   from :meth:`append_fresh_eps` has.  Elementwise transformers, variable
   sums/reshapes/transposes and interval bounds operate on the tail in
-  O(symbols) without densifying; ``matmul_const`` and the Fast dot product
-  scatter it; the other mixing operations (sums of zonotopes,
-  concatenation, slicing, symbol reduction, the Precise dot product)
+  O(symbols) without densifying; ``matmul_const`` and the dot product's
+  exact part scatter it; the other mixing operations (sums of zonotopes,
+  concatenation, slicing, symbol reduction, the Precise eps-eps bound)
   materialize it first.  The ``eps`` property always yields the dense
   block, so external code sees the classical layout.
 
@@ -325,16 +325,16 @@ class MultiNormZonotope:
         n = max(self.n_eps, other.n_eps)
         return self.pad_eps(n), other.pad_eps(n)
 
-    def append_fresh_eps(self, magnitudes, tol=0.0):
+    def append_fresh_eps(self, magnitudes):
         """Append one fresh ℓ∞ symbol per variable with given magnitude.
 
-        ``magnitudes`` has the variable shape; variables with magnitude
-        ``<= tol`` get no symbol (their rows would be all-zero). This is how
+        ``magnitudes`` has the variable shape; variables with a zero
+        magnitude get no symbol (their rows would be all-zero). This is how
         every non-linear transformer introduces its ``beta_new eps_new``
         term.  The fresh block extends the lazy one-nonzero-per-variable
         tail instead of being densified into rows.
         """
-        fresh = EpsTail.from_magnitudes(magnitudes, tol=tol)
+        fresh = EpsTail.from_magnitudes(magnitudes)
         if len(fresh) == 0:
             return self
         TRACER.gauge_max("peak_eps_rows", self.n_eps + len(fresh))

@@ -58,7 +58,7 @@ def symbol_scores(z, strategy="mass"):
     return REDUCTION_STRATEGIES[strategy](z.eps)
 
 
-def reduce_noise_symbols(z, k, tol=0.0, strategy="mass"):
+def reduce_noise_symbols(z, k, strategy="mass"):
     """Reduce the eps block of ``z`` to the ``k`` highest-scoring symbols.
 
     The dropped symbols' mass is over-approximated per variable by a fresh
@@ -79,6 +79,6 @@ def reduce_noise_symbols(z, k, tol=0.0, strategy="mass"):
     drop_mask[keep] = False
     dropped_mass = np.abs(z.eps[drop_mask]).sum(axis=0)
     reduced = MultiNormZonotope(z.center, z.phi, z.eps[keep], z.p)
-    out = reduced.append_fresh_eps(dropped_mass, tol=tol)
+    out = reduced.append_fresh_eps(dropped_mass)
     TRACER.finish(started, "reduce", out, eps_before=z.n_eps)
     return out

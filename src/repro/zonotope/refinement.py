@@ -141,13 +141,18 @@ def _minimize_scalar(r, s, is_phi):
 def _minimize_mass_groups(r, s, is_phi):
     """Step 1 over a *group* of softmax rows with equal active-set sizes.
 
-    ``r``: (R, Ta, m) stacked per-row coefficient gathers; ``s``: (R, Ta)
-    stacked D coefficients; ``is_phi``: (Ta,) — identical across the group
-    because every row gathers ``len(phi_active)`` phi entries first. Each
-    lane computation (argsort, cumsum, last-/middle-axis sums) reduces
-    per-row in exactly the order of the 2D routine, so the returned
-    (R, m) choices are bitwise what :func:`_minimize_mass_rows` yields
-    row by row.
+    ``r``: (R, Ta, m) stacked per-row coefficient gathers, already reduced
+    to the symbols with a nonzero D coefficient; ``s``: (R, Ta) the
+    matching nonzero D coefficients; ``is_phi``: (Ta,) — identical across
+    the group because every row gathers ``len(phi_active)`` phi entries
+    first. (Symbols with a zero D coefficient only add a constant to every
+    mass comparison, so dropping them changes nothing.) Returns the chosen
+    ``s`` per (row, variable). Each column takes its global weighted-median
+    breakpoint unless that does worse than 0; columns whose optimum is
+    phi-derived fall back to :func:`_minimize_scalar`. Each lane
+    computation (argsort, cumsum, middle-axis sums) reduces per row in the
+    order a single row's walk would, so a group of any size, one row
+    included, gives every row bitwise the same choices.
     """
     n_rows, n_active, n_vars = r.shape
     breaks = -r / s[:, :, None]                  # (R, Ta, m)
@@ -174,69 +179,6 @@ def _minimize_mass_groups(r, s, is_phi):
     for row, col in zip(*np.nonzero(phi_hit)):
         result[row, col] = _minimize_scalar(r[row, :, col], s[row], is_phi)
     return result
-
-
-def _minimize_mass_rows(r, s, is_phi):
-    """Vectorized step 1 over the ``m`` variables of one softmax row.
-
-    ``r``: (Ta, m) [phi | eps] coefficients of the row variables, already
-    gathered down to the symbols with a nonzero D coefficient; ``s``:
-    (Ta,) the matching nonzero D coefficients; ``is_phi``: (Ta,) bool.
-    Returns the chosen ``s`` per variable. The fast path finds the global
-    weighted-median breakpoint per column; columns whose optimum is
-    phi-derived fall back to the scalar routine. (Symbols with a zero D
-    coefficient only add a constant to every mass comparison, so dropping
-    them before the call changes nothing.)
-    """
-    n_vars = r.shape[1]
-    result = np.zeros(n_vars)
-    if not len(s):
-        return result
-    breaks = -r / s[:, None]                 # (Ta, m)
-    weights = np.abs(s)
-
-    order = np.argsort(breaks, axis=0)
-    sorted_breaks = np.take_along_axis(breaks, order, axis=0)
-    sorted_weights = weights[order]
-    sorted_is_phi = is_phi[order]
-    cumulative = -weights.sum() + 2.0 * np.cumsum(sorted_weights, axis=0)
-    opt_pos = np.minimum((cumulative < 0).sum(axis=0), len(s) - 1)
-
-    cols = np.arange(n_vars)
-    chosen = sorted_breaks[opt_pos, cols]
-    phi_hit = sorted_is_phi[opt_pos, cols]
-
-    # Never-worse-than-zero guard, vectorized.
-    mass_at = np.abs(r + s[:, None] * chosen[None, :]).sum(axis=0)
-    mass_at_zero = np.abs(r).sum(axis=0)
-    chosen = np.where(mass_at < mass_at_zero, chosen, 0.0)
-
-    result[:] = chosen
-    for col in np.flatnonzero(phi_hit):
-        result[col] = _minimize_scalar(r[:, col], s, is_phi)
-    return result
-
-
-def _tightenings_from_constraint(d_center, d_phi_mass, d_eps):
-    """Step 2: per-symbol range restrictions from ``D = 0``.
-
-    Solving ``0 = c_D + alpha_D.phi + beta_D.eps`` for ``eps_m`` restricts
-    its range to ``[(-c_D - R_m)/beta_m, (-c_D + R_m)/beta_m]`` (sorted),
-    where ``R_m`` is the dual-norm mass of the remaining terms. Returns a
-    dict ``index -> (a, b)`` intersected with [-1, 1].
-    """
-    abs_coeffs = np.abs(d_eps)
-    significant = np.flatnonzero(abs_coeffs > _PIVOT_TOL)
-    if not len(significant):
-        return {}
-    rest = d_phi_mass + abs_coeffs.sum() - abs_coeffs[significant]
-    a = (-d_center - rest) / d_eps[significant]
-    b = (-d_center + rest) / d_eps[significant]
-    lo = np.maximum(np.minimum(a, b), -1.0)
-    hi = np.minimum(np.maximum(a, b), 1.0)
-    keep = hi - lo < 2.0 - _SHRINK_TOL
-    return {int(m): (float(l), float(h))
-            for m, l, h in zip(significant[keep], lo[keep], hi[keep])}
 
 
 def refine_softmax_rows(z):
@@ -283,10 +225,7 @@ def _refine_group_step1(center, phi, eps, d_phi_all, d_eps_all,
         d_eps_all[et, erow].reshape(len(rows), len_eps)], axis=1)
     is_phi = np.concatenate([np.ones(len_phi, dtype=bool),
                              np.zeros(len_eps, dtype=bool)])
-    if len(rows) == 1:
-        values = _minimize_mass_rows(r_grp[0], s_grp[0], is_phi)[None]
-    else:
-        values = _minimize_mass_groups(r_grp, s_grp, is_phi)
+    values = _minimize_mass_groups(r_grp, s_grp, is_phi)
 
     center[rows] += values * d_center_all[rows, None]
     if len_phi:
@@ -301,11 +240,16 @@ def _combined_tightenings(refinable, d_center_all, d_phi_mass_all,
                           d_eps_all):
     """Step 2 over all refinable rows: intersected per-symbol ranges.
 
-    Stacked evaluation of :func:`_tightenings_from_constraint`'s
-    arithmetic, grouped by significant-symbol count; the per-element
-    operations and the per-row (pairwise) mass sums are identical, so the
-    intervals are bitwise the per-row results. Interval intersection
-    (max/min) is commutative, so grouping never changes the outcome.
+    Solving row ``i``'s ``0 = c_D + alpha_D.phi + beta_D.eps`` for a
+    symbol ``eps_m`` with a significant coefficient restricts its range to
+    ``[(-c_D - R_m)/beta_m, (-c_D + R_m)/beta_m]`` (sorted) intersected
+    with [-1, 1], where ``R_m`` is the dual-norm mass of the remaining
+    terms. Rows are evaluated stacked, grouped by significant-symbol
+    count; the per-element operations and the per-row (pairwise) mass sums
+    are those of a single row's evaluation, so the intervals are bitwise
+    the per-row results. Interval intersection (max/min) is commutative,
+    so grouping never changes the outcome. Returns a dict
+    ``index -> (lo, hi)``.
     """
     combined = {}
     if not len(refinable):
@@ -395,11 +339,8 @@ def _refine_impl(z):
                                 len_phi, len_eps, n_vars)
 
     # Step 2: symbol tightenings from D = 0 (D is unchanged by step 1 on
-    # the constraint set, and its affine form is fixed). Rows with equal
-    # significant-symbol counts share one stacked evaluation of
-    # :func:`_tightenings_from_constraint`'s arithmetic; the per-element
-    # operations and the per-row (pairwise) mass sums are identical, so
-    # the intervals are bitwise the per-row results.
+    # the constraint set, and its affine form is fixed), stacked over rows
+    # with equal significant-symbol counts.
     combined = _combined_tightenings(refinable, d_center_all, d_phi_mass_all,
                                      d_eps_all)
 

@@ -14,12 +14,12 @@ closure of what ``append_fresh_eps`` produces under the elementwise
 transformers (per-variable rescaling), variable-axis sums, transposes and
 reshapes — exactly the ops between one mixing operation and the next.
 Mixing ops (sums of two zonotopes, slicing, concatenation, symbol
-reduction, refinement, the Precise dot product) materialize the tail into
-dense rows; the Fast dot product and ``matmul_const`` consume it by
-scatter. The dense rows before the tail are one exactly-sized array:
-fresh symbols always join the tail and mixing ops rebuild the rows, so a
-spare capacity would be allocated but never claimed (DESIGN §8 has the
-census).
+reduction, refinement, the Precise eps-eps bound) materialize the tail
+into dense rows; the dot product's exact part and ``matmul_const``
+consume it by scatter. The dense rows before the tail are one
+exactly-sized array: fresh symbols always join the tail and mixing ops
+rebuild the rows, so a spare capacity would be allocated but never
+claimed (DESIGN §8 has the census).
 """
 
 from __future__ import annotations
@@ -76,10 +76,10 @@ class EpsTail:
         return self.idx.shape[0]
 
     @classmethod
-    def from_magnitudes(cls, magnitudes, tol=0.0):
-        """Tail for one fresh symbol per variable with ``|mag| > tol``."""
+    def from_magnitudes(cls, magnitudes):
+        """Tail for one fresh symbol per variable with a nonzero magnitude."""
         flat = np.asarray(magnitudes, dtype=np.float64).reshape(-1)
-        idx = np.flatnonzero(np.abs(flat) > tol)
+        idx = np.flatnonzero(np.abs(flat) > 0)
         return cls(idx, flat[idx])
 
     @classmethod

@@ -71,25 +71,6 @@ class TestZonotopeEdges:
 
 
 class TestPropagationOptions:
-    def test_rewrite_propagation_toggle(self, tiny_model, tiny_sentence,
-                                        rng):
-        """With propagate_rewrites=False the result is still sound."""
-        from repro.verify import word_perturbation_region
-        region = word_perturbation_region(tiny_model, tiny_sentence, 1,
-                                          0.03, 2)
-        config = FAST(noise_symbol_cap=48, propagate_rewrites=False)
-        logits = propagate_classifier(tiny_model, region, config)
-        lower, upper = logits.bounds()
-        emb = tiny_model.embed_array(tiny_sentence)
-        for _ in range(60):
-            delta = rng.normal(size=emb.shape[1])
-            delta = delta / np.linalg.norm(delta) * rng.uniform(0, 0.03)
-            perturbed = emb.copy()
-            perturbed[1] += delta
-            out = tiny_model.logits_from_embedding_array(perturbed)
-            assert np.all(out >= lower - 1e-7)
-            assert np.all(out <= upper + 1e-7)
-
     def test_no_reduction_config(self, tiny_model, tiny_sentence):
         from repro.verify import word_perturbation_region
         region = word_perturbation_region(tiny_model, tiny_sentence, 1,
@@ -110,20 +91,6 @@ class TestPropagationOptions:
             DotProductConfig())
         assert out.shape == region.shape
         assert x_after.shape == region.shape
-
-    def test_coeff_tol_reduces_symbols(self, tiny_model, tiny_sentence):
-        from repro.verify import word_perturbation_region
-        region = word_perturbation_region(tiny_model, tiny_sentence, 1,
-                                          0.02, 2)
-        loose = propagate_classifier(tiny_model, region,
-                                     FAST(noise_symbol_cap=48,
-                                          coeff_tol=1e-9))
-        exact = propagate_classifier(tiny_model, region,
-                                     FAST(noise_symbol_cap=48))
-        # Dropping tiny fresh symbols may only lose negligible width.
-        assert loose.n_eps <= exact.n_eps
-        np.testing.assert_allclose(loose.bounds()[0], exact.bounds()[0],
-                                   atol=1e-6)
 
 
 class TestCrownStatsAndRepr:

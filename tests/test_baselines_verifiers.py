@@ -5,14 +5,15 @@ import pytest
 
 from repro.baselines import (CrownVerifier, LpBallInputRegion,
                              BoxInputRegion, BACKWARD_UNLIMITED,
-                             IntervalVerifier, enumerate_synonym_attack,
+                             enumerate_synonym_attack,
                              estimate_enumeration_seconds,
                              BranchAndBoundVerifier)
 from repro.baselines.crown import _BacksubEngine
 from repro.baselines.graph import build_transformer_graph, \
     interval_propagate
 from repro.nlp import build_synonym_attack
-from repro.verify import DeepTVerifier, FAST
+from repro.verify import (DeepTVerifier, FAST, IBPVerifier,
+                          ibp_certify_region, word_perturbation_region)
 
 from tests.conftest import sample_lp_ball
 
@@ -93,7 +94,10 @@ class TestCrownVerifier:
         true = tiny_model.predict(tiny_sentence)
         crown = CrownVerifier(tiny_model, backsub_depth=30) \
             .margin_lower_bound(region, true)
-        ibp = IntervalVerifier(tiny_model).margin_lower_bound(region, true)
+        ibp = ibp_certify_region(
+            tiny_model,
+            word_perturbation_region(tiny_model, tiny_sentence, 1, 0.02, 2),
+            true).margin_lower
         assert crown >= ibp - 1e-9
 
     def test_certify_word_perturbation(self, tiny_model, tiny_sentence):
@@ -146,21 +150,19 @@ class TestCrownVerifier:
 
 class TestIntervalVerifier:
     def test_weaker_than_deept(self, tiny_model, tiny_sentence):
-        emb = tiny_model.embed_array(tiny_sentence)
-        mask = np.zeros(emb.shape, dtype=bool)
-        mask[1] = True
-        region = LpBallInputRegion(emb, 0.03, np.inf, mask)
         true = tiny_model.predict(tiny_sentence)
-        ibp_margin = IntervalVerifier(tiny_model).margin_lower_bound(
-            region, true)
+        ibp_margin = IBPVerifier(tiny_model).certify_word_perturbation(
+            tiny_sentence, 1, 0.03, np.inf, true_label=true).margin_lower
         deept = DeepTVerifier(tiny_model, FAST(noise_symbol_cap=64))
         deept_margin = deept.certify_word_perturbation(
             tiny_sentence, 1, 0.03, np.inf, true_label=true).margin_lower
         assert deept_margin >= ibp_margin - 1e-9
 
     def test_certify_interface(self, tiny_model, tiny_sentence):
-        verifier = IntervalVerifier(tiny_model)
+        verifier = IBPVerifier(tiny_model)
         assert verifier.certify_word_perturbation(tiny_sentence, 1, 1e-8, 2)
+        assert not verifier.certify_word_perturbation(tiny_sentence, 1,
+                                                      50.0, 2)
 
 
 class TestEnumeration:

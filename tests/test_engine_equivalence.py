@@ -2,25 +2,28 @@
 
 The engine keeps fresh eps symbols as lazy one-nonzero-per-variable tails
 beside one exactly-sized dense row array (``repro.zonotope.storage``), and
-runs the Fast dot product without padding its operands. The test-side
-oracle ``tests.engine_oracle.dense_engine()`` replays the dense
-representation those optimisations replaced. Both must compute the *same*
-abstract values — these tests pin that down at the micro level (single
-transformers on random zonotopes, at relative 1e-10) and end to end, where
-the output-logit bounds must be bitwise equal: full propagations of the
-2-layer test model (DecorrelateMin_k reduction forced at every layer) and
-of the cached 3-layer ``sst-small`` model at the verifier defaults, for
-every norm and both dot-product variants.
+runs both dot-product variants without padding their operands. The
+test-side oracle ``tests.engine_oracle.dense_engine()`` replays the dense
+representation those optimisations replaced, the aligned Fast and Precise
+products included. Both must compute the *same* abstract values — these
+tests pin that down at the micro level (single transformers on random
+zonotopes, at relative 1e-10) and end to end, where the output-logit
+bounds must be bitwise equal: full propagations of the 2-layer test model
+(DecorrelateMin_k reduction forced at every layer) and of the cached
+3-layer ``sst-small`` model at the verifier defaults, for every norm and
+both dot-product variants, and at Table 14's Combined settings (Precise in
+the last layer only).
 """
 
 import numpy as np
 import pytest
 
-from repro.experiments.harness import evaluation_sentences, get_transformer
+from repro.experiments.harness import (SCALE, evaluation_sentences,
+                                      get_transformer)
 from repro.zonotope import (MultiNormZonotope, relu, tanh, exp, softmax,
                             zonotope_matmul, DotProductConfig,
                             reduce_noise_symbols)
-from repro.verify import VerifierConfig
+from repro.verify import COMBINED, VerifierConfig
 from repro.verify.propagation import propagate_classifier
 from repro.verify.regions import word_perturbation_region
 
@@ -157,6 +160,17 @@ class TestEndToEndEquivalence:
     def test_sst_small_l3_bounds_match(self, sst_small_l3, p, variant):
         model, sentence = sst_small_l3
         config = VerifierConfig(dot_product_variant=variant)
+        structured, dense = both_paths(logit_bounds, model, sentence, p,
+                                       0.05, config)
+        np.testing.assert_array_equal(structured, dense)
+
+    @pytest.mark.parametrize("p", NORMS)
+    def test_sst_small_l3_combined_bounds_match(self, sst_small_l3, p):
+        # Table 14's verifier: Fast layers, then a Precise last layer at
+        # the smaller cap.
+        model, sentence = sst_small_l3
+        config = COMBINED(noise_symbol_cap=SCALE.noise_symbol_cap,
+                          last_layer_cap=SCALE.precise_symbol_cap)
         structured, dense = both_paths(logit_bounds, model, sentence, p,
                                        0.05, config)
         np.testing.assert_array_equal(structured, dense)

@@ -9,10 +9,10 @@ certified claims agree with enumeration ground truth.
 import numpy as np
 import pytest
 
-from repro.baselines import (CrownVerifier, IntervalVerifier,
-                             LpBallInputRegion, enumerate_synonym_attack)
+from repro.baselines import (CrownVerifier, LpBallInputRegion,
+                             enumerate_synonym_attack)
 from repro.nlp import build_synonym_attack
-from repro.verify import (DeepTVerifier, FAST, PRECISE,
+from repro.verify import (DeepTVerifier, FAST, PRECISE, ibp_certify_region,
                           max_certified_radius, word_perturbation_region,
                           propagate_classifier)
 
@@ -35,8 +35,10 @@ class TestCrossVerifierConsistency:
         region = LpBallInputRegion(emb, radius, p, mask)
         margin_crown = CrownVerifier(tiny_model, backsub_depth=30) \
             .margin_lower_bound(region, true)
-        margin_ibp = IntervalVerifier(tiny_model).margin_lower_bound(
-            region, true)
+        margin_ibp = ibp_certify_region(
+            tiny_model,
+            word_perturbation_region(tiny_model, tiny_sentence, 1, radius, p),
+            true).margin_lower
 
         sampled_worst = np.inf
         for _ in range(300):

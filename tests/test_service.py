@@ -101,6 +101,27 @@ class TestLifecycle:
 
         asyncio.run(main())
 
+    @pytest.mark.parametrize("knob", [{"coeff_tol": 0.1},
+                                      {"propagate_rewrites": False}])
+    def test_removed_config_knobs_are_typed_400s(self, tiny_model,
+                                                 sentences, knob):
+        """Neither ``coeff_tol`` (a tolerance under which fresh error
+        symbols would be dropped, so bounds stop enclosing the network)
+        nor ``propagate_rewrites`` is a config field: a client config
+        naming either is refused before anything runs."""
+        payload = submission(sentences[0],
+                             config={"noise_symbol_cap": 128, **knob})
+
+        async def main():
+            async with serving(tiny_model) as (service, client):
+                status, body = await client.submit(payload, wait=30)
+                assert status == 400, body
+                assert body["code"] == "bad-request"
+                return service.metrics_payload()["counters"]
+
+        counters = asyncio.run(main())
+        assert counters.get("executed_queries", 0) == 0
+
     def test_sentences_the_model_cannot_embed_are_typed_400s(
             self, tiny_model):
         """Token ids outside the served vocabulary and sentences longer

@@ -289,6 +289,13 @@ class TestSupervisedPool:
                     status, done = await client.wait(ack["key"],
                                                      timeout=60)
                 assert service.metrics_payload()["supervisor"] is not None
+                # The killed slot respawns once its backoff matures, which
+                # can be after the retried answer arrives: wait for it (a
+                # missing or double respawn still fails below).
+                deadline = time.monotonic() + 5.0
+                while (service.metrics_payload()["supervisor"]["respawns"]
+                       < 1 and time.monotonic() < deadline):
+                    await asyncio.sleep(0.02)
                 return status, done, service.metrics_payload()
 
         status, done, metrics = asyncio.run(main())

@@ -6,9 +6,9 @@ degenerate point cases (where the transformer must be exact), and
 broadcasting in the elementwise product. Two kernels are compared against
 the forms they replaced, kept here as test oracles: the support-pruned
 Eq. (6) kernel against the dense pairwise-tensor kernel, and the matmul
-(the structured Fast path, the aligned dense route of the test-side dense
-engine, and the Precise variant) against the ellipsis-einsum form of
-Eq. (5) and of the exact cross terms.
+(the engine's one route and the aligned dense route of the test-side
+dense engine, each for Fast and Precise) against the ellipsis-einsum form
+of Eq. (5), of Eq. (6) and of the exact cross terms.
 """
 
 import numpy as np
@@ -287,6 +287,24 @@ class TestPreciseKernelReference:
         lower, upper = _precise_eps_bounds(x, y)
         assert not lower.any() and not upper.any()
 
+    @pytest.mark.parametrize("short", ["x", "y"])
+    def test_unequal_symbol_counts_equal_zero_padding(self, short):
+        """The operand with fewer symbols needs no zero rows: the kernel
+        gives bitwise the bounds of the zero-padded blocks."""
+        rng = np.random.default_rng(3)
+        x, y = _kernel_operands(rng, "head-axis")
+        cut = 9
+        if short == "x":
+            x[cut:] = 0.0
+            got = _precise_eps_bounds(x[:cut], y)
+        else:
+            y[cut:] = 0.0
+            got = _precise_eps_bounds(x, y[:cut])
+        padded = _precise_eps_bounds(x, y)
+        np.testing.assert_array_equal(got[0], padded[0])
+        np.testing.assert_array_equal(got[1], padded[1])
+        assert got[0].any() and got[1].any()
+
     def test_inf_coefficient_stays_non_finite(self):
         rng = np.random.default_rng(2)
         x, y = _kernel_operands(rng, "zero-in-x-or-y")
@@ -386,28 +404,29 @@ MATMUL_CASES = ["plain", "heads", "no-phi", "y-no-eps", "x-tail", "y-tail",
 
 
 class TestMatmulReference:
-    """Every matmul route against the einsum form of Eq. (5).
+    """Every matmul route against the einsum form of Eq. (5) and (6).
 
-    The structured Fast path, the aligned dense route of the test oracle
-    (``tests.engine_oracle.dense_engine()``, which this also validates) and
-    the Precise variant (always aligned) must all reproduce the
-    reference. The tolerance is fixed at relative 1e-9 of each array's
-    magnitude: BLAS sums in its own order, and the Fast path collapses
-    eps blocks to their ℓ1 mass before contracting."""
+    The engine's padding-free route and the aligned dense route of the
+    test oracle (``tests.engine_oracle.dense_engine()``, which this also
+    validates) must both reproduce the reference, for Fast and for
+    Precise. The tolerance is fixed at relative 1e-9 of each array's
+    magnitude: BLAS sums in its own order, and the engine collapses eps
+    blocks to their ℓ1 mass before contracting."""
 
     RTOL = 1e-9
 
     @pytest.mark.parametrize("case", MATMUL_CASES)
     @pytest.mark.parametrize("order", ["linf_first", "lp_first"])
     @pytest.mark.parametrize("p", [1.0, 2.0, np.inf])
-    @pytest.mark.parametrize("route", ["fast", "fast-dense", "precise"])
+    @pytest.mark.parametrize("route", ["fast", "fast-dense", "precise",
+                                       "precise-dense"])
     def test_matches_einsum_reference(self, route, p, order, case):
         seed = sum(map(ord, case))
-        variant = "precise" if route == "precise" else "fast"
+        variant = route.split("-")[0]
         config = DotProductConfig(variant=variant, order=order)
         x, y = _matmul_operands(seed, case, p)
         n_cross = max(x.n_eps, y.n_eps)
-        if route == "fast-dense":
+        if route.endswith("-dense"):
             with dense_engine():
                 out = zonotope_matmul(x, y, config)
         else:
@@ -436,10 +455,10 @@ class TestConfig:
         with pytest.raises(ValueError):
             DotProductConfig(order="sideways")
 
-    def test_tol_drops_tiny_symbols(self, rng):
-        a, b = pair(rng, scale=1e-12)
-        out = zonotope_matmul(a, b, DotProductConfig(tol=1e-6))
-        assert out.n_eps == a.n_eps  # quadratic magnitudes all below tol
+    def test_no_tolerance_option(self):
+        """A fresh-symbol tolerance would drop error terms: unsound."""
+        with pytest.raises(TypeError):
+            DotProductConfig(tol=1e-6)
 
 
 @settings(max_examples=30, deadline=None)

@@ -9,8 +9,10 @@ from hypothesis import given, settings, strategies as st
 from repro.zonotope import (MultiNormZonotope, softmax, refine_softmax_rows,
                             minimize_coefficient_mass, EpsRewrite,
                             apply_eps_rewrites)
-from repro.zonotope.refinement import (_minimize_mass_groups,
-                                       _minimize_mass_rows)
+from repro.zonotope.refinement import (_PIVOT_TOL, _SHRINK_TOL,
+                                       _combined_tightenings,
+                                       _minimize_mass_groups,
+                                       _minimize_scalar)
 
 from tests.conftest import sample_lp_ball
 
@@ -191,36 +193,135 @@ class TestMinimizeCoefficientMass:
             np.abs(r + s * best).sum() + 1e-9
 
 
+def minimize_mass_row(r, s, is_phi):
+    """Per-row oracle of step 1: the walk over one softmax row's variables.
+
+    ``r``: (Ta, m) [phi | eps] coefficients of the row variables, gathered
+    down to the symbols with a nonzero D coefficient; ``s``: (Ta,) the
+    matching D coefficients; ``is_phi``: (Ta,) bool. Each column takes its
+    global weighted-median breakpoint unless that does worse than 0;
+    columns whose optimum is phi-derived fall back to the scalar walk.
+    """
+    n_vars = r.shape[1]
+    result = np.zeros(n_vars)
+    if not len(s):
+        return result
+    breaks = -r / s[:, None]                 # (Ta, m)
+    weights = np.abs(s)
+
+    order = np.argsort(breaks, axis=0)
+    sorted_breaks = np.take_along_axis(breaks, order, axis=0)
+    sorted_weights = weights[order]
+    sorted_is_phi = is_phi[order]
+    cumulative = -weights.sum() + 2.0 * np.cumsum(sorted_weights, axis=0)
+    opt_pos = np.minimum((cumulative < 0).sum(axis=0), len(s) - 1)
+
+    cols = np.arange(n_vars)
+    chosen = sorted_breaks[opt_pos, cols]
+    phi_hit = sorted_is_phi[opt_pos, cols]
+
+    mass_at = np.abs(r + s[:, None] * chosen[None, :]).sum(axis=0)
+    mass_at_zero = np.abs(r).sum(axis=0)
+    result[:] = np.where(mass_at < mass_at_zero, chosen, 0.0)
+    for col in np.flatnonzero(phi_hit):
+        result[col] = _minimize_scalar(r[:, col], s, is_phi)
+    return result
+
+
+def tightenings_from_row(d_center, d_phi_mass, d_eps):
+    """Per-row oracle of step 2: symbol ranges from one row's ``D = 0``.
+
+    Solving ``0 = c_D + alpha_D.phi + beta_D.eps`` for ``eps_m`` restricts
+    its range to ``[(-c_D - R_m)/beta_m, (-c_D + R_m)/beta_m]`` (sorted),
+    where ``R_m`` is the dual-norm mass of the remaining terms. Returns a
+    dict ``index -> (lo, hi)`` intersected with [-1, 1].
+    """
+    abs_coeffs = np.abs(d_eps)
+    significant = np.flatnonzero(abs_coeffs > _PIVOT_TOL)
+    if not len(significant):
+        return {}
+    rest = d_phi_mass + abs_coeffs.sum() - abs_coeffs[significant]
+    a = (-d_center - rest) / d_eps[significant]
+    b = (-d_center + rest) / d_eps[significant]
+    lo = np.maximum(np.minimum(a, b), -1.0)
+    hi = np.minimum(np.maximum(a, b), 1.0)
+    keep = hi - lo < 2.0 - _SHRINK_TOL
+    return {int(m): (float(l), float(h))
+            for m, l, h in zip(significant[keep], lo[keep], hi[keep])}
+
+
+def slope_walk_case(rng, n_rows):
+    """Random stacked step-1 operands: (r, s, is_phi)."""
+    n_active, n_vars = int(rng.integers(1, 9)), int(rng.integers(1, 6))
+    r = rng.normal(size=(n_rows, n_active, n_vars))
+    s = rng.uniform(0.1, 1.0, size=(n_rows, n_active)) \
+        * rng.choice([-1.0, 1.0], size=(n_rows, n_active))
+    is_phi = np.zeros(n_active, dtype=bool)
+    is_phi[:int(rng.integers(0, n_active + 1))] = True
+    return r, s, is_phi
+
+
 class TestGroupedRefinementParity:
-    """The vectorized group kernel equals the per-row oracle bit for bit."""
+    """The vectorized group kernels equal the per-row oracles bit for bit."""
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_rowwise_oracle(self, seed):
         rng = np.random.default_rng((97, seed))
-        n_rows, n_active, n_vars = (int(rng.integers(2, 7)),
-                                    int(rng.integers(2, 9)),
-                                    int(rng.integers(1, 6)))
-        r = rng.normal(size=(n_rows, n_active, n_vars))
-        s = rng.uniform(0.1, 1.0, size=(n_rows, n_active)) \
-            * rng.choice([-1.0, 1.0], size=(n_rows, n_active))
-        n_phi = int(rng.integers(0, n_active + 1))
-        is_phi = np.zeros(n_active, dtype=bool)
-        is_phi[:n_phi] = True
-
+        r, s, is_phi = slope_walk_case(rng, int(rng.integers(2, 7)))
         grouped = _minimize_mass_groups(r, s, is_phi)
-        for row in range(n_rows):
-            oracle = _minimize_mass_rows(r[row], s[row], is_phi)
+        for row in range(len(r)):
+            oracle = minimize_mass_row(r[row], s[row], is_phi)
             assert np.array_equal(grouped[row], oracle), \
                 f"row {row} diverged from the per-row oracle"
+
+    def test_one_row_groups_match_rowwise_oracle(self):
+        # The refinement sends a row whose active-set sizes no other row
+        # shares through the group kernel as a group of one.
+        rng = np.random.default_rng(98)
+        for _ in range(300):
+            r, s, is_phi = slope_walk_case(rng, 1)
+            assert np.array_equal(_minimize_mass_groups(r, s, is_phi)[0],
+                                  minimize_mass_row(r[0], s[0], is_phi))
 
     def test_phi_break_falls_back_to_scalar_walk(self):
         # Force the optimum onto a phi breakpoint: the group kernel must
         # hand exactly those (row, var) cells to the scalar slope walk.
         rng = np.random.default_rng(11)
-        r = rng.normal(size=(3, 4, 2))
-        s = np.ones((3, 4))
         is_phi = np.array([True, True, True, False])
-        grouped = _minimize_mass_groups(r, s, is_phi)
-        for row in range(3):
-            oracle = _minimize_mass_rows(r[row], s[row], is_phi)
-            assert np.array_equal(grouped[row], oracle)
+        for n_rows in (1, 3):
+            r = rng.normal(size=(n_rows, 4, 2))
+            s = np.ones((n_rows, 4))
+            grouped = _minimize_mass_groups(r, s, is_phi)
+            for row in range(n_rows):
+                oracle = minimize_mass_row(r[row], s[row], is_phi)
+                assert np.array_equal(grouped[row], oracle)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_combined_tightenings_match_rowwise_intersection(self, seed):
+        rng = np.random.default_rng((99, seed))
+        n_rows, n_symbols = int(rng.integers(1, 12)), int(rng.integers(1, 9))
+        # Heavy-tailed coefficients give rows a dominant symbol (tightened),
+        # exact zeros vary the significant counts, and some entries sit
+        # below the pivot tolerance.
+        d_eps_all = (rng.normal(size=(n_symbols, n_rows))
+                     * np.exp(2.0 * rng.normal(size=(n_symbols, n_rows)))
+                     * (rng.random((n_symbols, n_rows)) < 0.7))
+        d_eps_all[rng.random((n_symbols, n_rows)) < 0.1] = 1e-12
+        d_center_all = 0.3 * rng.normal(size=n_rows)
+        d_phi_mass_all = rng.uniform(0.0, 0.5, size=n_rows)
+        refinable = np.flatnonzero(
+            np.abs(d_eps_all).max(axis=0, initial=0.0) > _PIVOT_TOL)
+
+        expected = {}
+        for row in refinable:
+            ranges = tightenings_from_row(
+                d_center_all[row], d_phi_mass_all[row],
+                np.ascontiguousarray(d_eps_all[:, row]))
+            for key, (lo, hi) in ranges.items():
+                if key in expected:
+                    lo = max(lo, expected[key][0])
+                    hi = min(hi, expected[key][1])
+                expected[key] = (lo, hi)
+        got = _combined_tightenings(refinable, d_center_all, d_phi_mass_all,
+                                    d_eps_all)
+        assert got == expected
