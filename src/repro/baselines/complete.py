@@ -76,10 +76,6 @@ class _Subproblem:
         off[layer][neuron] = -1
         return _Subproblem(on), _Subproblem(off)
 
-    def n_free(self):
-        """Number of still-unfixed ReLUs."""
-        return sum(int((p == 0).sum()) for p in self.pattern)
-
 
 class BranchAndBoundVerifier:
     """Complete (budgeted) robustness verifier for :class:`MLPClassifier`.

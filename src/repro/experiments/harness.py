@@ -22,7 +22,7 @@ from ..nlp import make_corpus
 from ..nn import (TransformerClassifier, train_transformer,
                   evaluate_transformer)
 from ..scheduler import (expand_word_queries, get_default_scheduler,
-                         merge_outcome_perf, positions_for)
+                         merge_outcome_perf)
 
 __all__ = ["ExperimentScale", "SCALE", "model_cache_dir", "get_corpus",
            "get_transformer", "load_cached_state", "evaluation_sentences",
@@ -203,11 +203,6 @@ class RadiusReport:
     def avg_radius(self):
         """Mean certified radius (the paper's Avg column)."""
         return float(np.mean(self.radii)) if self.radii else 0.0
-
-
-# Re-exported for callers/tests that used the harness-private name; the
-# canonical home is repro.scheduler.queries (shared with query expansion).
-_positions_for = positions_for
 
 
 def _radius_report(model, sentences, p, scale, name, seed, scheduler,

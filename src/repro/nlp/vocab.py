@@ -122,11 +122,6 @@ class Vocabulary:
         """Id of the [CLS] token."""
         return self._index[CLS_TOKEN]
 
-    @property
-    def pad_id(self):
-        """Id of the [PAD] token."""
-        return self._index[PAD_TOKEN]
-
     def polar_word_ids(self):
         """Ids of all polarity-bearing (synonym-bearing) words."""
         ids = []

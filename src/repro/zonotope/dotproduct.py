@@ -30,8 +30,8 @@ The operands are never padded to a common symbol count, and lazy eps
 tails enter the exact part by scatter (:func:`_matmul_impl`). Every
 contraction over the k axis runs as a broadcast ``np.matmul`` (BLAS per
 2-D slice, the symbol and head axes as batch axes). The elementwise
-pairwise products of Section 4.9 are outer products, not contractions, and
-stay ``einsum``.
+product of Section 4.9 is the same routine at k = 1, with every variable
+on the batch axes, so :func:`_matmul_impl` is the only product route.
 """
 
 from __future__ import annotations
@@ -241,28 +241,22 @@ def _matmul_impl(x, y, config):
 def zonotope_multiply(x, y, config=None):
     """Elementwise product of two zonotopes of the same variable shape.
 
-    This is the Section 4.9 transformer: the dot product specialized to
-    1-element vectors, vectorized over all variables. Broadcasting between
-    the operand shapes is supported (needed by standard layer norm, where a
-    per-row 1/sigma multiplies a full row).
+    This is the Section 4.9 transformer: the dot product restricted to
+    1-element vectors, vectorized over all variables. It runs literally
+    as the k = 1 case of :func:`_matmul_impl`, each variable a (1, 1) @
+    (1, 1) product on the leading batch axes, so it shares the exact part,
+    the Eq. (5) cases and the support-pruned Eq. (6) pass of the attention
+    products. Broadcasting between the operand shapes is supported (needed
+    by standard layer norm, where a per-row 1/sigma multiplies a full
+    row); only a broadcast operand is densified, and an operand already at
+    the output shape keeps its lazy tail.
     """
     config = config or DotProductConfig()
     started = TRACER.start()
-    x, y = x.aligned_with(y)
-    out_shape = np.broadcast_shapes(x.shape, y.shape)
-    x = _broadcast_vars(x, out_shape)
-    y = _broadcast_vars(y, out_shape)
-
-    center = x.center * y.center
-    phi = (x.phi * y.center + x.center * y.phi) if (x.n_phi or y.n_phi) \
-        else np.zeros((0,) + out_shape)
-    eps = (x.eps * y.center + x.center * y.eps) if (x.n_eps or y.n_eps) \
-        else np.zeros((0,) + out_shape)
-
-    lower, upper = _elementwise_quadratic_bounds(x, y, config)
-    center = center + 0.5 * (lower + upper)
-    out = MultiNormZonotope(center, phi, eps, x.p).append_fresh_eps(
-        0.5 * (upper - lower))
+    shape = np.broadcast_shapes(x.shape, y.shape)
+    x = _broadcast_vars(x, shape).reshape(shape + (1, 1))
+    y = _broadcast_vars(y, shape).reshape(shape + (1, 1))
+    out = _matmul_impl(x, y, config).reshape(shape)
     TRACER.finish(started, f"multiply-{config.variant}", out)
     return out
 
@@ -275,46 +269,3 @@ def _broadcast_vars(z, shape):
     phi = np.broadcast_to(z.phi, (z.n_phi,) + tuple(shape)).copy()
     eps = np.broadcast_to(z.eps, (z.n_eps,) + tuple(shape)).copy()
     return MultiNormZonotope(center, phi, eps, z.p)
-
-
-def _elementwise_quadratic_bounds(x, y, config):
-    """Quadratic-term bounds for the elementwise product (k = 1 case)."""
-    q = x.q
-
-    def fast_pair(cx, qx, cy, qy):
-        # |sum over symbols| <= ||cy||_{qy per var} * ... degenerate k=1
-        # cascade: inner norm collapses one operand, outer the other.
-        s_inner = norm_along_axis0(cy, qy)
-        t = s_inner * np.abs(cx)
-        return norm_along_axis0(t, qx)
-
-    bound = np.zeros(x.shape)
-    if x.n_phi and y.n_phi:
-        bound = bound + fast_pair(x.phi, q, y.phi, q)
-    if x.n_phi and y.n_eps:
-        if config.order == "linf_first":
-            bound = bound + fast_pair(x.phi, q, y.eps, 1.0)
-        else:
-            bound = bound + fast_pair(y.eps, 1.0, x.phi, q)
-    if x.n_eps and y.n_phi:
-        if config.order == "linf_first":
-            bound = bound + fast_pair(y.phi, q, x.eps, 1.0)
-        else:
-            bound = bound + fast_pair(x.eps, 1.0, y.phi, q)
-    lower, upper = -bound, bound
-
-    if x.n_eps and y.n_eps:
-        if config.variant == "precise":
-            # Pairwise matrix per variable: M[a, b, var] = Bx[a] By[b].
-            pairwise = np.einsum("a...,b...->ab...", x.eps, y.eps)
-            diag = np.einsum("aa...->a...", pairwise)
-            abs_sum = np.abs(pairwise).sum(axis=(0, 1))
-            off = abs_sum - np.abs(diag).sum(axis=0)
-            l_ee = np.minimum(diag, 0.0).sum(axis=0) - off
-            u_ee = np.maximum(diag, 0.0).sum(axis=0) + off
-        else:
-            b_ee = fast_pair(x.eps, 1.0, y.eps, 1.0)
-            l_ee, u_ee = -b_ee, b_ee
-        lower = lower + l_ee
-        upper = upper + u_ee
-    return lower, upper

@@ -21,9 +21,9 @@ Storage layout: for a variable tensor of shape ``S``,
   sums/reshapes/transposes and interval bounds operate on the tail in
   O(symbols) without densifying; ``matmul_const`` and the dot product's
   exact part scatter it; the other mixing operations (sums of zonotopes,
-  concatenation, slicing, symbol reduction, the Precise eps-eps bound)
-  materialize it first.  The ``eps`` property always yields the dense
-  block, so external code sees the classical layout.
+  slicing, symbol reduction, the Precise eps-eps bound) materialize it
+  first.  The ``eps`` property always yields the dense block, so external
+  code sees the classical layout.
 
 Concrete interval bounds follow Theorem 1 via the dual norm (Lemma 1):
 ``l = c - ||A_k||_q - ||B_k||_1`` and ``u = c + ||A_k||_q + ||B_k||_1``
@@ -439,17 +439,6 @@ class MultiNormZonotope:
         return MultiNormZonotope._build(center, self.phi @ weight, eps, None,
                                         self.p)
 
-    def const_matmul(self, weight):
-        """Left-multiply by a constant matrix: ``W @ x`` (exact)."""
-        weight = np.asarray(weight, dtype=np.float64)
-        return MultiNormZonotope(
-            weight @ self.center,
-            np.einsum("ij,ejk->eik", weight, self.phi) if self.n_phi
-            else np.zeros((0,) + (weight.shape[0],) + self.shape[1:]),
-            np.einsum("ij,ejk->eik", weight, self.eps) if self.n_eps
-            else np.zeros((0,) + (weight.shape[0],) + self.shape[1:]),
-            self.p)
-
     # ----------------------------------------------------- variable reshapes
     def __getitem__(self, idx):
         """Select variables (slicing applies to the variable axes)."""
@@ -506,24 +495,6 @@ class MultiNormZonotope:
         count = self.shape[axis % self.ndim]
         return self.sum_vars(axis, keepdims=keepdims).scale(1.0 / count)
 
-    @staticmethod
-    def concat(zonotopes, axis=0):
-        """Concatenate along a variable axis (symbol spaces are aligned)."""
-        if not zonotopes:
-            raise ValueError("nothing to concatenate")
-        n = max(z.n_eps for z in zonotopes)
-        zonotopes = [z.pad_eps(n) for z in zonotopes]
-        first = zonotopes[0]
-        for z in zonotopes[1:]:
-            if z.n_phi != first.n_phi or z.p != first.p:
-                raise ValueError("zonotopes come from different symbol spaces")
-        axis = axis % first.ndim
-        return MultiNormZonotope(
-            np.concatenate([z.center for z in zonotopes], axis=axis),
-            np.concatenate([z.phi for z in zonotopes], axis=axis + 1),
-            np.concatenate([z.eps for z in zonotopes], axis=axis + 1),
-            first.p)
-
     def expand_dims(self, axis):
         """Insert a size-one variable axis."""
         axis = axis % (self.ndim + 1)
@@ -531,10 +502,3 @@ class MultiNormZonotope:
         return MultiNormZonotope._build(
             center, np.expand_dims(self.phi, axis + 1),
             np.expand_dims(self._eps_rows, axis + 1), self._eps_tail, self.p)
-
-    def contains_point(self, point, tol=1e-7):
-        """Cheap necessary check: ``point`` within the interval bounds."""
-        lower, upper = self.bounds()
-        point = np.asarray(point)
-        return bool(np.all(point >= lower - tol)
-                    and np.all(point <= upper + tol))

@@ -11,14 +11,15 @@ optimisations replaced, made of three patches:
    so no tail ever exists inside the scope;
 2. the verifier's ``fused_layer_norm`` becomes the op-by-op chain
    ``(z - z.mean_vars(-1, keepdims=True)).scale(gamma) + beta``;
-3. ``zonotope_matmul`` aligns both operands to one dense symbol block and
-   runs the cross terms and every Eq. (5) case over it: the eps-eps case
-   too for Fast, and the Eq. (6) kernel on the aligned blocks for
-   Precise. The contractions are ``np.matmul`` like the engine's, so the
-   two engines' logit bounds stay bitwise equal.
+3. ``_matmul_impl``, the product route of ``zonotope_matmul`` and (at
+   k = 1) of the elementwise ``zonotope_multiply``, aligns both operands
+   to one dense symbol block and runs the cross terms and every Eq. (5)
+   case over it: the eps-eps case too for Fast, and the Eq. (6) kernel on
+   the aligned blocks for Precise. The contractions are ``np.matmul`` like
+   the engine's, so the two engines' logit bounds stay bitwise equal.
 
-The elementwise product and every other transformer run unpatched (on
-tail-free operands). Only tests import this module.
+Every other transformer runs unpatched (on tail-free operands). Only tests
+import this module.
 """
 
 from contextlib import contextmanager

@@ -42,11 +42,6 @@ class TestZonotopeEdges:
         out = relu(z)
         np.testing.assert_allclose(out.center, np.maximum(z.center, 0))
 
-    def test_const_matmul_no_symbols(self, rng):
-        z = MultiNormZonotope(rng.normal(size=(3, 4)))
-        out = z.const_matmul(rng.normal(size=(2, 3)))
-        assert out.shape == (2, 4)
-
     def test_matmul_point_times_point(self, rng):
         a = MultiNormZonotope(rng.normal(size=(2, 3)))
         b = MultiNormZonotope(rng.normal(size=(3, 2)))

@@ -9,10 +9,11 @@ products included. Both must compute the *same* abstract values — these
 tests pin that down at the micro level (single transformers on random
 zonotopes, at relative 1e-10) and end to end, where the output-logit
 bounds must be bitwise equal: full propagations of the 2-layer test model
-(DecorrelateMin_k reduction forced at every layer) and of the cached
-3-layer ``sst-small`` model at the verifier defaults, for every norm and
-both dot-product variants, and at Table 14's Combined settings (Precise in
-the last layer only).
+(DecorrelateMin_k reduction forced at every layer), of its standard
+layer-norm twin (whose elementwise products run the k = 1 matmul) and of
+the cached 3-layer ``sst-small`` model at the verifier defaults, for every
+norm and both dot-product variants, and at Table 14's Combined settings
+(Precise in the last layer only).
 """
 
 import numpy as np
@@ -152,6 +153,19 @@ class TestEndToEndEquivalence:
                                 noise_symbol_cap=48,
                                 reduction_strategy="mass")
         structured, dense = both_paths(logit_bounds, tiny_model,
+                                       tiny_sentence, p, 0.02, config)
+        np.testing.assert_array_equal(structured, dense)
+
+    @pytest.mark.parametrize("p", NORMS)
+    @pytest.mark.parametrize("variant", ["fast", "precise"])
+    def test_std_norm_bounds_match(self, tiny_model_std_norm, tiny_sentence,
+                                   p, variant):
+        # Standard layer norm (Table 7) runs the elementwise product, which
+        # is the matmul route at k = 1, so the oracle's patch reaches it.
+        config = VerifierConfig(dot_product_variant=variant,
+                                noise_symbol_cap=48,
+                                reduction_strategy="mass")
+        structured, dense = both_paths(logit_bounds, tiny_model_std_norm,
                                        tiny_sentence, p, 0.02, config)
         np.testing.assert_array_equal(structured, dense)
 

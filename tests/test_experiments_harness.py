@@ -10,9 +10,9 @@ import repro.experiments.harness as harness
 from repro.experiments.harness import (ExperimentScale, SCALE, RadiusReport,
                                        format_radius_row,
                                        evaluation_sentences, get_corpus,
-                                       get_transformer, load_cached_state,
-                                       _positions_for)
+                                       get_transformer, load_cached_state)
 from repro.experiments.tables import run_figure4
+from repro.scheduler import positions_for
 
 
 class TestScale:
@@ -57,12 +57,12 @@ class TestEvaluationProtocol:
             assert tiny_model.predict(seq) == label
 
     def test_positions_skip_cls(self):
-        positions = _positions_for(list(range(6)), 3, seed=0)
+        positions = positions_for(list(range(6)), 3, seed=0)
         assert 0 not in positions
         assert len(positions) == 3
 
     def test_positions_capped_by_length(self):
-        positions = _positions_for([0, 1], 5, seed=0)
+        positions = positions_for([0, 1], 5, seed=0)
         assert positions == [1]
 
     def test_corpus_cache_returns_same_object(self):

@@ -3,13 +3,17 @@
 Checks soundness of the Fast (Eq. 5) and Precise (Eq. 6) variants, the
 precision ordering between them, both dual-norm application orders, the
 degenerate point cases (where the transformer must be exact), and
-broadcasting in the elementwise product. Two kernels are compared against
-the forms they replaced, kept here as test oracles: the support-pruned
-Eq. (6) kernel against the dense pairwise-tensor kernel, and the matmul
-(the engine's one route and the aligned dense route of the test-side
-dense engine, each for Fast and Precise) against the ellipsis-einsum form
-of Eq. (5), of Eq. (6) and of the exact cross terms.
+broadcasting in the elementwise product. Three kernels are compared
+against the forms they replaced, kept here as test oracles: the
+support-pruned Eq. (6) kernel against the dense pairwise-tensor kernel,
+the matmul (the engine's one route and the aligned dense route of the
+test-side dense engine, each for Fast and Precise) against the
+ellipsis-einsum form of Eq. (5), of Eq. (6) and of the exact cross terms,
+and the elementwise product (the same route at k = 1) against its einsum
+form with the dense per-variable pairwise tensor.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 from repro.zonotope import (MultiNormZonotope, zonotope_matmul,
                             zonotope_multiply, DotProductConfig,
                             norm_along_axis0)
+from repro.trace import TRACER
 from repro.zonotope.dotproduct import _precise_eps_bounds
 
 from tests.conftest import sample_lp_ball
@@ -368,6 +373,22 @@ def reference_matmul(x, y, variant, order):
         0.5 * (upper - lower)
 
 
+def assert_matches_reference(out, n_cross, reference, rtol):
+    """``out`` against a reference (center, phi, eps, fresh): its cross
+    rows are its first ``n_cross`` eps rows and its fresh symbols the rest,
+    each array within ``rtol`` of the reference's magnitude."""
+    center, phi, eps, fresh = reference
+    out_eps = out.eps
+    got = {"center": out.center, "phi": out.phi, "eps": out_eps[:n_cross],
+           "fresh": np.abs(out_eps[n_cross:]).sum(axis=0)}
+    want = {"center": center, "phi": phi, "eps": eps, "fresh": fresh}
+    for name, ref in want.items():
+        assert got[name].shape == ref.shape, name
+        scale = np.abs(ref).max(initial=0.0)
+        np.testing.assert_allclose(got[name], ref, rtol=0,
+                                   atol=rtol * scale, err_msg=name)
+
+
 def _with_tail(rng, z, density=0.7):
     """``z`` plus a lazy tail: fresh symbols on a random subset of its
     variables, as every non-linear transformer appends them."""
@@ -431,19 +452,172 @@ class TestMatmulReference:
                 out = zonotope_matmul(x, y, config)
         else:
             out = zonotope_matmul(x, y, config)
-        center, phi, eps, fresh = reference_matmul(
-            *_matmul_operands(seed, case, p), variant, order)
-        out_eps = out.eps
-        got = {"center": out.center, "phi": out.phi,
-               "eps": out_eps[:n_cross],
-               "fresh": np.abs(out_eps[n_cross:]).sum(axis=0)}
-        want = {"center": center, "phi": phi, "eps": eps, "fresh": fresh}
-        for name, ref in want.items():
-            assert got[name].shape == ref.shape, name
-            scale = np.abs(ref).max(initial=0.0)
-            np.testing.assert_allclose(got[name], ref, rtol=0,
-                                       atol=self.RTOL * scale,
-                                       err_msg=name)
+        assert_matches_reference(
+            out, n_cross, reference_matmul(*_matmul_operands(seed, case, p),
+                                           variant, order), self.RTOL)
+
+
+def _broadcast_to(z, shape):
+    """``z`` with its variables and coefficients broadcast to ``shape``."""
+    return MultiNormZonotope(
+        np.broadcast_to(z.center, shape),
+        np.broadcast_to(z.phi, (z.n_phi,) + shape),
+        np.broadcast_to(z.eps, (z.n_eps,) + shape), z.p)
+
+
+def elementwise_quadratic_bounds(x, y, variant, order):
+    """The k = 1 Eq. (5) cascades per variable, and Eq. (6) over the dense
+    per-variable pairwise tensor M[a, b, var] = Bx[a] By[b]."""
+    q = x.q
+
+    def fast_pair(cx, qx, cy, qy):
+        # The inner norm collapses one operand, the outer the other.
+        s_inner = norm_along_axis0(cy, qy)
+        return norm_along_axis0(s_inner * np.abs(cx), qx)
+
+    bound = np.zeros(x.shape)
+    if x.n_phi and y.n_phi:
+        bound = bound + fast_pair(x.phi, q, y.phi, q)
+    if x.n_phi and y.n_eps:
+        if order == "linf_first":
+            bound = bound + fast_pair(x.phi, q, y.eps, 1.0)
+        else:
+            bound = bound + fast_pair(y.eps, 1.0, x.phi, q)
+    if x.n_eps and y.n_phi:
+        if order == "linf_first":
+            bound = bound + fast_pair(y.phi, q, x.eps, 1.0)
+        else:
+            bound = bound + fast_pair(x.eps, 1.0, y.phi, q)
+    lower, upper = -bound, bound
+
+    if x.n_eps and y.n_eps:
+        if variant == "precise":
+            pairwise = np.einsum("a...,b...->ab...", x.eps, y.eps)
+            diag = np.einsum("aa...->a...", pairwise)
+            abs_sum = np.abs(pairwise).sum(axis=(0, 1))
+            off = abs_sum - np.abs(diag).sum(axis=0)
+            l_ee = np.minimum(diag, 0.0).sum(axis=0) - off
+            u_ee = np.maximum(diag, 0.0).sum(axis=0) + off
+        else:
+            b_ee = fast_pair(x.eps, 1.0, y.eps, 1.0)
+            l_ee, u_ee = -b_ee, b_ee
+        lower = lower + l_ee
+        upper = upper + u_ee
+    return lower, upper
+
+
+def reference_multiply(x, y, variant, order):
+    """The einsum form of the Section 4.9 elementwise product: both
+    operands aligned to one dense symbol block and broadcast to a common
+    variable shape, the exact cross terms, and the per-variable bounds of
+    :func:`elementwise_quadratic_bounds`.
+
+    Returns (center, phi, eps, fresh) like :func:`reference_matmul`."""
+    x, y = x.aligned_with(y)
+    shape = np.broadcast_shapes(x.shape, y.shape)
+    x, y = _broadcast_to(x, shape), _broadcast_to(y, shape)
+    lower, upper = elementwise_quadratic_bounds(x, y, variant, order)
+    center = x.center * y.center + 0.5 * (lower + upper)
+    phi = x.phi * y.center + x.center * y.phi
+    eps = x.eps * y.center + x.center * y.eps
+    return center, phi, eps, 0.5 * (upper - lower)
+
+
+def _multiply_operands(seed, case, p):
+    """(x, y) zonotopes for one named multiply case, rebuilt from ``seed``.
+
+    ``y`` is an (n, 1) row operand in the ``row-broadcast`` cases, the
+    shape standard layer norm multiplies by."""
+    rng = np.random.default_rng(seed)
+    n_phi = 0 if "no-phi" in case else 3
+    x_shape = (3, 4)
+    y_shape = (3, 1) if "row-broadcast" in case else x_shape
+    n_eps_y = {"y-no-eps": 0, "unequal-eps": 8}.get(case, 5)
+    x = MultiNormZonotope(rng.normal(size=x_shape),
+                          phi=rng.normal(size=(n_phi,) + x_shape),
+                          eps=0.5 * rng.normal(size=(5,) + x_shape), p=p)
+    y = MultiNormZonotope(rng.normal(size=y_shape),
+                          phi=rng.normal(size=(n_phi,) + y_shape),
+                          eps=0.5 * rng.normal(size=(n_eps_y,) + y_shape),
+                          p=p)
+    if "x-tail" in case:
+        x = _with_tail(rng, x)
+    if "y-tail" in case:
+        y = _with_tail(rng, y)
+    return x, y
+
+
+MULTIPLY_CASES = ["same-shape", "unequal-eps", "y-no-eps", "no-phi",
+                  "row-broadcast", "row-broadcast-y-tail", "x-tail",
+                  "y-tail", "x-tail-y-tail", "no-phi-row-broadcast-x-tail"]
+
+
+class TestMultiplyReference:
+    """The elementwise product, the k = 1 case of the matmul route, against
+    its einsum form, on the engine and on the test oracle's aligned dense
+    route, for Fast and for Precise. The tolerance is relative 1e-9 of
+    each array's magnitude, as in :class:`TestMatmulReference`."""
+
+    RTOL = 1e-9
+
+    @pytest.mark.parametrize("case", MULTIPLY_CASES)
+    @pytest.mark.parametrize("order", ["linf_first", "lp_first"])
+    @pytest.mark.parametrize("p", [1.0, 2.0, np.inf])
+    @pytest.mark.parametrize("route", ["fast", "fast-dense", "precise",
+                                       "precise-dense"])
+    def test_matches_einsum_reference(self, route, p, order, case):
+        seed = sum(map(ord, case))
+        variant = route.split("-")[0]
+        config = DotProductConfig(variant=variant, order=order)
+        x, y = _multiply_operands(seed, case, p)
+        n_cross = max(x.n_eps, y.n_eps)
+        if route.endswith("-dense"):
+            with dense_engine():
+                out = zonotope_multiply(x, y, config)
+        else:
+            out = zonotope_multiply(x, y, config)
+        assert_matches_reference(
+            out, n_cross, reference_multiply(
+                *_multiply_operands(seed, case, p), variant, order),
+            self.RTOL)
+
+    def test_mismatched_symbol_spaces_rejected(self):
+        x, y = _multiply_operands(0, "same-shape", 2.0)
+        no_phi = MultiNormZonotope(y.center, eps=y.eps, p=2.0)
+        other_p = MultiNormZonotope(y.center, phi=y.phi, eps=y.eps, p=1.0)
+        for other in (no_phi, other_p):
+            with pytest.raises(ValueError):
+                zonotope_multiply(x, other)
+
+    def test_fast_densifies_only_a_broadcast_operand(self):
+        """An operand already at the output shape enters the exact part
+        through its lazy tail; Fast materializes no tail row of it."""
+        x, y = _multiply_operands(1, "no-phi-row-broadcast-x-tail", 2.0)
+        assert len(x._eps_tail) and y._eps_tail is None
+        with TRACER.query_scope("multiply") as record:
+            zonotope_multiply(x, y, DotProductConfig())
+        assert "eps_rows_materialized" not in record["perf"]["counters"]
+
+
+class TestMultiplyMemory:
+    def test_precise_multiply_builds_no_pairwise_block(self):
+        """Precise's Eq. (6) pass runs per variable on the support-pruned
+        kernel: two (8, 8) operands with 600 dense eps rows each must not
+        build the (600, 600, 64) pairwise tensor (about 350 MB with its
+        absolute value)."""
+        rng = np.random.default_rng(0)
+        x = MultiNormZonotope(rng.normal(size=(8, 8)),
+                              eps=rng.normal(size=(600, 8, 8)))
+        y = MultiNormZonotope(rng.normal(size=(8, 8)),
+                              eps=rng.normal(size=(600, 8, 8)))
+        tracemalloc.start()
+        try:
+            out = zonotope_multiply(x, y, DotProductConfig(variant="precise"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (8, 8)
+        assert peak < 32 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
 
 
 class TestConfig:

@@ -172,11 +172,6 @@ class TestConcretize:
         assert np.all(points >= lower - 1e-9)
         assert np.all(points <= upper + 1e-9)
 
-    def test_contains_point(self, rng):
-        z = random_zonotope(rng)
-        assert z.contains_point(z.center)
-        assert not z.contains_point(z.center + 1e3)
-
 
 class TestAffineTheorem2:
     def test_addition_exact(self, rng):
@@ -217,15 +212,6 @@ class TestAffineTheorem2:
             z.matmul_const(w).concretize(phi, eps),
             z.concretize(phi, eps) @ w)
 
-    def test_const_matmul_exact(self, rng):
-        z = random_zonotope(rng, shape=(3, 4))
-        w = rng.normal(size=(2, 3))
-        phi = sample_lp_ball(rng, z.n_phi, z.p)
-        eps = rng.uniform(-1, 1, size=z.n_eps)
-        np.testing.assert_allclose(
-            z.const_matmul(w).concretize(phi, eps),
-            w @ z.concretize(phi, eps))
-
 
 class TestStructuralOps:
     def test_getitem(self, rng):
@@ -264,19 +250,6 @@ class TestStructuralOps:
     def test_expand_dims(self, rng):
         z = random_zonotope(rng, shape=(3, 4))
         assert z.expand_dims(1).shape == (3, 1, 4)
-
-    def test_concat(self, rng):
-        a = random_zonotope(rng, shape=(3, 2))
-        b = random_zonotope(rng, shape=(3, 4), n_eps=7)
-        out = MultiNormZonotope.concat([a, b], axis=-1)
-        assert out.shape == (3, 6)
-        assert out.n_eps == 7  # aligned to the max
-
-    def test_concat_rejects_mismatched_phi(self, rng):
-        a = random_zonotope(rng, n_phi=2)
-        b = random_zonotope(rng, n_phi=3)
-        with pytest.raises(ValueError):
-            MultiNormZonotope.concat([a, b], axis=0)
 
     def test_pad_eps(self, rng):
         z = random_zonotope(rng, n_eps=3)
