@@ -1,15 +1,12 @@
-"""Ablation: noise-symbol reduction strategy and cap (DESIGN §6 extras).
+"""Ablation: the noise-symbol reduction cap (DESIGN §7 extras).
 
-Not a paper table — an ablation of the Section 5.1 design choices the
-paper fixes: the DecorrelateMin_k scoring heuristic ("mass") versus two
-alternatives, and the cap's precision/speed trade-off. Expected shape: a
-larger cap never certifies less, and "mass" is competitive with the
-alternatives (it is the paper's choice for a reason).
+Not a paper table — an ablation of the Section 5.1 cap's precision/speed
+trade-off under the paper's DecorrelateMin_k heuristic, the only scoring
+(EXPERIMENTS.md, "Extra ablation", says why). Expected shape: a larger
+cap never certifies less.
 """
 
 import time
-
-import numpy as np
 
 from repro.experiments.harness import (get_transformer,
                                        evaluation_sentences, SCALE)
@@ -20,19 +17,7 @@ def test_reduction_ablation(once):
     def run():
         model, dataset, _ = get_transformer("sst-small", n_layers=6)
         sentence = evaluation_sentences(model, dataset, 1)[0]
-        results = {}
-        print("\n=== Ablation: noise-symbol reduction ===")
-        for strategy in ("mass", "peak", "spread"):
-            verifier = DeepTVerifier(
-                model, FAST(noise_symbol_cap=SCALE.noise_symbol_cap,
-                            reduction_strategy=strategy))
-            start = time.perf_counter()
-            radius = max_certified_radius(verifier, sentence, 1, 2,
-                                          n_iterations=5)
-            seconds = time.perf_counter() - start
-            results[strategy] = radius
-            print(f"strategy={strategy:<7} radius={radius:.4f} "
-                  f"({seconds:.1f}s)")
+        print("\n=== Ablation: noise-symbol reduction cap ===")
         cap_results = {}
         for cap in (32, 128, 512):
             verifier = DeepTVerifier(model, FAST(noise_symbol_cap=cap))
@@ -42,11 +27,9 @@ def test_reduction_ablation(once):
             seconds = time.perf_counter() - start
             cap_results[cap] = (radius, seconds)
             print(f"cap={cap:<5} radius={radius:.4f} ({seconds:.1f}s)")
-        return results, cap_results
+        return cap_results
 
-    results, cap_results = once(run)
-    assert all(radius > 0 for radius in results.values())
-    # The paper's heuristic is competitive with the alternatives.
-    assert results["mass"] >= 0.7 * max(results.values())
+    cap_results = once(run)
+    assert all(radius > 0 for radius, _ in cap_results.values())
     # A larger cap never certifies less (up to bisection granularity).
     assert cap_results[512][0] >= cap_results[32][0] * 0.9

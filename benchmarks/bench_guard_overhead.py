@@ -3,22 +3,25 @@
 Three phases over a small Table 1-style workload (``sst-small`` 2-layer
 transformer, DeepT-Fast, ℓ2):
 
-1. **plain**   — guards and degradation ladder disabled (the pre-resilience
-                 engine);
-2. **guarded** — guards + ladder enabled (the shipping defaults). The
-                 certified radii must be *bitwise identical* to plain and
-                 the merged counters must show zero degradations and
-                 zero guard trips: on healthy inputs the resilience layer
-                 is invisible except for its cost. The headline number is
-                 the relative overhead of the median guarded pass over
-                 the median plain pass, in CPU seconds, over interleaved
-                 plain/guarded pass pairs (the pair order alternates, so
-                 a drifting CPU speed hits both sides alike);
-3. **chaos**   — the guarded workload re-run under each zonotope fault kind
-                 (NaN / Inf / overscale injected at layer 0). Every query
-                 must still produce a radius, every radius must be <= the
-                 healthy radius (a fault can shrink certified regions but
-                 never grow them), and every query must report degradation.
+1. **unguarded** — one pass with ``propagation.check_zonotope`` patched to
+                   the identity (the engine without its guard): the
+                   reference radii;
+2. **guarded**   — the shipping engine, several passes. The certified radii
+                   must be *bitwise identical* to the unguarded pass and
+                   the merged counters must show zero degradations and
+                   zero guard trips: on healthy inputs the resilience
+                   layer is invisible except for its cost. The headline
+                   number is the guard's own share of each pass: the
+                   seconds spent inside ``check_zonotope`` (timed by a
+                   ``perf_counter`` wrapper) over the rest of the pass,
+                   median over the passes. Both sides of the ratio come
+                   from the same pass, so a drifting CPU speed cancels;
+3. **chaos**     — the guarded workload re-run under each zonotope fault
+                   kind (NaN / Inf / overscale injected at layer 0). Every
+                   query must still produce a radius, every radius must be
+                   <= the healthy radius (a fault can shrink certified
+                   regions but never grow them), and every query must
+                   report degradation.
 
 Results land in ``benchmarks/results/BENCH_resilience.json``.
 
@@ -33,9 +36,10 @@ import argparse
 import json
 import os
 import time
+from contextlib import contextmanager
 
-# One BLAS thread, set before numpy loads: the process CPU time then counts
-# the engine's work, not idle BLAS threads spin-waiting beside it.
+# One BLAS thread, set before numpy loads, so idle BLAS threads do not
+# spin-wait beside the engine and inflate its passes.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
@@ -46,55 +50,65 @@ from repro.experiments.harness import SCALE, get_transformer, \
 from repro.faults import FaultPlan, install_fault_plan
 from repro.scheduler import (CertScheduler, expand_word_queries,
                              merge_outcome_perf, model_weight_hash)
-from repro.verify import FAST
+from repro.verify import FAST, propagation
 
 RESULTS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                            "results")
 
 CHAOS_KINDS = ("nan", "inf", "overscale")
 
-# Hard ceiling on healthy-run guard overhead, asserted in every mode
-# (quick included): the cheap min/max finiteness path keeps the measured
-# fraction around 1-2%, and this bound makes a silent return of the old
-# eps_l1-based 30% tax impossible.
+# Hard ceiling on the guard's share of a healthy pass, asserted in every
+# mode (quick included): the cheap min/max finiteness path keeps it around
+# 3.5%, and this bound makes a silent return of the old eps_l1-based 30%
+# tax impossible.
 GUARD_OVERHEAD_BUDGET = 0.05
 
+# Guarded passes behind the overhead gate (the median share is gated).
+PASSES = 9
 
-def build_workload(model, sentences, n_positions, **config_overrides):
-    config = FAST(noise_symbol_cap=SCALE.noise_symbol_cap,
-                  **config_overrides)
+
+def build_workload(model, sentences, n_positions):
+    config = FAST(noise_symbol_cap=SCALE.noise_symbol_cap)
     return expand_word_queries(
         model, sentences, 2.0, verifier="deept", config=config,
         n_positions=n_positions, n_iterations=SCALE.search_iterations,
         model_hash=model_weight_hash(model))
 
 
-# Interleaved plain/guarded pass pairs behind the overhead gate: a single
-# pair of ~0.7 s passes read anywhere from -12% to +12% at one commit, so
-# the 5% budget is checked against the medians of several pairs.
-PAIRS = 9
-
-
-def timed_run(model, queries, clock=time.perf_counter):
+def timed_run(model, queries):
     scheduler = CertScheduler(workers=0)
-    start = clock()
+    start = time.perf_counter()
     outcomes = scheduler.run(model, queries)
-    return outcomes, clock() - start
+    return outcomes, time.perf_counter() - start
 
 
-def paired_cpu_seconds(model, plain_queries, guarded_queries):
-    """Interleaved plain/guarded passes; last outcomes and CPU seconds."""
-    seconds = {"plain": [], "guarded": []}
-    outcomes = {}
-    workloads = {"plain": plain_queries, "guarded": guarded_queries}
-    for pair in range(PAIRS):
-        order = ("plain", "guarded") if pair % 2 == 0 \
-            else ("guarded", "plain")
-        for name in order:
-            outcomes[name], spent = timed_run(model, workloads[name],
-                                              clock=time.process_time)
-            seconds[name].append(spent)
-    return outcomes, seconds
+@contextmanager
+def guard_replaced(replacement):
+    """Run with the propagation's guard swapped for ``replacement``."""
+    original = propagation.check_zonotope
+    propagation.check_zonotope = replacement
+    try:
+        yield
+    finally:
+        propagation.check_zonotope = original
+
+
+def guarded_pass(model, queries):
+    """One guarded pass: outcomes, pass seconds, seconds inside the guard."""
+    check = propagation.check_zonotope
+    inside = 0.0
+
+    def timed_check(z, stage):
+        nonlocal inside
+        start = time.perf_counter()
+        try:
+            return check(z, stage)
+        finally:
+            inside += time.perf_counter() - start
+
+    with guard_replaced(timed_check):
+        outcomes, seconds = timed_run(model, queries)
+    return outcomes, seconds, inside
 
 
 def run_benchmark(n_sentences=1, n_positions=4, n_layers=2, seed=0):
@@ -102,38 +116,39 @@ def run_benchmark(n_sentences=1, n_positions=4, n_layers=2, seed=0):
                                                n_layers=n_layers)
     sentences = evaluation_sentences(model, dataset, n_sentences)
 
-    plain_queries = build_workload(model, sentences, n_positions,
-                                   guards=False, degradation_ladder=False)
-    guarded_queries = build_workload(model, sentences, n_positions)
-    print(f"workload: {len(plain_queries)} queries "
+    queries = build_workload(model, sentences, n_positions)
+    print(f"workload: {len(queries)} queries "
           f"({len(sentences)} sentences x {n_positions} positions, "
           f"L{n_layers})")
 
     # One untimed query absorbs first-touch costs (numpy kernel warm-up,
-    # lazy imports) so the plain-vs-guarded comparison is pure guard cost.
-    timed_run(model, plain_queries[:1])
+    # lazy imports) before anything is timed.
+    timed_run(model, queries[:1])
 
-    outcomes, seconds = paired_cpu_seconds(model, plain_queries,
-                                           guarded_queries)
-    plain, guarded = outcomes["plain"], outcomes["guarded"]
-    plain_seconds = float(np.median(seconds["plain"]))
-    guarded_seconds = float(np.median(seconds["guarded"]))
-    overhead = guarded_seconds / plain_seconds - 1.0
-    print(f"plain   : {plain_seconds:.2f} CPU-s median of {PAIRS} "
-          f"(guards off, ladder off)")
-    print(f"guarded : {guarded_seconds:.2f} CPU-s median of {PAIRS} "
-          f"(overhead {overhead * 100:+.1f}%)")
+    with guard_replaced(lambda z, stage: z):
+        unguarded, _ = timed_run(model, queries)
+    pass_seconds, guard_seconds = [], []
+    for _ in range(PASSES):
+        guarded, seconds, inside = guarded_pass(model, queries)
+        pass_seconds.append(seconds)
+        guard_seconds.append(inside)
+    shares = [inside / (seconds - inside)
+              for seconds, inside in zip(pass_seconds, guard_seconds)]
+    overhead = float(np.median(shares))
+    print(f"guarded : {float(np.median(pass_seconds)):.2f} s median pass "
+          f"of {PASSES}, guard share {overhead * 100:.2f}% "
+          f"({min(shares) * 100:.2f}-{max(shares) * 100:.2f}%)")
     assert overhead < GUARD_OVERHEAD_BUDGET, \
         (f"guard overhead {overhead:.3f} exceeds the "
          f"{GUARD_OVERHEAD_BUDGET:.0%} budget — the cheap guard path "
          f"regressed")
 
-    plain_radii = [o.radius for o in plain]
+    unguarded_radii = [o.radius for o in unguarded]
     guarded_radii = [o.radius for o in guarded]
     perf = merge_outcome_perf(guarded)
     degradations = perf["counters"].get("degradations", 0)
     guard_trips = perf["counters"].get("guard_trips", 0)
-    assert guarded_radii == plain_radii, \
+    assert guarded_radii == unguarded_radii, \
         "guards changed certified radii on healthy inputs"
     assert degradations == 0, \
         f"healthy run recorded {degradations} degradation events"
@@ -144,7 +159,7 @@ def run_benchmark(n_sentences=1, n_positions=4, n_layers=2, seed=0):
     chaos = {}
     for kind in CHAOS_KINDS:
         with install_fault_plan(FaultPlan(kind=kind, layer=0, seed=seed)):
-            faulted, chaos_seconds = timed_run(model, guarded_queries)
+            faulted, chaos_seconds = timed_run(model, queries)
         radii = [o.radius for o in faulted]
         assert len(radii) == len(guarded_radii), \
             f"{kind}: lost queries under fault"
@@ -165,19 +180,17 @@ def run_benchmark(n_sentences=1, n_positions=4, n_layers=2, seed=0):
         "benchmark": "resilience",
         "model": f"sst-small L{n_layers}",
         "accuracy": float(accuracy),
-        "n_queries": len(plain_queries),
-        "pairs": PAIRS,
-        "plain_seconds": plain_seconds,
-        "guarded_seconds": guarded_seconds,
-        "plain_pass_cpu_seconds": seconds["plain"],
-        "guarded_pass_cpu_seconds": seconds["guarded"],
+        "n_queries": len(queries),
+        "passes": PASSES,
+        "guarded_pass_seconds": pass_seconds,
+        "guard_seconds": guard_seconds,
         "guard_overhead_fraction": overhead,
         "guard_overhead_budget": GUARD_OVERHEAD_BUDGET,
-        "radii_identical": guarded_radii == plain_radii,
+        "radii_identical": guarded_radii == unguarded_radii,
         "healthy_degradations": int(degradations),
         "healthy_guard_trips": int(guard_trips),
-        "min_radius": float(min(plain_radii)),
-        "avg_radius": float(np.mean(plain_radii)),
+        "min_radius": float(min(guarded_radii)),
+        "avg_radius": float(np.mean(guarded_radii)),
         "chaos": chaos,
         "fault_seed": seed,
     }

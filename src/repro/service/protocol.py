@@ -31,12 +31,16 @@ from ..verify import VerifierConfig
 
 __all__ = ["ServiceError", "BadRequest", "NotFound", "RateLimited",
            "Overloaded", "Draining", "parse_submission", "outcome_payload",
-           "error_payload", "MAX_SENTENCE_TOKENS", "MAX_SEARCH_ITERATIONS"]
+           "error_payload", "MAX_SENTENCE_TOKENS", "MAX_SEARCH_ITERATIONS",
+           "MAX_SYMBOL_CAP"]
 
 # Submission hard caps: a public endpoint must bound the work one request
-# can demand before admission control even sees it.
+# can demand before admission control even sees it. A DeepT probe's time
+# and memory grow with its eps block, which only the symbol caps bound,
+# so they are capped too (every table and benchmark uses at most 128).
 MAX_SENTENCE_TOKENS = 128
 MAX_SEARCH_ITERATIONS = 24
+MAX_SYMBOL_CAP = 512
 
 
 class ServiceError(Exception):
@@ -151,9 +155,18 @@ def parse_submission(payload, model_hash):
         if not isinstance(overrides, dict):
             raise BadRequest("config must be a JSON object")
         try:
-            config_items = verifier_config_items(VerifierConfig(**overrides))
+            config = VerifierConfig(**overrides)
         except (TypeError, ValueError) as error:
             raise BadRequest(f"bad verifier config: {error}")
+        if config.noise_symbol_cap is None:
+            raise BadRequest("noise_symbol_cap must be an integer: an "
+                             "uncapped query has unbounded cost")
+        for name in ("noise_symbol_cap", "last_layer_cap"):
+            cap = getattr(config, name)
+            if cap is not None and cap > MAX_SYMBOL_CAP:
+                raise BadRequest(f"{name} must be at most {MAX_SYMBOL_CAP}, "
+                                 f"got {cap}")
+        config_items = verifier_config_items(config)
 
     try:
         initial = float(payload.get("initial", 0.01))

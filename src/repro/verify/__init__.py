@@ -1,10 +1,8 @@
 """The DeepT verifier (core of the reproduction)."""
 
 from .config import VerifierConfig, FAST, PRECISE, COMBINED
-from .guards import (
-    CertificationFault, NumericalBlowupError, SymbolBudgetExceeded,
-    PropagationGuard, guard_scope, certified_from_margin,
-)
+from .guards import (CertificationFault, NumericalBlowupError,
+                     check_zonotope, certified_from_margin)
 from .propagation import propagate_classifier
 from .regions import (
     lp_ball_region, word_perturbation_region, synonym_attack_region,
@@ -19,8 +17,8 @@ from .mlp import MlpZonotopeVerifier, propagate_mlp
 
 __all__ = [
     "VerifierConfig", "FAST", "PRECISE", "COMBINED",
-    "CertificationFault", "NumericalBlowupError", "SymbolBudgetExceeded",
-    "PropagationGuard", "guard_scope", "certified_from_margin",
+    "CertificationFault", "NumericalBlowupError", "check_zonotope",
+    "certified_from_margin",
     "propagate_classifier",
     "lp_ball_region", "word_perturbation_region", "synonym_attack_region",
     "image_perturbation_region",

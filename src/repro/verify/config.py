@@ -1,7 +1,16 @@
-"""Configuration of the DeepT verifier (Section 6.1 knobs)."""
+"""Configuration of the DeepT verifier: the paper's five knobs.
+
+The dot-product variant (§4.8, and App. A.6's combined verifier), the
+dual-norm order (Table 6), the DecorrelateMin_k symbol cap of §5.1 and its
+last-layer override (App. A.6), and the softmax-sum refinement (§5.3,
+Table 13). Nothing else is configurable: the propagation guard and the
+degradation ladder always run (``verify/guards.py``,
+``verify/verifier.py``), and reduction always scores symbols by mass.
+"""
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 __all__ = ["VerifierConfig", "FAST", "PRECISE", "COMBINED"]
@@ -31,20 +40,6 @@ class VerifierConfig:
     softmax_sum_refinement:
         Enable the Section 5.3 sum-constraint refinement (Table 13
         ablation).
-    guards:
-        Check zonotope invariants (finite center/coefficients, symbol
-        budget) after every propagation stage; violations raise typed
-        errors instead of letting NaN/Inf flow downstream. Guards only
-        observe — results are bitwise identical to an unguarded run.
-    symbol_budget:
-        Hard backstop on the eps-symbol count of any intermediate zonotope
-        (``SymbolBudgetExceeded`` on violation); ``None`` disables. Unlike
-        ``noise_symbol_cap`` this never reduces — it aborts runaway growth.
-    degradation_ladder:
-        On a guard trip, retry the query down the sound-but-looser ladder
-        (precise dot-product -> fast dot-product -> pure interval
-        propagation) instead of raising; the result is flagged
-        ``degraded`` with its ``fallback_chain``.
     """
 
     dot_product_variant: str = "fast"
@@ -52,10 +47,6 @@ class VerifierConfig:
     noise_symbol_cap: int = 256
     last_layer_cap: int = None
     softmax_sum_refinement: bool = True
-    reduction_strategy: str = "mass"
-    guards: bool = True
-    symbol_budget: int = None
-    degradation_ladder: bool = True
 
     def __post_init__(self):
         if self.dot_product_variant not in ("fast", "precise", "combined"):
@@ -64,10 +55,14 @@ class VerifierConfig:
         if self.dual_norm_order not in ("linf_first", "lp_first"):
             raise ValueError(
                 f"unknown dual_norm_order {self.dual_norm_order!r}")
-        from ..zonotope.reduction import REDUCTION_STRATEGIES
-        if self.reduction_strategy not in REDUCTION_STRATEGIES:
-            raise ValueError(
-                f"unknown reduction_strategy {self.reduction_strategy!r}")
+        for name in ("noise_symbol_cap", "last_layer_cap"):
+            cap = getattr(self, name)
+            integral = (isinstance(cap, numbers.Integral)
+                        and not isinstance(cap, bool))
+            if cap is not None and not (integral and cap >= 0):
+                raise ValueError(
+                    f"{name} must be a non-negative integer or None, "
+                    f"got {cap!r}")
 
     def variant_for_layer(self, layer_index, n_layers):
         """Dot-product variant to use in a given layer."""

@@ -18,7 +18,10 @@ operation by operation:
 * standard layer norm (Table 7 ablation) additionally needs the
   multiplication and 1/sqrt transformers;
 * noise symbols are reduced at every layer input (Section 5.1), before the
-  residual branch is taken, so both branches share one symbol space.
+  residual branch is taken, so both branches share one symbol space;
+* every stage's output is checked finite (:func:`check_zonotope`), so a
+  numerical blowup raises :class:`~repro.verify.guards.NumericalBlowupError`
+  at the stage that produced it.
 """
 
 from __future__ import annotations
@@ -156,7 +159,7 @@ def propagate_feed_forward(z, ffn):
 def propagate_transformer_layer(z, layer, config, dot_config):
     """One encoder layer: attention and FFN with residual + norm.
 
-    Each stage output passes through the active propagation guard
+    Each stage output passes through the propagation guard
     (:func:`repro.verify.guards.check_zonotope`) so a numerical blowup is
     caught at the abstract transformer that produced it, not layers later.
     """
@@ -197,8 +200,7 @@ def propagate_classifier(model, input_zonotope, config=None):
                 z = fault_zonotope(z, index)
                 cap = config.cap_for_layer(index, n_layers)
                 if cap is not None:
-                    z = reduce_noise_symbols(
-                        z, cap, strategy=config.reduction_strategy)
+                    z = reduce_noise_symbols(z, cap)
                     check_zonotope(z, "reduction")
                 dot_config = DotProductConfig(
                     variant=config.variant_for_layer(index, n_layers),

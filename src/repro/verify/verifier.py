@@ -5,9 +5,9 @@ and check that the lower bound of ``y_true - y_false`` is positive. Binary
 classification compares the two logits; the multi-class case (the vision
 transformer) requires the margin against *every* other class.
 
-Resilience: the propagation runs under a :class:`~repro.verify.guards`
-invariant guard, and a guard trip (numerical blowup, symbol-budget
-violation) does not crash the query — the verifier retries down a
+Resilience: every stage of the propagation is checked by the
+:mod:`~repro.verify.guards` finiteness guard, and a guard trip (a
+numerical blowup) does not crash the query — the verifier retries down a
 *sound-but-looser* degradation ladder:
 
     precise dot-product  ->  fast dot-product  ->  pure interval (IBP)
@@ -28,8 +28,7 @@ import numpy as np
 
 from ..trace import TRACER
 from .config import VerifierConfig
-from .guards import (CertificationFault, PropagationGuard,
-                     certified_from_margin, guard_scope)
+from .guards import CertificationFault, certified_from_margin
 from .propagation import propagate_classifier
 from .regions import (word_perturbation_region, synonym_attack_region,
                       image_perturbation_region)
@@ -113,8 +112,6 @@ class DeepTVerifier:
                 TRACER.record_event(
                     "degradation-hop", rung=rung_name,
                     fault=f"{type(error).__name__}")
-                if not self.config.degradation_ladder:
-                    raise
                 continue
             if len(chain) == 1:
                 return result
@@ -133,19 +130,14 @@ class DeepTVerifier:
     def _ladder(config):
         """(name, config) rungs: primary first, then strictly looser ones."""
         rungs = [(config.dot_product_variant, config)]
-        if config.degradation_ladder:
-            if config.dot_product_variant in ("precise", "combined"):
-                rungs.append(("fast",
-                              replace(config, dot_product_variant="fast")))
-            rungs.append(("ibp", None))
+        if config.dot_product_variant in ("precise", "combined"):
+            rungs.append(("fast", replace(config, dot_product_variant="fast")))
+        rungs.append(("ibp", None))
         return rungs
 
     def _certify_region_once(self, region, true_label, config):
         """One guarded zonotope propagation + margin check (no retry)."""
-        guard = PropagationGuard(symbol_budget=config.symbol_budget) \
-            if config.guards else None
-        with guard_scope(guard):
-            logits = propagate_classifier(self.model, region, config)
+        logits = propagate_classifier(self.model, region, config)
         lower, upper = logits.bounds()
         margins = []
         for other in range(len(lower)):

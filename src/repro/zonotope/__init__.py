@@ -13,8 +13,7 @@ from .refinement import (
     EpsRewrite, apply_eps_rewrites, refine_softmax_rows,
     minimize_coefficient_mass,
 )
-from .reduction import (reduce_noise_symbols, symbol_scores,
-                        REDUCTION_STRATEGIES)
+from .reduction import reduce_noise_symbols, symbol_scores
 
 __all__ = [
     "MultiNormZonotope", "dual_exponent", "norm_along_axis0",
@@ -25,5 +24,5 @@ __all__ = [
     "zonotope_matmul", "zonotope_multiply", "DotProductConfig",
     "softmax", "EpsRewrite", "apply_eps_rewrites", "refine_softmax_rows",
     "minimize_coefficient_mass",
-    "reduce_noise_symbols", "symbol_scores", "REDUCTION_STRATEGIES",
+    "reduce_noise_symbols", "symbol_scores",
 ]

@@ -7,7 +7,10 @@ DecorrelateMin_k heuristic, each symbol j is scored by its total coefficient
 mass ``m_j = sum_i |B_ij|``; the top-k symbols are kept and the rest are
 collapsed into one *independent* fresh symbol per variable whose magnitude
 is the dropped symbols' absolute row sum. phi symbols (the input region) are
-never reduced.
+never reduced. Mass is the only scoring: on Table 1's nine rows it
+certified at least as much as a symbol's peak coefficient or its mass
+times the number of variables it touches (EXPERIMENTS.md, "Extra
+ablation").
 
 The verifier applies reduction to the layer-input embeddings, before the
 residual connection branches (Section 5.1), so both branches agree on the
@@ -21,59 +24,30 @@ import numpy as np
 from ..trace import TRACER
 from .multinorm import MultiNormZonotope
 
-__all__ = ["reduce_noise_symbols", "symbol_scores", "REDUCTION_STRATEGIES"]
+__all__ = ["reduce_noise_symbols", "symbol_scores"]
 
 
-def _mass_rows(rows):
-    """DecorrelateMin_k: total coefficient mass, sum_i |B_ij|."""
+def symbol_scores(z):
+    """DecorrelateMin_k scores: each symbol's mass ``sum_i |B_ij|``."""
+    if z.n_eps == 0:
+        return np.zeros(0)
+    rows = z.eps
     return np.abs(rows.reshape(rows.shape[0], -1)).sum(axis=1)
 
 
-def _peak_rows(rows):
-    """Peak contribution: max_i |B_ij| — favours symbols that dominate a
-    single variable over symbols spread thin across many."""
-    return np.abs(rows.reshape(rows.shape[0], -1)).max(axis=1)
-
-
-def _spread_rows(rows):
-    """Correlation spread: mass times the number of variables touched —
-    keeping widely-shared symbols preserves more cross-variable
-    correlation per kept row."""
-    flat = np.abs(rows.reshape(rows.shape[0], -1))
-    return flat.sum(axis=1) * np.count_nonzero(flat, axis=1)
-
-
-# Row scorers: each maps an eps block (E, *S) to one score per symbol.
-REDUCTION_STRATEGIES = {
-    "mass": _mass_rows,
-    "peak": _peak_rows,
-    "spread": _spread_rows,
-}
-
-
-def symbol_scores(z, strategy="mass"):
-    """Per-symbol heuristic scores (see :data:`REDUCTION_STRATEGIES`)."""
-    if z.n_eps == 0:
-        return np.zeros(0)
-    return REDUCTION_STRATEGIES[strategy](z.eps)
-
-
-def reduce_noise_symbols(z, k, strategy="mass"):
-    """Reduce the eps block of ``z`` to the ``k`` highest-scoring symbols.
+def reduce_noise_symbols(z, k):
+    """Reduce the eps block of ``z`` to the ``k`` highest-mass symbols.
 
     The dropped symbols' mass is over-approximated per variable by a fresh
-    independent symbol (a box), so the result always contains ``z``
-    regardless of the scoring ``strategy``. When ``z`` already has at most
-    ``k`` eps symbols it is returned unchanged. ``"mass"`` is the paper's
-    DecorrelateMin_k heuristic; the alternatives support the reduction
-    ablation bench.
+    independent symbol (a box), so the result always contains ``z``. When
+    ``z`` already has at most ``k`` eps symbols it is returned unchanged.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
     if z.n_eps <= k:
         return z
     started = TRACER.start()
-    scores = symbol_scores(z, strategy)
+    scores = symbol_scores(z)
     keep = np.sort(np.argsort(scores)[::-1][:k])
     drop_mask = np.ones(z.n_eps, dtype=bool)
     drop_mask[keep] = False

@@ -150,8 +150,7 @@ class TestEndToEndEquivalence:
                                       variant):
         # A small cap forces DecorrelateMin_k reduction at each layer input.
         config = VerifierConfig(dot_product_variant=variant,
-                                noise_symbol_cap=48,
-                                reduction_strategy="mass")
+                                noise_symbol_cap=48)
         structured, dense = both_paths(logit_bounds, tiny_model,
                                        tiny_sentence, p, 0.02, config)
         np.testing.assert_array_equal(structured, dense)
@@ -163,8 +162,7 @@ class TestEndToEndEquivalence:
         # Standard layer norm (Table 7) runs the elementwise product, which
         # is the matmul route at k = 1, so the oracle's patch reaches it.
         config = VerifierConfig(dot_product_variant=variant,
-                                noise_symbol_cap=48,
-                                reduction_strategy="mass")
+                                noise_symbol_cap=48)
         structured, dense = both_paths(logit_bounds, tiny_model_std_norm,
                                        tiny_sentence, p, 0.02, config)
         np.testing.assert_array_equal(structured, dense)

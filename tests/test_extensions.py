@@ -1,5 +1,5 @@
 """Tests for the extension features beyond the paper's core: GELU
-activations, sigmoid transformer, alternative reduction strategies."""
+activations and the sigmoid transformer."""
 
 import numpy as np
 import pytest
@@ -7,11 +7,9 @@ from scipy.stats import norm
 
 from repro.autograd import Tensor, gelu as autograd_gelu
 from repro.nn import TransformerClassifier, FeedForward, train_transformer
-from repro.verify import (DeepTVerifier, FAST, VerifierConfig,
-                          word_perturbation_region, propagate_classifier)
-from repro.zonotope import (MultiNormZonotope, sigmoid, gelu,
-                            reduce_noise_symbols, symbol_scores,
-                            REDUCTION_STRATEGIES)
+from repro.verify import (DeepTVerifier, FAST, word_perturbation_region,
+                          propagate_classifier)
+from repro.zonotope import MultiNormZonotope, sigmoid, gelu
 
 from tests.conftest import sample_lp_ball, assert_sound
 from tests.gradcheck import check_grad
@@ -106,42 +104,3 @@ class TestGeluNetwork:
             tiny_corpus.test_sequences[0], 1, 1e-5, 2)
         assert result.certified
 
-
-class TestReductionStrategies:
-    def test_registry(self):
-        assert set(REDUCTION_STRATEGIES) == {"mass", "peak", "spread"}
-
-    @pytest.mark.parametrize("strategy", ["mass", "peak", "spread"])
-    def test_all_strategies_sound(self, rng, strategy):
-        z = MultiNormZonotope(rng.normal(size=(4,)),
-                              phi=rng.normal(size=(2, 4)),
-                              eps=rng.normal(size=(8, 4)), p=2.0)
-        reduced = reduce_noise_symbols(z, 3, strategy=strategy)
-        lower, upper = reduced.bounds()
-        for _ in range(100):
-            phi = sample_lp_ball(rng, 2, 2.0)
-            eps = rng.uniform(-1, 1, size=8)
-            x = z.concretize(phi, eps)
-            assert np.all(x >= lower - 1e-9)
-            assert np.all(x <= upper + 1e-9)
-
-    def test_scores_differ_between_strategies(self, rng):
-        z = MultiNormZonotope(rng.normal(size=(6,)),
-                              eps=rng.normal(size=(5, 6)))
-        mass = symbol_scores(z, "mass")
-        peak = symbol_scores(z, "peak")
-        assert not np.allclose(np.argsort(mass), np.argsort(peak)) or \
-            not np.allclose(mass, peak)
-
-    def test_config_validates_strategy(self):
-        with pytest.raises(ValueError):
-            VerifierConfig(reduction_strategy="random")
-
-    def test_verifier_accepts_strategy(self, tiny_model, tiny_sentence):
-        for strategy in ("mass", "peak", "spread"):
-            verifier = DeepTVerifier(
-                tiny_model, FAST(noise_symbol_cap=32,
-                                 reduction_strategy=strategy))
-            result = verifier.certify_word_perturbation(tiny_sentence, 1,
-                                                        1e-5, 2)
-            assert result.certified

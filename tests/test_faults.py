@@ -116,14 +116,6 @@ class TestPropagationChaos:
         assert not (result.certified and not clean_result.certified)
         assert result.margin_lower <= clean_result.margin_lower
 
-    def test_fault_without_ladder_raises(self, tiny_model, region,
-                                         true_label):
-        verifier = DeepTVerifier(tiny_model, FAST(
-            noise_symbol_cap=64, degradation_ladder=False))
-        with install_fault_plan(FaultPlan(kind="nan", layer=0, seed=SEED)):
-            with pytest.raises(Exception):
-                verifier.certify_region(region, true_label)
-
 
 class TestTraceChaos:
     """Injected faults and degradation-ladder hops must be visible as

@@ -1,15 +1,17 @@
-"""Tests for the propagation guard layer and the degradation ladder:
-typed invariant errors, the shared margin predicate, bitwise invisibility
-on healthy inputs, and the sound precise -> fast -> interval fallback."""
+"""Tests for the propagation guard and the degradation ladder: typed
+invariant errors, the shared margin predicate, bitwise invisibility on
+healthy inputs, and the sound precise -> fast -> interval fallback."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
+from repro.faults import FaultPlan, install_fault_plan
 from repro.trace import TRACER
 from repro.verify import (CertificationResult, DeepTVerifier, FAST, PRECISE,
-                          NumericalBlowupError, PropagationGuard,
-                          SymbolBudgetExceeded, VerifierConfig,
-                          certified_from_margin, guard_scope,
+                          NumericalBlowupError, VerifierConfig,
+                          certified_from_margin, propagation,
                           word_perturbation_region)
 from repro.verify.guards import check_zonotope
 from repro.zonotope import MultiNormZonotope
@@ -46,39 +48,24 @@ class TestPropagationGuard:
         return z.append_fresh_eps(np.abs(center) * 0.1)
 
     def test_healthy_zonotope_passes(self):
-        guard = PropagationGuard()
-        guard.check(self._zonotope(), "stage")
-        assert guard.checks == 1 and guard.trips == 0
+        z = self._zonotope()
+        with TRACER.query_scope(None) as record:
+            assert check_zonotope(z, "stage") is z
+        assert "guard_trips" not in record["perf"]["counters"]
 
     def test_nan_center_trips_blowup(self):
-        guard = PropagationGuard()
-        with pytest.raises(NumericalBlowupError, match="attention"):
-            guard.check(self._zonotope(np.array([[np.nan, 1.0]])),
-                        "attention")
-        assert guard.trips == 1
+        z = self._zonotope(np.array([[np.nan, 1.0]]))
+        with TRACER.query_scope(None) as record:
+            with pytest.raises(NumericalBlowupError,
+                               match="attention") as excinfo:
+                check_zonotope(z, "attention")
+        assert excinfo.value.stage == "attention"
+        assert record["perf"]["counters"]["guard_trips"] == 1
 
     def test_inf_coefficient_trips_blowup(self):
         z = self._zonotope().append_fresh_eps(np.array([[np.inf, 0.0]]))
         with pytest.raises(NumericalBlowupError):
-            PropagationGuard().check(z, "ffn")
-
-    def test_symbol_budget_trips_typed_error(self):
-        z = self._zonotope()
-        assert z.n_eps > 1
-        with pytest.raises(SymbolBudgetExceeded) as excinfo:
-            PropagationGuard(symbol_budget=1).check(z, "reduction")
-        assert excinfo.value.stage == "reduction"
-
-    def test_scope_activates_and_restores(self):
-        guard = PropagationGuard()
-        z = self._zonotope()
-        check_zonotope(z, "outside")  # no active guard: free no-op
-        assert guard.checks == 0
-        with guard_scope(guard):
-            check_zonotope(z, "inside")
-        assert guard.checks == 1
-        check_zonotope(z, "outside-again")
-        assert guard.checks == 1
+            check_zonotope(z, "ffn")
 
 
 class TestDegradationLadder:
@@ -87,57 +74,48 @@ class TestDegradationLadder:
         assert names == ["precise", "fast", "ibp"]
         names = [n for n, _ in DeepTVerifier._ladder(FAST())]
         assert names == ["fast", "ibp"]
-        solo = DeepTVerifier._ladder(FAST(degradation_ladder=False))
-        assert [n for n, _ in solo] == ["fast"]
 
     def test_healthy_run_is_bitwise_invisible(self, tiny_model, region,
-                                              true_label):
-        """Guards + ladder on must reproduce the unguarded result exactly,
-        with zero degradation events recorded."""
-        plain = DeepTVerifier(tiny_model, FAST(
-            noise_symbol_cap=64, guards=False, degradation_ladder=False))
-        guarded = DeepTVerifier(tiny_model, FAST(noise_symbol_cap=64))
+                                              true_label, monkeypatch):
+        """The guarded ladder must reproduce one propagation with the guard
+        patched out exactly, with zero degradation events recorded."""
+        verifier = DeepTVerifier(tiny_model, FAST(noise_symbol_cap=64))
         with TRACER.query_scope(None) as record:
-            a = plain.certify_region(region, true_label)
-            b = guarded.certify_region(region, true_label)
+            b = verifier.certify_region(region, true_label)
         snapshot = record["perf"]
+        with monkeypatch.context() as patch:
+            patch.setattr(propagation, "check_zonotope", lambda z, stage: z)
+            a = verifier._certify_region_once(region, true_label,
+                                              verifier.config)
         assert b.margin_lower == a.margin_lower  # bitwise, not approx
         assert b.certified == a.certified
         assert not b.degraded and b.fallback_chain == ()
         assert snapshot["counters"].get("degradations", 0) == 0
 
-    def test_budget_trip_degrades_to_interval_floor(self, tiny_model,
-                                                    region, true_label):
-        verifier = DeepTVerifier(tiny_model, FAST(
-            noise_symbol_cap=64, symbol_budget=1))
-        with TRACER.query_scope(None) as record:
+    def test_guard_trip_degrades_to_interval_floor(self, tiny_model,
+                                                   region, true_label):
+        verifier = DeepTVerifier(tiny_model, FAST(noise_symbol_cap=64))
+        with install_fault_plan(FaultPlan(kind="nan", layer=0)), \
+                TRACER.query_scope(None) as record:
             result = verifier.certify_region(region, true_label)
         snapshot = record["perf"]
         assert result.degraded
         assert result.fallback_chain == ("fast", "ibp")
-        assert "SymbolBudgetExceeded" in result.fault
+        assert "NumericalBlowupError" in result.fault
         assert np.isfinite(result.margin_lower)
         assert snapshot["counters"]["degradations"] == 1
         assert snapshot["counters"]["degraded_to_ibp"] == 1
 
     def test_degradation_never_invents_certification(self, tiny_model,
                                                      region, true_label):
-        healthy = DeepTVerifier(tiny_model, FAST(noise_symbol_cap=64))
-        degraded = DeepTVerifier(tiny_model, FAST(
-            noise_symbol_cap=64, symbol_budget=1))
-        clean = healthy.certify_region(region, true_label)
-        fallen = degraded.certify_region(region, true_label)
+        verifier = DeepTVerifier(tiny_model, FAST(noise_symbol_cap=64))
+        clean = verifier.certify_region(region, true_label)
+        with install_fault_plan(FaultPlan(kind="nan", layer=0)):
+            fallen = verifier.certify_region(region, true_label)
+        assert fallen.degraded
         assert not (fallen.certified and not clean.certified)
         # The interval floor is strictly looser than the zonotope engine.
         assert fallen.margin_lower <= clean.margin_lower
-
-    def test_ladder_disabled_raises_typed_error(self, tiny_model, region,
-                                                true_label):
-        verifier = DeepTVerifier(tiny_model, FAST(
-            noise_symbol_cap=64, symbol_budget=1,
-            degradation_ladder=False))
-        with pytest.raises(SymbolBudgetExceeded):
-            verifier.certify_region(region, true_label)
 
     def test_interval_floor_is_sound(self, tiny_model, region, true_label):
         verifier = DeepTVerifier(tiny_model, FAST(noise_symbol_cap=64))
@@ -154,17 +132,25 @@ class TestDegradationLadder:
 
 
 class TestConfigKnobs:
-    def test_new_fields_default_on(self):
-        config = VerifierConfig()
-        assert config.guards and config.degradation_ladder
-        assert config.symbol_budget is None
+    def test_holds_exactly_the_papers_five_knobs(self):
+        names = [f.name for f in dataclasses.fields(VerifierConfig)]
+        assert names == ["dot_product_variant", "dual_norm_order",
+                         "noise_symbol_cap", "last_layer_cap",
+                         "softmax_sum_refinement"]
+
+    @pytest.mark.parametrize("field", ["noise_symbol_cap",
+                                       "last_layer_cap"])
+    @pytest.mark.parametrize("cap", [-1, 12.5, True, "64"])
+    def test_symbol_caps_must_be_counts(self, field, cap):
+        with pytest.raises(ValueError, match=field):
+            VerifierConfig(**{field: cap})
 
     def test_fields_flow_into_query_keys(self, tiny_model, tiny_sentence):
         from repro.scheduler import expand_word_queries
         base = expand_word_queries(tiny_model, [tiny_sentence], 2.0,
                                    verifier="deept", config=FAST(),
                                    n_positions=1)
-        budgeted = expand_word_queries(
+        capped = expand_word_queries(
             tiny_model, [tiny_sentence], 2.0, verifier="deept",
-            config=FAST(symbol_budget=7), n_positions=1)
-        assert base[0].key() != budgeted[0].key()
+            config=FAST(noise_symbol_cap=7), n_positions=1)
+        assert base[0].key() != capped[0].key()

@@ -102,16 +102,37 @@ class TestLifecycle:
         asyncio.run(main())
 
     @pytest.mark.parametrize("knob", [{"coeff_tol": 0.1},
-                                      {"propagate_rewrites": False}])
+                                      {"propagate_rewrites": False},
+                                      {"guards": False},
+                                      {"degradation_ladder": False},
+                                      {"symbol_budget": 1},
+                                      {"reduction_strategy": "peak"}])
     def test_removed_config_knobs_are_typed_400s(self, tiny_model,
                                                  sentences, knob):
-        """Neither ``coeff_tol`` (a tolerance under which fresh error
-        symbols would be dropped, so bounds stop enclosing the network)
-        nor ``propagate_rewrites`` is a config field: a client config
-        naming either is refused before anything runs."""
-        payload = submission(sentences[0],
-                             config={"noise_symbol_cap": 128, **knob})
+        """None of ``coeff_tol`` (a tolerance under which fresh error
+        symbols would be dropped, so bounds stop enclosing the network),
+        ``propagate_rewrites``, ``guards``, ``degradation_ladder``,
+        ``symbol_budget`` or ``reduction_strategy`` is a config field: a
+        client config naming one is refused before anything runs."""
+        self._assert_refused(tiny_model, submission(
+            sentences[0], config={"noise_symbol_cap": 128, **knob}))
 
+    @pytest.mark.parametrize("config", [
+        {"noise_symbol_cap": None}, {"noise_symbol_cap": 100000},
+        {"noise_symbol_cap": -1}, {"noise_symbol_cap": 12.5},
+        {"noise_symbol_cap": 64, "last_layer_cap": 513}],
+        ids=["null", "huge", "negative", "fractional", "last-layer-huge"])
+    def test_unbounded_or_malformed_symbol_caps_are_typed_400s(
+            self, tiny_model, sentences, config):
+        """A symbol cap a client sets must be a count of at most
+        ``MAX_SYMBOL_CAP``: nothing else bounds a probe's eps block, and a
+        negative or fractional cap is a config error, not a numerical
+        fault for the ladder to absorb."""
+        self._assert_refused(tiny_model, submission(sentences[0],
+                                                    config=config))
+
+    @staticmethod
+    def _assert_refused(tiny_model, payload):
         async def main():
             async with serving(tiny_model) as (service, client):
                 status, body = await client.submit(payload, wait=30)
