@@ -24,9 +24,9 @@ Usage::
                                                    # quick-start")
 
 ``--workers N`` fans the certification queries of every radius report
-across N supervised worker processes (N=0 keeps the classic serial path);
-the certified radii are bitwise identical either way. ``--cache`` (or
-``--cache-dir PATH``) memoizes completed queries on disk keyed by model
+across N supervised worker processes (N=0 answers them one at a time in
+this process); the certified radii are bitwise identical either way.
+``--cache`` (or ``--cache-dir PATH``) memoizes completed queries on disk keyed by model
 weights, corpus fingerprint and query config, so re-runs and extended
 sweeps only pay for new queries. ``--journal PATH`` appends every
 completed query outcome to a crash-safe fsync'd JSONL journal as the run
@@ -67,7 +67,8 @@ def _build_parser():
         help="certification-query worker processes on the supervised pool "
              "(heartbeats, requeue-on-death, poison quarantine, graceful "
              "SIGTERM drain); serve runs up to N queries at once on them "
-             "(0 = serial in-process, default)")
+             "(0 = no worker process: one query at a time in this "
+             "process, default)")
     # Accepted for old command lines; --workers N alone selects the pool.
     parser.add_argument("--supervised", action="store_true",
                         help=argparse.SUPPRESS)
@@ -166,7 +167,7 @@ def _serve(args):
         except (NotImplementedError, RuntimeError):
             pass
         mode = f"supervised workers={config.workers}" \
-            if config.workers else "single executor thread"
+            if config.workers else "in-process, one query at a time"
         print(f"serving model_hash={service.model_hash} "
               f"(test accuracy {accuracy:.2f}) on "
               f"http://{args.host}:{port} [{mode}] — POST /submit, "

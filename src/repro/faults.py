@@ -3,8 +3,8 @@
 Chaos harness for the resilience layers: a seeded, reproducible injector
 that can corrupt intermediate zonotopes (NaN / Inf / overscaled
 coefficients entering a chosen layer), kill or stall supervised-pool
-workers and the service's executor thread at query start, and crash or
-garble :class:`~repro.scheduler.cache.ResultCache` shard writes.
+workers at query start, and crash or garble
+:class:`~repro.scheduler.cache.ResultCache` shard writes.
 Production code carries only cheap hook calls (a ``None`` check when no
 plan is active); the faults themselves live here, behind a
 :class:`FaultPlan`.
@@ -30,8 +30,8 @@ Fault kinds
                     injection site).
 ``kill-worker``     ``os._exit`` a pool worker at lease start (the
                     supervisor requeues the lease, and quarantines a query
-                    that keeps killing workers to the IBP floor); in the
-                    service's in-process executor, raise
+                    that keeps killing workers to the IBP floor); with no
+                    worker process (the fleet of none), raise
                     :class:`InjectedWorkerDeath` instead.
 ``stall``           sleep ``stall_seconds`` at query start (forces the
                     lease deadline or the service's query timeout).
@@ -52,13 +52,16 @@ Fault kinds
 Supervised-pool faults are *parent-side directives*: the supervisor asks
 :func:`fault_lease_directives` / :func:`fault_spawn_directive` in its own
 process and ships the resulting instruction to the worker inside the
-lease (or spawn) message. That keeps ``max_faults`` accounting in one
-deterministic place — the parent — instead of scattering independent
-per-worker counters across forked children. A plan's ``target_key``
-restricts which query keys the seeded draws may fire on, and
-``poison_key`` marks a key prefix whose leases are killed *every* time
-(bypassing ``max_faults``): the deterministic way to manufacture a
-poison query that crosses the supervisor's quarantine threshold.
+lease (or spawn) message; the fleet of none
+(``WorkerSupervisor(workers=0)``) takes the same directives before it
+answers a query on the calling thread. That keeps ``max_faults``
+accounting in one deterministic place — the parent — instead of
+scattering independent per-worker counters across forked children. A
+plan's ``target_key`` restricts which query keys the seeded draws may
+fire on, and ``poison_key`` marks a key prefix whose leases are killed
+*every* time (bypassing ``max_faults``): the deterministic way to
+manufacture a poison query that crosses the supervisor's quarantine
+threshold.
 
 Every injection decision is a deterministic function of (plan seed,
 injection count): ``probability`` draws come from a seeded generator and
@@ -70,7 +73,6 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -78,8 +80,7 @@ import numpy as np
 
 __all__ = ["FaultPlan", "FaultInjector", "InjectedWorkerDeath",
            "install_fault_plan", "active_injector", "reset_fault_state",
-           "fault_zonotope", "fault_service_entry",
-           "fault_cache_commit", "fault_cache_committed",
+           "fault_zonotope", "fault_cache_commit", "fault_cache_committed",
            "fault_lease_directives", "fault_spawn_directive",
            "ENV_FAULT_PLAN"]
 
@@ -98,11 +99,11 @@ KILL_EXIT_CODE = 17
 class InjectedWorkerDeath(RuntimeError):
     """An injected worker kill, surfaced in-process.
 
-    The certification service executes queries on executor threads inside
-    the serving process, so the ``kill-worker`` fault cannot ``os._exit``
-    there without taking the whole server down — instead the service-side
-    hook raises this error at query start, and the service rescues the
-    waiting request from the IBP floor.
+    The fleet of none (``WorkerSupervisor(workers=0)``) answers queries
+    on the calling thread — in the certification service, inside the
+    serving process — so a ``kill`` directive cannot ``os._exit`` there
+    without taking the caller down. It raises this error at query start
+    instead; the service rescues the waiting request from the IBP floor.
     """
 
 
@@ -204,23 +205,6 @@ class FaultInjector:
         index = int(self._rng.integers(flat.size))
         flat[index] = np.nan if plan.kind == "nan" else np.inf
         return MultiNormZonotope(center, z.phi, z.eps, z.p)
-
-    # --------------------------------------------------------------- service
-    def service_entry(self):
-        """Hook at service query-execution start: die-or-stall in-thread.
-
-        The in-process twin of :meth:`lease_directives` for the asyncio
-        certification service: ``kill-worker`` raises
-        :class:`InjectedWorkerDeath` (the executor thread dies, the server
-        survives to rescue the waiter) and ``stall`` sleeps past the
-        service's per-query deadline (forcing its timeout path).
-        """
-        kind = self.plan.kind
-        if kind == "kill-worker" and self._should_fire():
-            raise InjectedWorkerDeath("injected worker death at query "
-                                      "start")
-        if kind == "stall" and self._should_fire():
-            time.sleep(self.plan.stall_seconds)
 
     # ------------------------------------------------------- supervised pool
     def lease_directives(self, query_key):
@@ -325,16 +309,9 @@ def fault_zonotope(z, layer_index):
     return corrupted
 
 
-def fault_service_entry():
-    """Service-executor hook at query start (kill / stall kinds, raising
-    instead of exiting — the serving process must survive)."""
-    injector = active_injector()
-    if injector is not None:
-        injector.service_entry()
-
-
 def fault_lease_directives(query_key):
-    """Supervisor hook when leasing ``query_key`` to a pool worker."""
+    """Supervisor hook when leasing ``query_key`` to a pool worker (or
+    answering it with none)."""
     injector = active_injector()
     if injector is None:
         return None

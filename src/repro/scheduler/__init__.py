@@ -59,7 +59,7 @@ def set_default_scheduler(scheduler):
 
 
 def configure(workers=0, cache_dir=None, journal_path=None, resume=False,
-              lease_timeout=None, drain_timeout=30.0):
+              drain_timeout=30.0):
     """Install a fresh default scheduler from knob values; returns it.
 
     ``journal_path`` enables the crash-safe run journal there (``resume``
@@ -67,8 +67,7 @@ def configure(workers=0, cache_dir=None, journal_path=None, resume=False,
     truncated for a fresh run). ``resume`` alone journals at the default
     :func:`default_journal_path`. ``workers > 0`` runs misses on the
     leased, heartbeat-monitored :class:`WorkerSupervisor` fleet;
-    ``lease_timeout`` / ``drain_timeout`` tune its liveness and
-    graceful-drain deadlines.
+    ``drain_timeout`` is its graceful-drain deadline.
     """
     journal = None
     if journal_path or resume:
@@ -77,5 +76,4 @@ def configure(workers=0, cache_dir=None, journal_path=None, resume=False,
     return set_default_scheduler(CertScheduler(workers=workers,
                                                cache_dir=cache_dir,
                                                journal=journal,
-                                               lease_timeout=lease_timeout,
                                                drain_timeout=drain_timeout))

@@ -1,12 +1,19 @@
 """Supervised multi-process execution pool: leases, heartbeats, quarantine.
 
-This is the one multi-process executor: the scheduler (``workers > 0``)
-and the service both run their queries on it.
+This is the one executor: the scheduler and the service both run every
+query they execute through a :class:`WorkerSupervisor`.
 
 * :class:`WorkerSupervisor` owns N long-lived worker processes (fork
   context — the model is inherited, never pickled), each connected by a
   duplex pipe. Every query is handed out under a **lease** ``(lease id,
   query key, worker id, deadline)``.
+* ``workers=0`` is a **fleet of none**: no process and no thread starts,
+  and :meth:`~WorkerSupervisor.run` answers each query on the calling
+  thread, under the fault directives a lease would carry (``stall``
+  sleeps; ``kill`` raises :class:`~repro.faults.InjectedWorkerDeath`,
+  since there is no process to exit). A fleet that cannot start (no fork
+  context, a failed spawn) stops the workers it forked, counts a
+  fallback and serves as a fleet of none.
 * One **lease loop** thread, started by the first submission, owns the
   slots, leases, kill counts, poison memo and respawns. :meth:`run` and
   :meth:`run_batch` are thread-safe: a caller puts its queries in the
@@ -28,7 +35,7 @@ and the service both run their queries on it.
   caller's journal append (driven by ``on_result``) therefore happens
   exactly once per answered query.
 * A lease carries exactly one query. A query whose lease kills its worker
-  ``poison_threshold`` times (default 2) is **poisoned**: quarantined in a
+  :data:`POISON_THRESHOLD` times is **poisoned**: quarantined in a
   per-query circuit breaker and answered in-process by
   :func:`~repro.scheduler.worker.ibp_floor_outcome` — sound by
   construction (IBP never flips uncertified to certified) and executed
@@ -42,7 +49,7 @@ and the service both run their queries on it.
   under a drain deadline, then every waiting :meth:`run` raises its own
   :class:`DrainedRun`, carrying that caller's completed results (already
   committed through ``on_result``, i.e. journaled) and its queries left
-  for ``--resume``.
+  for ``--resume``. The fleet of none ignores drain requests.
 
 Fault injection is parent-side: the supervisor consults
 :func:`repro.faults.fault_lease_directives` /
@@ -53,6 +60,7 @@ the directive inside the lease or spawn message, keeping the seeded
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import random
 import signal
@@ -61,13 +69,24 @@ import time
 from collections import deque
 from multiprocessing.connection import wait as _connection_wait
 
-from ..faults import (KILL_EXIT_CODE, fault_lease_directives,
-                      fault_spawn_directive)
+from ..faults import (KILL_EXIT_CODE, InjectedWorkerDeath,
+                      fault_lease_directives, fault_spawn_directive)
 from ..trace import TRACER
 from . import worker as worker_mod
 from .worker import QueryOutcome, ibp_floor_outcome
 
-__all__ = ["WorkerSupervisor", "PoisonedQueryError", "DrainedRun"]
+__all__ = ["WorkerSupervisor", "PoisonedQueryError", "DrainedRun",
+           "POISON_THRESHOLD"]
+
+# Worker kills after which a query is quarantined to the IBP floor.
+POISON_THRESHOLD = 2
+# A slot that keeps dying at boot respawns after RESPAWN_BACKOFF * 2**k
+# seconds (k boot deaths in a row, capped at RESPAWN_CAP) times a seeded
+# jitter factor in [1, 2); after MAX_BOOT_FAILURES in a row it is
+# disabled, and with every slot disabled the rest is answered in-process.
+RESPAWN_BACKOFF = 0.05
+RESPAWN_CAP = 2.0
+MAX_BOOT_FAILURES = 3
 
 
 class PoisonedQueryError(RuntimeError):
@@ -260,46 +279,27 @@ class WorkerSupervisor:
     model:
         The transformer served to every worker via fork inheritance.
     workers:
-        Fleet size (>= 1).
-    context:
-        A ``multiprocessing`` context providing ``Pipe``/``Process``;
-        defaults to the fork context. Injected by the scheduler so its
-        pool-creation-failure fallback semantics stay testable.
+        Fleet size; ``0`` is the fleet of none, which answers on the
+        calling thread. A fleet that cannot start drops to ``0``.
     heartbeat_interval / lease_timeout:
         Workers heartbeat every ``heartbeat_interval`` seconds; a lease
         whose progress counter has not *changed* for ``lease_timeout``
         seconds is declared dead (worker killed, lease requeued).
-    poison_threshold:
-        Worker kills after which a query is quarantined.
-    respawn_backoff / respawn_cap / max_boot_failures:
-        Exponential backoff (seeded jitter) between respawns of a slot
-        that keeps dying at boot; after ``max_boot_failures`` consecutive
-        boot deaths the slot is disabled, and with every slot disabled
-        remaining work falls back in-process (the run still completes).
     drain_timeout:
         Seconds granted to in-flight leases after a drain request.
-    seed:
-        Seeds the jitter only — no scheduling decision depends on it.
     """
 
-    def __init__(self, model, workers=2, *, context=None,
-                 heartbeat_interval=0.5, lease_timeout=30.0,
-                 poison_threshold=2, respawn_backoff=0.05,
-                 respawn_cap=2.0, max_boot_failures=3, drain_timeout=30.0,
-                 seed=0):
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
+    def __init__(self, model, workers=2, *, heartbeat_interval=0.5,
+                 lease_timeout=30.0, drain_timeout=30.0):
+        if workers < 0:
+            raise ValueError("workers must be >= 0")
         self.model = model
         self.workers = int(workers)
         self.heartbeat_interval = float(heartbeat_interval)
         self.lease_timeout = float(lease_timeout)
-        self.poison_threshold = int(poison_threshold)
-        self.respawn_backoff = float(respawn_backoff)
-        self.respawn_cap = float(respawn_cap)
-        self.max_boot_failures = int(max_boot_failures)
         self.drain_timeout = float(drain_timeout)
-        self._context = context
-        self._rng = random.Random(seed)
+        self._rng = random.Random(0)  # seeds the respawn jitter only
+        self._context = None       # the fork context, taken by start()
         self._slots = []
         self._lease_seq = 0
         self._kill_counts = {}
@@ -328,24 +328,33 @@ class WorkerSupervisor:
 
     # ------------------------------------------------------------- lifecycle
     def start(self):
-        """Spawn the fleet (idempotent). Raises if no worker can start."""
+        """Spawn the fleet (idempotent); the fleet of none spawns nothing.
+
+        A fleet that cannot start (no fork context, a failed spawn) stops
+        the workers it forked, counts ``stats["fallbacks"]`` and serves
+        as a fleet of none. Raises once the supervisor is stopped.
+        """
         with self._lock:
             if self._stopped:
                 raise RuntimeError("worker supervisor is stopped")
             if self._started:
                 return self
-            if self._context is None:
-                import multiprocessing
-                self._context = multiprocessing.get_context("fork")
-            self._wake_r, self._wake_w = os.pipe()
-            os.set_blocking(self._wake_w, False)
-            self._slots = [_Slot(i) for i in range(self.workers)]
-            try:
-                for slot in self._slots:
-                    self._spawn(slot, initial=True)
-            except BaseException:
-                self.stop()  # no worker outlives a fleet that failed to start
-                raise
+            if self.workers:
+                try:
+                    self._context = multiprocessing.get_context("fork")
+                    self._wake_r, self._wake_w = os.pipe()
+                    os.set_blocking(self._wake_w, False)
+                    self._slots = [_Slot(i) for i in range(self.workers)]
+                    for slot in self._slots:
+                        self._spawn(slot, initial=True)
+                except Exception:
+                    # No forked worker outlives the failed start.
+                    self._stop_workers()
+                    self.workers = 0
+                    self.stats["fallbacks"] += 1
+                except BaseException:
+                    self.stop()
+                    raise
             self._started = True
             return self
 
@@ -372,7 +381,8 @@ class WorkerSupervisor:
         The loop finishes the step it is in (an in-process answer in
         progress included) and exits; then each worker gets an exit
         message, then SIGKILL. Every caller still waiting in :meth:`run`
-        raises ``RuntimeError``. A stopped supervisor serves no more runs.
+        raises ``RuntimeError``; a fleet of none's caller raises it before
+        its next engine call. A stopped supervisor serves no more runs.
         """
         with self._lock:
             if self._stopped:
@@ -383,9 +393,15 @@ class WorkerSupervisor:
                 self._wake()
         if thread is not None:
             thread.join()
+        self._stop_workers()
+        self._fail_calls("worker supervisor stopped")
+
+    def _stop_workers(self):
+        """Close the wake pipe, then exit (or kill) every worker."""
         if self._wake_r is not None:
             os.close(self._wake_r)
             os.close(self._wake_w)
+            self._wake_r = self._wake_w = None
         for slot in self._slots:
             if slot.live and slot.conn is not None:
                 try:
@@ -403,14 +419,13 @@ class WorkerSupervisor:
             slot.process = None
             slot.conn = None
             slot.lease_id = None
-        self._started = False
-        self._fail_calls("worker supervisor stopped")
 
     def request_drain(self, timeout=None):
         """Stop leasing; finish in-flight leases, then raise DrainedRun.
 
         Only sets flags — safe to call from a signal handler. The lease
-        loop sees them within one ``heartbeat_interval``.
+        loop sees them within one ``heartbeat_interval``; the fleet of
+        none ignores them.
         """
         if timeout is not None:
             self.drain_timeout = float(timeout)
@@ -427,18 +442,23 @@ class WorkerSupervisor:
         that makes commitment at-most-once durable. Raises
         :class:`DrainedRun` (this caller's own completed and remaining
         queries) if a drain request lands mid-run, and ``RuntimeError`` if
-        the supervisor stops first.
+        the supervisor stops first. The fleet of none answers on this
+        thread instead (:meth:`_run_here`).
         """
         call = _Call(list(queries))
         with self._lock:
             self.start()
-            if self._thread is None:
-                self._thread = threading.Thread(
-                    target=self._lease_loop, name="cert-lease-loop",
-                    daemon=True)
-                self._thread.start()
-            self._inbox.append(call)
-            self._wake()
+            leased = self.workers > 0
+            if leased:
+                if self._thread is None:
+                    self._thread = threading.Thread(
+                        target=self._lease_loop, name="cert-lease-loop",
+                        daemon=True)
+                    self._thread.start()
+                self._inbox.append(call)
+                self._wake()
+        if not leased:
+            return self._run_here(call.queries, on_result)
         for _ in call.queries:
             item = call.take()
             if isinstance(item, BaseException):
@@ -450,6 +470,26 @@ class WorkerSupervisor:
     def run_batch(self, queries):
         """Service-executor entry: :meth:`run` without a commit hook."""
         return self.run(queries)
+
+    def _run_here(self, queries, on_result):
+        """The fleet of none: each query on the calling thread, under the
+        directives a lease would carry (``suppress`` has nothing to
+        silence); once stopped, raise before the engine runs."""
+        results = []
+        for query in queries:
+            with self._lock:
+                directives = fault_lease_directives(query.key()) or {}
+            if directives.get("kill"):
+                raise InjectedWorkerDeath("injected worker death at query "
+                                          "start")
+            if directives.get("stall"):
+                time.sleep(float(directives["stall"]))
+            if self._stopped:
+                raise RuntimeError("worker supervisor stopped")
+            results.append(self._execute_inprocess(query))
+            if on_result is not None:
+                on_result(results[-1])
+        return results
 
     def _wake(self):
         """Interrupt the lease loop's wait (caller holds ``_lock``)."""
@@ -653,7 +693,7 @@ class WorkerSupervisor:
         key = task.query.key()
         kills = self._kill_counts.get(key, 0) + 1
         self._kill_counts[key] = kills
-        if kills >= self.poison_threshold:
+        if kills >= POISON_THRESHOLD:
             error = PoisonedQueryError(key, kills)
             self._poisoned[key] = f"PoisonedQueryError: {error}"
             self.stats["poisoned_queries"] += 1
@@ -681,12 +721,12 @@ class WorkerSupervisor:
             self._requeue_or_poison(lease.task)
         elif boot_death:
             slot.boot_failures += 1
-            if slot.boot_failures >= self.max_boot_failures:
+            if slot.boot_failures >= MAX_BOOT_FAILURES:
                 slot.disabled = True
                 self.stats["dead_slots"] += 1
                 return
-        backoff = min(self.respawn_cap,
-                      self.respawn_backoff * 2 ** slot.boot_failures)
+        backoff = min(RESPAWN_CAP,
+                      RESPAWN_BACKOFF * 2 ** slot.boot_failures)
         slot.next_spawn_at = now + backoff * (1.0 + self._rng.random())
 
     def _kill_slot(self, slot):

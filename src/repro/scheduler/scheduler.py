@@ -7,12 +7,12 @@ regardless of completion order. Execution strategy per run:
 
 1. every query is first looked up in the run journal and the persistent
    result cache (when configured) — hits never touch a worker;
-2. with ``workers > 0`` the misses are leased to the supervised
-   :class:`~repro.scheduler.pool.WorkerSupervisor` fleet (heartbeat
-   liveness, requeue on worker death, poison-query quarantine to the IBP
-   floor, graceful drain); with ``workers == 0``, when the platform lacks
-   fork, or when the fleet cannot be started they run serially in this
-   process;
+2. the misses go to one :class:`~repro.scheduler.pool.WorkerSupervisor`
+   of ``workers`` processes: with ``workers > 0`` they are leased to its
+   fleet (heartbeat liveness, requeue on worker death, poison-query
+   quarantine to the IBP floor, graceful drain); with ``workers == 0``,
+   or when the fleet cannot start, the supervisor is a fleet of none and
+   answers them one by one on the calling thread;
 3. every completed outcome is committed the moment it completes, through
    :func:`~repro.scheduler.worker.commit_outcome`, under the query it
    executed; each query's counters and gauges ride along on its outcome
@@ -26,13 +26,14 @@ paths; parallelism and caching change wall-clock time only.
 
 from __future__ import annotations
 
-import multiprocessing
 import weakref
 
 from ..trace import TRACER, merge_perf
 from .cache import ResultCache
 from .pool import WorkerSupervisor
-from .worker import QueryOutcome, commit_outcome, execute_query
+# execute_query is not called here; it stays importable from this module
+# because the paper-workload benchmark wraps it under this module's name.
+from .worker import QueryOutcome, commit_outcome, execute_query  # noqa: F401
 
 __all__ = ["QueryOutcome", "CertScheduler", "merge_outcome_perf"]
 
@@ -45,24 +46,21 @@ def merge_outcome_perf(outcomes):
                       sorted(outcomes, key=lambda o: o.query.key()))
 
 
-def _fork_available():
-    return "fork" in multiprocessing.get_all_start_methods()
-
-
 class CertScheduler:
     """Schedules certification queries across workers with memoization.
 
     Parameters
     ----------
     workers:
-        Size of the supervised worker fleet; ``0`` keeps the classic
-        serial in-process path. The fleet is forked with the model of the
-        first :meth:`run` and re-forked whenever a run passes a different
-        model object. A query quarantined as poisoned is answered from the
-        IBP floor and stored only under its rewritten IBP query. A drain
-        request surfaces as :class:`~repro.scheduler.pool.DrainedRun` out
-        of :meth:`run` (everything completed before the drain is already
-        committed).
+        Size of the supervised worker fleet; ``0`` answers every query on
+        the calling thread (the fleet of none). The fleet is forked with
+        the model of the first :meth:`run` and re-forked whenever a run
+        passes a different model object, or after a run whose fleet
+        could not start. A query quarantined as poisoned is answered from
+        the IBP floor and stored only under its rewritten IBP query. A
+        drain request surfaces as
+        :class:`~repro.scheduler.pool.DrainedRun` out of :meth:`run`
+        (everything completed before the drain is already committed).
     cache_dir:
         Directory for the persistent result cache; ``None`` disables
         memoization entirely.
@@ -75,10 +73,9 @@ class CertScheduler:
         from exactly the queries it had not finished.
     lease_timeout:
         Seconds a lease may go without *progress* before its worker is
-        declared hung and killed (``None`` → 30).
-    heartbeat_interval / poison_threshold:
-        Worker heartbeat cadence (``None`` → 0.5 s) and the worker kills
-        after which a query is quarantined.
+        declared hung and killed.
+    heartbeat_interval:
+        Worker heartbeat cadence in seconds.
     drain_timeout:
         Seconds granted to in-flight leases after a drain request before
         they are killed and left for ``--resume``.
@@ -87,20 +84,17 @@ class CertScheduler:
     (cache/journal hits, misses, executed-by-source breakdown, retries,
     fallbacks, degraded queries, and the fleet's counters under
     ``"supervised"``). ``pooled_run_active`` is true while a run executes
-    on the fleet, i.e. while a drain request takes effect at once.
+    on worker processes, i.e. while a drain request takes effect at once.
     """
 
     def __init__(self, workers=0, cache_dir=None, journal=None,
-                 lease_timeout=None, heartbeat_interval=None,
-                 poison_threshold=2, drain_timeout=30.0):
+                 lease_timeout=30.0, heartbeat_interval=0.5,
+                 drain_timeout=30.0):
         if workers < 0:
             raise ValueError("workers must be >= 0")
         self.workers = int(workers)
-        self.lease_timeout = 30.0 if lease_timeout is None \
-            else float(lease_timeout)
-        self.heartbeat_interval = 0.5 if heartbeat_interval is None \
-            else float(heartbeat_interval)
-        self.poison_threshold = int(poison_threshold)
+        self.lease_timeout = float(lease_timeout)
+        self.heartbeat_interval = float(heartbeat_interval)
         self.drain_timeout = float(drain_timeout)
         self.cache = ResultCache(cache_dir) if cache_dir else None
         self.journal = journal
@@ -166,27 +160,16 @@ class CertScheduler:
 
     # ------------------------------------------------------------ execution
     def _execute(self, model, queries, on_result, stats):
-        """Run misses on the fleet, else serially; outcomes in order.
+        """Run misses on the supervisor; outcomes in input order.
 
         ``on_result`` fires once per outcome as it completes, so a drained
         or killed run has committed everything that finished.
         """
-        supervisor = None
-        if self.workers > 0 and _fork_available():
-            supervisor = self._ensure_supervisor(model)
-            if supervisor is None:
-                stats["fallbacks"] += 1
-        if supervisor is None:
-            results = []
-            for query in queries:
-                results.append(QueryOutcome.from_result(
-                    query, execute_query(model, query), "inprocess"))
-                on_result(results[-1])
-            return results
-
-        before = dict(supervisor.stats)
-        self.pooled_run_active = True
+        supervisor = self._ensure_supervisor(model)
+        before = dict(supervisor.stats)  # a failed start lands in the diff
         try:
+            supervisor.start()
+            self.pooled_run_active = supervisor.workers > 0
             return supervisor.run(queries, on_result=on_result)
         finally:
             self.pooled_run_active = False
@@ -194,6 +177,7 @@ class CertScheduler:
                 key: supervisor.stats[key] - before.get(key, 0)
                 for key in supervisor.stats}
             stats["retries"] = stats["supervised"]["requeued_leases"]
+            stats["fallbacks"] = stats["supervised"]["fallbacks"]
             if supervisor.drain_seconds is not None:
                 stats["supervised"]["drain_seconds"] = \
                     supervisor.drain_seconds
@@ -213,7 +197,7 @@ class CertScheduler:
             self._supervisor.request_drain(timeout)
 
     def close(self):
-        """Terminate the worker fleet, if one was started.
+        """Stop the supervisor and its worker fleet, if any.
 
         A scheduler that is garbage-collected, or still open at interpreter
         exit, closes itself the same way.
@@ -223,26 +207,23 @@ class CertScheduler:
             self._supervisor = None
 
     def _ensure_supervisor(self, model):
-        """The fleet serving ``model``; ``None`` when it cannot start.
+        """The supervisor serving ``model``, made (not started) on demand.
 
-        A fleet forked with another model object is stopped first: its
-        workers would answer with that model's weights.
+        One forked with another model object is stopped first: its
+        workers would answer with that model's weights. So is one whose
+        fleet could not start, so that each run tries to fork afresh and
+        counts its own fallback.
         """
         if self._supervisor is not None:
-            if self._supervisor.model is model:
+            if self._supervisor.model is model \
+                    and self._supervisor.workers == self.workers:
                 return self._supervisor
             self.close()
-        try:
-            context = multiprocessing.get_context("fork")
-            supervisor = WorkerSupervisor(
-                model, workers=self.workers, context=context,
-                heartbeat_interval=self.heartbeat_interval,
-                lease_timeout=self.lease_timeout,
-                poison_threshold=self.poison_threshold,
-                drain_timeout=self.drain_timeout)
-            supervisor.start()
-        except Exception:
-            return None
+        supervisor = WorkerSupervisor(
+            model, workers=self.workers,
+            heartbeat_interval=self.heartbeat_interval,
+            lease_timeout=self.lease_timeout,
+            drain_timeout=self.drain_timeout)
         if self._drain_requested:
             supervisor.request_drain(self._drain_timeout_override)
         self._supervisor = supervisor

@@ -8,11 +8,13 @@ the parent process, in a supervised pool worker, or replayed from a
 previous run. That determinism is what makes the scheduler's result cache
 and its serial-vs-parallel equivalence guarantee sound.
 
-Every executor — the serial scheduler path, the supervised pool and the
-service — returns one :class:`QueryOutcome` per query, and every cache
-entry and journal line is written by :func:`commit_outcome` under the
-query the outcome names as executed. :func:`ibp_floor_outcome` is the one
-answer a quarantined (poisoned) or rescued query gets.
+The one executor, :class:`~repro.scheduler.pool.WorkerSupervisor` (on
+its worker processes, or on the calling thread with ``workers=0``),
+returns one :class:`QueryOutcome` per query to the scheduler and the
+service, and every cache entry and journal line is written by
+:func:`commit_outcome` under the query the outcome names as executed.
+:func:`ibp_floor_outcome` is the one answer a quarantined (poisoned) or
+rescued query gets.
 """
 
 from __future__ import annotations
@@ -33,9 +35,9 @@ class QueryOutcome:
 
     ``source`` records how the radius was obtained: ``"journal"`` (this
     run's crash-recovery record), ``"cache"``, ``"worker"``,
-    ``"worker-retry"``, ``"inprocess"`` (the serial path and every
-    fallback), ``"executed"`` (the service's in-process executor), or one
-    of the IBP-floor answers ``"poisoned"`` (a quarantined query) and
+    ``"worker-retry"``, ``"inprocess"`` (computed without a worker
+    process: the fleet of none, and the pool's own fallbacks), or one of
+    the IBP-floor answers ``"poisoned"`` (a quarantined query) and
     ``"rescue"`` (a service execution that failed or timed out).
     ``degraded`` is True when any certification of the query's binary
     search fell down the verifier's precision ladder, and always for an

@@ -32,7 +32,7 @@ from ..verify import VerifierConfig
 __all__ = ["ServiceError", "BadRequest", "NotFound", "RateLimited",
            "Overloaded", "Draining", "parse_submission", "outcome_payload",
            "error_payload", "MAX_SENTENCE_TOKENS", "MAX_SEARCH_ITERATIONS",
-           "MAX_SYMBOL_CAP"]
+           "MAX_SYMBOL_CAP", "MAX_BODY_BYTES"]
 
 # Submission hard caps: a public endpoint must bound the work one request
 # can demand before admission control even sees it. A DeepT probe's time
@@ -41,6 +41,9 @@ __all__ = ["ServiceError", "BadRequest", "NotFound", "RateLimited",
 MAX_SENTENCE_TOKENS = 128
 MAX_SEARCH_ITERATIONS = 24
 MAX_SYMBOL_CAP = 512
+# Request bodies are refused above this many bytes before they are read;
+# the largest valid submission is a few KB.
+MAX_BODY_BYTES = 64 * 1024
 
 
 class ServiceError(Exception):

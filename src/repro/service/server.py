@@ -31,20 +31,23 @@ under the degraded query's key, so it can never impersonate the
 full-precision result — and a restart with ``resume=True`` replays the
 journal so previously answered queries are served without recomputation.
 
-Concurrency note: the executor runs as many queries at once as the
-worker fleet that started has workers. With ``ServiceConfig.workers > 0``
-each executor thread hands its query to the supervised multi-process pool
-(:class:`~repro.scheduler.pool.WorkerSupervisor`), whose lease loop keeps
-one lease per worker in flight: leased worker processes with heartbeat
-liveness, requeue-on-death, and poison-query quarantine to the IBP floor
-(journaled/cached only under the rewritten IBP key, like the rescue
-rung's answer). Without a fleet (``workers=0``, or a fleet that could not
-start) execution stays serial on one executor thread: the engine runs
-in-process there, and its active guard is process-global. Every answer
-commits on the event-loop thread, through one ``_finish``. The rescue
-rung runs on its own thread so a stalled execution cannot wedge
-recovery; ``TRACER`` keeps query scopes per thread, so the stalled
-execution and its rescue each get their own record.
+Concurrency note: the ``cert-exec`` executor has one thread per worker
+of the service's :class:`~repro.scheduler.pool.WorkerSupervisor` (at
+least one), and the dispatcher runs at most that many executions at
+once. Each thread hands its query to the supervisor: with
+``ServiceConfig.workers > 0`` its lease loop keeps one lease per worker
+in flight (leased worker processes with heartbeat liveness,
+requeue-on-death, and poison-query quarantine to the IBP floor,
+journaled/cached only under the rewritten IBP key, like the rescue
+rung's answer); with ``workers=0``, or a fleet that could not start, the
+fleet of none runs the engine on that thread. An execution abandoned at
+its deadline holds its slot until its thread returns, so the number of
+engines running stays bounded and the next query's deadline starts only
+once it can run. Every answer commits on the event-loop thread, through
+one ``_finish``. The rescue rung runs on its own thread so a stalled
+execution cannot wedge recovery; ``TRACER`` keeps query scopes per
+thread, so the stalled execution and its rescue each get their own
+record.
 
 ``POST /drain`` — or SIGTERM via
 the CLI — triggers a graceful drain: new submissions get a typed 503
@@ -63,8 +66,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from urllib.parse import parse_qs, urlsplit
 
-from ..faults import fault_service_entry
-from ..scheduler import worker
 from ..scheduler.cache import ResultCache
 from ..scheduler.journal import RunJournal
 from ..scheduler.pool import WorkerSupervisor
@@ -74,8 +75,8 @@ from ..scheduler.worker import (QueryOutcome, commit_outcome,
                                  ibp_floor_outcome)
 from ..trace import merge_perf, write_jsonl
 from .admission import AdmissionController
-from .protocol import (BadRequest, Draining, NotFound, Overloaded,
-                       RateLimited, ServiceError, error_payload,
+from .protocol import (MAX_BODY_BYTES, BadRequest, Draining, NotFound,
+                       Overloaded, RateLimited, ServiceError, error_payload,
                        outcome_payload, parse_submission)
 from .tenancy import TenantPolicy, TenantRegistry
 
@@ -95,7 +96,6 @@ class ServiceConfig:
     workers: int = 0               # >0: pool size = queries run at once
     lease_timeout: float = 30.0    # supervised: no-progress kill deadline
     heartbeat_interval: float = 0.5  # supervised: worker heartbeat cadence
-    poison_threshold: int = 2      # worker kills before quarantine
     drain_timeout: float = 30.0    # graceful-drain deadline (seconds)
 
 
@@ -178,7 +178,6 @@ class CertService:
         self._supervisor = None
         self._draining = False
         self._drain_seconds = None
-        self._stopped = False
 
         if self.journal is not None:
             for key, entry in self.journal.replay().items():
@@ -194,22 +193,13 @@ class CertService:
     async def start(self, host="127.0.0.1", port=8100):
         """Bind the listener and start the dispatcher; returns the port."""
         self._loop = asyncio.get_running_loop()
-        self._stopped = False
         self._wakeup = asyncio.Event()
-        if self.config.workers > 0 and self._supervisor is None:
-            try:
-                self._supervisor = WorkerSupervisor(
-                    self.model, workers=self.config.workers,
-                    heartbeat_interval=self.config.heartbeat_interval,
-                    lease_timeout=self.config.lease_timeout,
-                    poison_threshold=self.config.poison_threshold,
-                    drain_timeout=self.config.drain_timeout).start()
-            except Exception:
-                # No fork / spawn failure: stay on the thread executor.
-                self._supervisor = None
-                self._count("supervisor_unavailable")
-        self._capacity = self._supervisor.workers \
-            if self._supervisor is not None else 1
+        self._supervisor = WorkerSupervisor(
+            self.model, workers=self.config.workers,
+            heartbeat_interval=self.config.heartbeat_interval,
+            lease_timeout=self.config.lease_timeout,
+            drain_timeout=self.config.drain_timeout).start()
+        self._capacity = max(1, self._supervisor.workers)
         self._executor = ThreadPoolExecutor(
             max_workers=self._capacity, thread_name_prefix="cert-exec")
         self._rescue_executor = ThreadPoolExecutor(
@@ -226,7 +216,6 @@ class CertService:
 
     async def stop(self):
         """Close the listener; unresolved waiters get a typed error."""
-        self._stopped = True
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -449,33 +438,29 @@ class CertService:
     def _run_query(self, query):
         """Executor-thread entry: one query's :class:`QueryOutcome`.
 
-        With a worker fleet the query runs on a leased worker — there the
-        chaos entry hook is consulted parent-side per lease
-        (``fault_lease_directives``), so ``fault_service_entry`` is
-        deliberately bypassed: injected deaths hit worker processes, not
-        the service. Otherwise it runs on this (chaos-hooked) thread.
+        The supervisor answers it, on a leased worker or, for the fleet
+        of none, on this thread; either way under the query's fault
+        directives, and a supervisor stopped meanwhile (by :meth:`stop`)
+        runs no engine.
         """
-        if self._supervisor is not None:
-            return self._supervisor.run_batch([query])[0]
-        fault_service_entry()
-        if self._stopped:
-            # A stalled execution whose service stopped meanwhile: its
-            # waiter is resolved, so no engine work may outlive the service.
-            raise RuntimeError("service stopped")
-        return QueryOutcome.from_result(
-            query, worker.execute_query(self.model, query), "executed")
+        return self._supervisor.run_batch([query])[0]
 
     async def _execute(self, entry):
         entry.state = "running"
         entry.started_at = self._now()
+        execution = self._loop.run_in_executor(
+            self._executor, self._run_query, entry.query)
         try:
             outcome = await asyncio.wait_for(
-                self._loop.run_in_executor(self._executor,
-                                           self._run_query, entry.query),
+                asyncio.shield(execution),
                 timeout=self.config.query_timeout)
         except asyncio.TimeoutError:
             self._count("execution_timeouts")
             await self._rescue(entry, "execution deadline exceeded")
+            # The abandoned execution keeps its executor thread until it
+            # returns, so it keeps its slot too: the next query starts,
+            # and its deadline with it, only once a thread is free.
+            await asyncio.wait([execution])
             return
         except Exception as error:
             self._count("execution_errors")
@@ -495,8 +480,8 @@ class CertService:
         The query is answered once from the IBP floor
         (:func:`~repro.scheduler.worker.ibp_floor_outcome`, the pool's
         quarantine answer) — on a dedicated executor thread, so a stalled
-        primary execution cannot block recovery, and without the chaos
-        entry hook. The answer is stored under the IBP twin's key only, so
+        primary execution cannot block recovery, and under no fault
+        plan. The answer is stored under the IBP twin's key only, so
         it is never replayable as the original query's answer; only this
         process's in-memory result map (where the payload is flagged
         degraded) serves it for the original key. A query already at the
@@ -635,7 +620,12 @@ class CertService:
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length") or 0)
+        declared = headers.get("content-length") or "0"
+        if not (declared.isascii() and declared.isdigit()):
+            raise BadRequest("Content-Length must be a non-negative integer")
+        length = int(declared)
+        if length > MAX_BODY_BYTES:
+            raise BadRequest(f"request body exceeds {MAX_BODY_BYTES} bytes")
         body = await reader.readexactly(length) if length else b""
         url = urlsplit(target)
         return await self._route(method, url.path, parse_qs(url.query),

@@ -29,10 +29,10 @@ async def serving(model, *, config=None, **kwargs):
 
 
 class ExecutorGate:
-    """Holds the service's single executor until released.
+    """Holds the service's one execution slot until released.
 
     Replaces ``service._run_query``: the first dispatched query blocks in
-    the executor thread, so it stays ``running`` and every later
+    its execution thread, so it stays ``running`` and every later
     admission lands in the queue behind it. :meth:`release` lets held and
     later queries run the real engine; :meth:`close` makes them fail
     instead, so no engine work outlives a stopped service.

@@ -1,6 +1,6 @@
 """Tests for the supervised execution pool: leases, heartbeats, requeue,
-poison quarantine, drain, and the scheduler integration behind
-``workers > 0``.
+poison quarantine, drain, the scheduler integration behind
+``workers > 0``, and the fleet of none (``workers=0``).
 
 Everything runs against the real fork-based fleet on the tiny model (each
 query is a 3-iteration binary search, sub-second), with faults injected
@@ -20,10 +20,11 @@ import time
 
 import pytest
 
-from repro.faults import FaultPlan, install_fault_plan
+from repro.faults import FaultPlan, InjectedWorkerDeath, install_fault_plan
 from repro.scheduler import (CertScheduler, DrainedRun, PoisonedQueryError,
                              QueryOutcome, RunJournal, WorkerSupervisor,
                              expand_word_queries)
+from repro.scheduler.pool import POISON_THRESHOLD
 from repro.service import degrade_query, rung_for_query
 from repro.verify import FAST, PRECISE
 
@@ -234,7 +235,7 @@ class TestPoisonQuarantine:
                           enumerate(serial_outcomes) if i != 1]
         supervised = scheduler.last_stats["supervised"]
         assert supervised["poisoned_queries"] == 1
-        assert supervised["lease_deaths"] == scheduler.poison_threshold
+        assert supervised["lease_deaths"] == POISON_THRESHOLD
 
         # Journal and cache hold the answer ONLY under the rewritten IBP
         # key — the poisoned radius can never impersonate the original.
@@ -448,28 +449,157 @@ class TestSupervisorEdges:
         reference = CertScheduler(workers=0).run(tiny_model, [queries[0]])
         assert results[0].radius == reference[0].radius
 
-    def test_supervisor_requires_at_least_one_worker(self, tiny_model):
+    def test_supervisor_rejects_a_negative_worker_count(self, tiny_model):
         with pytest.raises(ValueError):
-            WorkerSupervisor(tiny_model, workers=0)
+            WorkerSupervisor(tiny_model, workers=-1)
 
     def test_creation_failure_falls_back_inprocess(self, tiny_model,
                                                    queries, monkeypatch):
         """No usable multiprocessing context: the pooled scheduler
-        degrades to the serial path instead of raising."""
-        import repro.scheduler.scheduler as sched_mod
+        degrades to in-process answers instead of raising."""
+        def no_fork(method):
+            raise OSError("no fork for you")
 
-        class BrokenContext:
-            def get_context(self, method):
-                raise OSError("no fork for you")
-
-            def get_all_start_methods(self):
-                return ["fork"]
-
-        monkeypatch.setattr(sched_mod, "multiprocessing", BrokenContext())
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
         scheduler = CertScheduler(workers=2)
-        outcomes = scheduler.run(tiny_model, queries[:2])
+        try:
+            outcomes = scheduler.run(tiny_model, queries[:2])
+        finally:
+            scheduler.close()
         assert all(o.source == "inprocess" for o in outcomes)
         assert scheduler.last_stats["fallbacks"] == 1
+
+
+class TestFleetOfNone:
+    """``workers=0`` starts no process and no thread: each query is
+    answered on the calling thread, under the fault directives a lease
+    would carry."""
+
+    @staticmethod
+    def _recording_engine(monkeypatch):
+        """Patch ``worker.execute_query``; returns the (thread, query)
+        list of its calls."""
+        import repro.scheduler.worker as worker_mod
+        real = worker_mod.execute_query
+        calls = []
+
+        def recording(model, query):
+            calls.append((threading.get_ident(), query))
+            return real(model, query)
+
+        monkeypatch.setattr(worker_mod, "execute_query", recording)
+        return calls
+
+    def test_answers_on_the_calling_thread(self, tiny_model, queries,
+                                           monkeypatch):
+        fleet = WorkerSupervisor(tiny_model, workers=2, lease_timeout=10.0,
+                                 heartbeat_interval=0.1)
+        try:
+            pooled = fleet.run(queries)
+        finally:
+            fleet.stop()
+        calls = self._recording_engine(monkeypatch)
+        threads = set(threading.enumerate())
+        children = set(multiprocessing.active_children())
+        supervisor = WorkerSupervisor(tiny_model, workers=0)
+        try:
+            outcomes = supervisor.run(queries)
+            assert set(threading.enumerate()) <= threads  # none started
+            assert set(multiprocessing.active_children()) <= children
+        finally:
+            supervisor.stop()
+        assert calls == [(threading.get_ident(), q) for q in queries]
+        assert [o.radius for o in outcomes] == [o.radius for o in pooled]
+        assert all(o.source == "inprocess" for o in outcomes)
+        assert not any(supervisor.stats.values())
+
+    def test_kill_directive_raises_injected_worker_death(self, tiny_model,
+                                                         queries,
+                                                         monkeypatch):
+        calls = self._recording_engine(monkeypatch)
+        supervisor = WorkerSupervisor(tiny_model, workers=0)
+        plan = FaultPlan(kind="kill-worker", max_faults=1)
+        try:
+            with install_fault_plan(plan):
+                with pytest.raises(InjectedWorkerDeath):
+                    supervisor.run(queries[:1])
+                assert calls == []
+                outcome, = supervisor.run(queries[:1])  # the plan is spent
+        finally:
+            supervisor.stop()
+        assert outcome.source == "inprocess"
+
+    def test_stall_directive_sleeps_before_the_engine(self, tiny_model,
+                                                      queries,
+                                                      serial_outcomes):
+        supervisor = WorkerSupervisor(tiny_model, workers=0)
+        plan = FaultPlan(kind="stall", stall_seconds=0.5, max_faults=1)
+        start = time.monotonic()
+        try:
+            with install_fault_plan(plan):
+                outcome, = supervisor.run(queries[:1])
+        finally:
+            supervisor.stop()
+        assert time.monotonic() - start >= 0.5
+        assert outcome.radius == serial_outcomes[0].radius
+
+    def test_stop_during_a_stall_runs_no_engine(self, tiny_model, queries,
+                                                monkeypatch):
+        calls = self._recording_engine(monkeypatch)
+        supervisor = WorkerSupervisor(tiny_model, workers=0)
+        plan = FaultPlan(kind="stall", stall_seconds=1.0, max_faults=1)
+        errors = []
+
+        def caller():
+            try:
+                supervisor.run(queries[:1])
+            except RuntimeError as error:
+                errors.append(error)
+
+        with install_fault_plan(plan) as injector:
+            thread = threading.Thread(target=caller, daemon=True)
+            thread.start()
+            deadline = time.monotonic() + 10.0
+            while not injector.fired and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert injector.fired == 1  # the caller is in its stall
+            supervisor.stop()
+            thread.join(10.0)
+        assert not thread.is_alive()
+        assert [str(error) for error in errors] == \
+            ["worker supervisor stopped"]
+        assert calls == []
+
+    def test_fleet_that_cannot_fork_serves_inprocess(self, tiny_model,
+                                                     queries,
+                                                     serial_outcomes,
+                                                     monkeypatch):
+        fork = multiprocessing.get_context("fork")
+        started = []
+
+        class BrokenContext:
+            """Forks one worker, then fails as fork does at a limit."""
+            Pipe = staticmethod(fork.Pipe)
+
+            def Process(self, *args, **kwargs):
+                if started:
+                    raise OSError("no processes for you")
+                started.append(fork.Process(*args, **kwargs))
+                return started[-1]
+
+        monkeypatch.setattr(multiprocessing, "get_context",
+                            lambda method: BrokenContext())
+        supervisor = WorkerSupervisor(tiny_model, workers=2)
+        try:
+            outcomes = supervisor.run(queries)
+        finally:
+            supervisor.stop()
+        assert not started[0].is_alive()  # the partial fleet was stopped
+        assert supervisor.workers == 0
+        assert supervisor.stats["fallbacks"] == 1
+        assert [o.radius for o in outcomes] == \
+            [o.radius for o in serial_outcomes]
+        assert all(o.source == "inprocess" for o in outcomes)
 
 
 class TestConcurrentCallers:

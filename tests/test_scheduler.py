@@ -225,8 +225,10 @@ class TestResultCache:
 class TestFallbacks:
     def test_serial_when_fork_unavailable(self, tiny_model, queries,
                                           monkeypatch):
-        import repro.scheduler.scheduler as sched_mod
-        monkeypatch.setattr(sched_mod, "_fork_available", lambda: False)
+        def no_fork(method):
+            raise ValueError(f"cannot find context for {method!r}")
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
         scheduler = CertScheduler(workers=4)
         reference = CertScheduler(workers=0).run(tiny_model, queries[:2])
         outcomes = scheduler.run(tiny_model, queries[:2])
@@ -236,7 +238,6 @@ class TestFallbacks:
 
     def test_inprocess_when_pool_creation_fails(self, tiny_model, queries,
                                                 monkeypatch):
-        import repro.scheduler.scheduler as sched_mod
         fork = multiprocessing.get_context("fork")
         started = []
 
@@ -250,13 +251,35 @@ class TestFallbacks:
                 started.append(fork.Process(*args, **kwargs))
                 return started[-1]
 
-        monkeypatch.setattr(sched_mod.multiprocessing, "get_context",
+        monkeypatch.setattr(multiprocessing, "get_context",
                             lambda method: BrokenContext())
         scheduler = CertScheduler(workers=4)
         outcomes = scheduler.run(tiny_model, queries[:2])
         assert all(o.source == "inprocess" for o in outcomes)
         assert scheduler.last_stats["fallbacks"] == 1
         assert not started[0].is_alive()  # the partial fleet was stopped
+
+    def test_every_run_retries_a_fleet_that_could_not_start(
+            self, tiny_model, queries, monkeypatch):
+        """A failed fork is not remembered: each run forks afresh, counts
+        its own fallback, and uses the fleet once fork works again."""
+        def no_fork(method):
+            raise OSError("no processes for you")
+
+        scheduler = CertScheduler(workers=2)
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(multiprocessing, "get_context", no_fork)
+                for _ in range(2):
+                    outcomes = scheduler.run(tiny_model, queries[:2])
+                    assert all(o.source == "inprocess" for o in outcomes)
+                    assert scheduler.last_stats["fallbacks"] == 1
+            pooled = scheduler.run(tiny_model, queries[:2])
+        finally:
+            scheduler.close()
+        assert all(o.source == "worker" for o in pooled)
+        assert scheduler.last_stats["fallbacks"] == 0
+        assert scheduler.last_stats["executed"]["worker"] == 2
 
     def test_execute_query_pure(self, tiny_model, queries):
         first = execute_query(tiny_model, queries[0])

@@ -7,12 +7,14 @@ concurrency soak with radii bitwise identical to serial execution.
 """
 
 import asyncio
+import json
 import multiprocessing
 
 import pytest
 
 from repro.scheduler.worker import execute_query
 from repro.service import ServiceConfig, parse_submission
+from repro.service.protocol import MAX_BODY_BYTES
 from repro.trace import TRACER, read_jsonl
 from repro.trace.__main__ import main as trace_main
 from tests.service_utils import (make_sentences, serving, serving_held,
@@ -48,7 +50,7 @@ class TestLifecycle:
                 assert status == 200
                 assert done["status"] == "done"
                 assert done["key"] == key
-                assert done["source"] == "executed"
+                assert done["source"] == "inprocess"
                 assert done["degraded"] is False
                 assert isinstance(done["radius"], float)
 
@@ -164,6 +166,63 @@ class TestLifecycle:
         counters = asyncio.run(main())
         assert counters.get("executed_queries", 0) == 0
 
+    def test_drain_after_stop_reports_instead_of_raising(self, tiny_model):
+        """A ``/drain`` still running when the service stops finds no
+        supervisor: it reports the drain rather than answering 500."""
+        async def main():
+            async with serving(tiny_model) as (service, _):
+                pass
+            return await service.drain("after stop")
+
+        report = asyncio.run(main())
+        assert report["status"] == "drained"
+        assert report["timed_out"] == 0
+
+    """Raw requests: ``Content-Length`` is checked before the body is
+    read, so a malformed or oversized one is a typed 400."""
+
+    @staticmethod
+    def _raw_submit(model, content_length, body=b""):
+        """POST ``body`` to /submit under ``content_length``; returns
+        ``(http_status, payload)``."""
+        head = (f"POST /submit HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+                f"Content-Length: {content_length}\r\n"
+                f"Connection: close\r\n\r\n").encode()
+
+        async def main():
+            async with serving(model) as (service, _):
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", service.port)
+                try:
+                    writer.write(head + body)
+                    await writer.drain()
+                    raw = await asyncio.wait_for(reader.read(), 10)
+                finally:
+                    writer.close()
+                    await writer.wait_closed()
+            status_line, _, rest = raw.partition(b"\r\n")
+            return (int(status_line.split()[1]),
+                    json.loads(rest.partition(b"\r\n\r\n")[2]))
+
+        return asyncio.run(main())
+
+    @pytest.mark.parametrize("content_length",
+                             ["abc", "-5", str(MAX_BODY_BYTES + 1)],
+                             ids=["not-a-number", "negative", "over-cap"])
+    def test_bad_content_length_is_a_typed_400(self, tiny_model,
+                                               content_length):
+        status, body = self._raw_submit(tiny_model, content_length)
+        assert status == 400
+        assert body["code"] == "bad-request"
+
+    def test_body_just_under_the_cap_is_read(self, tiny_model, sentences):
+        payload = json.dumps(submission(sentences[0],
+                                        verifier="ibp")).encode()
+        body = payload + b" " * (MAX_BODY_BYTES - 1 - len(payload))
+        status, ack = self._raw_submit(tiny_model, len(body), body)
+        assert status == 202
+        assert ack["status"] == "queued"
+
 
 class TestDedup:
     def test_concurrent_identical_queries_execute_once(self, tiny_model,
@@ -250,7 +309,7 @@ class TestTraceFile:
             done = asyncio.run(main())
             # Spans go to the file only, never into the global list.
             assert TRACER.spans == []
-        assert done["source"] == ("worker" if workers else "executed")
+        assert done["source"] == ("worker" if workers else "inprocess")
         spans = read_jsonl(path)
         assert spans, "an executed traced query must write spans"
         assert {span["query"] for span in spans} == {done["key"]}

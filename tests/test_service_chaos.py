@@ -15,6 +15,7 @@ leases at once, and a stop with a lease in flight leaves no worker alive.
 import asyncio
 import multiprocessing
 import os
+import threading
 import time
 
 import pytest
@@ -170,6 +171,84 @@ class TestStall:
         executor.shutdown(wait=True)  # joins the thread once it wakes
         assert calls == ["ibp"]
 
+    def test_query_behind_a_timed_out_execution_runs_in_full(
+            self, tiny_model, sentences):
+        """An execution abandoned at its deadline holds its slot until its
+        thread returns, so the query queued behind it is dispatched only
+        then and runs undegraded, instead of waiting out its own deadline
+        behind the stall."""
+        first = submission(sentences[2], n_iterations=1)
+        second = submission(sentences[3], n_iterations=1)
+        plan = FaultPlan(kind="stall", stall_seconds=3.0, max_faults=1)
+
+        async def main():
+            config = ServiceConfig(query_timeout=1.0)
+            async with serving(tiny_model, config=config) as (service,
+                                                              client):
+                with install_fault_plan(plan):
+                    _, ack_first = await client.submit(first)
+                    await asyncio.sleep(0.2)
+                    _, ack_second = await client.submit(second)
+                    answers = [(await client.wait(ack["key"], timeout=30))[1]
+                               for ack in (ack_first, ack_second)]
+                return answers, service.metrics_payload()["counters"]
+
+        (stalled, queued), counters = asyncio.run(main())
+        assert stalled["source"] == "rescue" and stalled["degraded"] is True
+        assert queued["status"] == "done"
+        assert queued["source"] == "inprocess"
+        assert queued["degraded"] is False
+        assert counters["execution_timeouts"] == 1
+        assert counters["rescued_queries"] == 1
+
+    def test_timed_out_executions_never_run_two_engines_at_once(
+            self, tiny_model, sentences, monkeypatch):
+        """At ``workers=0`` two queries that both outlast the deadline run
+        their engines one after the other: an abandoned execution keeps
+        the one slot, so timeouts cannot pile up engine threads."""
+        from repro.scheduler import worker
+
+        real = worker.execute_query
+        lock = threading.Lock()
+        running, peak = [], [0]
+
+        def slow(model, query):
+            if query.verifier == "ibp":  # the rescue rung
+                return real(model, query)
+            with lock:
+                running.append(query)
+                peak[0] = max(peak[0], len(running))
+            try:
+                time.sleep(1.0)
+                return real(model, query)
+            finally:
+                with lock:
+                    running.remove(query)
+
+        monkeypatch.setattr(worker, "execute_query", slow)
+        first = submission(sentences[2], n_iterations=1)
+        second = submission(sentences[3], n_iterations=1)
+
+        async def main():
+            config = ServiceConfig(query_timeout=0.3)
+            async with serving(tiny_model, config=config) as (service,
+                                                              client):
+                _, ack_first = await client.submit(first)
+                await asyncio.sleep(0.1)
+                _, ack_second = await client.submit(second)
+                answers = [(await client.wait(ack["key"], timeout=30))[1]
+                           for ack in (ack_first, ack_second)]
+                return answers, service
+
+        answers, service = asyncio.run(main())
+        assert peak[0] == 1
+        service._executor.shutdown(wait=True)  # the second engine's end
+        counters = service.metrics_payload()["counters"]
+        assert all(a["source"] == "rescue" and a["degraded"] is True
+                   for a in answers)
+        assert counters["execution_timeouts"] == 2
+        assert counters["rescued_queries"] == 2
+
 
 class TestCacheGarble:
     def test_garbled_shard_self_heals_on_recompute(self, tiny_model,
@@ -201,7 +280,7 @@ class TestCacheGarble:
         with pytest.warns(UserWarning, match="corrupt result cache"):
             second, counters = asyncio.run(run_once())
         assert second["status"] == "done"
-        assert second["source"] == "executed"
+        assert second["source"] == "inprocess"
         assert second["radius"] == first["radius"]
         assert counters["executed_queries"] == 1
 
