@@ -32,7 +32,7 @@ from ..verify import VerifierConfig
 __all__ = ["ServiceError", "BadRequest", "NotFound", "RateLimited",
            "Overloaded", "Draining", "parse_submission", "outcome_payload",
            "error_payload", "MAX_SENTENCE_TOKENS", "MAX_SEARCH_ITERATIONS",
-           "MAX_SYMBOL_CAP", "MAX_BODY_BYTES"]
+           "MAX_SYMBOL_CAP", "MAX_BODY_BYTES", "REQUEST_READ_SECONDS"]
 
 # Submission hard caps: a public endpoint must bound the work one request
 # can demand before admission control even sees it. A DeepT probe's time
@@ -44,6 +44,11 @@ MAX_SYMBOL_CAP = 512
 # Request bodies are refused above this many bytes before they are read;
 # the largest valid submission is a few KB.
 MAX_BODY_BYTES = 64 * 1024
+# A request line, its headers and its body must arrive within this many
+# seconds, or the connection is answered 400 and closed: a client that
+# stalls mid-request cannot hold a connection and its handler forever.
+# The ``?wait=`` long poll runs after the read and is not bounded by it.
+REQUEST_READ_SECONDS = 10.0
 
 
 class ServiceError(Exception):

@@ -75,9 +75,10 @@ from ..scheduler.worker import (QueryOutcome, commit_outcome,
                                  ibp_floor_outcome)
 from ..trace import merge_perf, write_jsonl
 from .admission import AdmissionController
-from .protocol import (MAX_BODY_BYTES, BadRequest, Draining, NotFound,
-                       Overloaded, RateLimited, ServiceError, error_payload,
-                       outcome_payload, parse_submission)
+from .protocol import (MAX_BODY_BYTES, REQUEST_READ_SECONDS, BadRequest,
+                       Draining, NotFound, Overloaded, RateLimited,
+                       ServiceError, error_payload, outcome_payload,
+                       parse_submission)
 from .tenancy import TenantPolicy, TenantRegistry
 
 __all__ = ["ServiceConfig", "CertService"]
@@ -608,6 +609,19 @@ class CertService:
                 pass
 
     async def _handle_request(self, reader):
+        try:
+            method, target, body = await asyncio.wait_for(
+                self._read_request(reader), REQUEST_READ_SECONDS)
+        except asyncio.TimeoutError:
+            raise BadRequest(f"request not received within "
+                             f"{REQUEST_READ_SECONDS} s") from None
+        url = urlsplit(target)
+        return await self._route(method, url.path, parse_qs(url.query),
+                                 body)
+
+    @staticmethod
+    async def _read_request(reader):
+        """The request line's method and target, and the body."""
         request_line = await reader.readline()
         parts = request_line.decode("latin-1").split()
         if len(parts) < 2:
@@ -627,9 +641,7 @@ class CertService:
         if length > MAX_BODY_BYTES:
             raise BadRequest(f"request body exceeds {MAX_BODY_BYTES} bytes")
         body = await reader.readexactly(length) if length else b""
-        url = urlsplit(target)
-        return await self._route(method, url.path, parse_qs(url.query),
-                                 body)
+        return method, target, body
 
     async def _route(self, method, path, params, body):
         if method == "POST" and path == "/submit":

@@ -38,9 +38,14 @@ from ..trace import TRACER
 from .numeric import propagation_errstate
 from .storage import EpsTail
 
-__all__ = ["MultiNormZonotope", "dual_exponent", "norm_along_axis0"]
+__all__ = ["MultiNormZonotope", "dual_exponent", "norm_along_axis0",
+           "sum_along"]
 
 _SUPPORTED_P = (1.0, 2.0, np.inf)
+
+# numpy's float add.reduce sums an axis of fewer than this many entries
+# left to right from 0.0; its pairwise summation blocks 8-way from here on.
+_SHORT_AXIS = 8
 
 
 def dual_exponent(p):
@@ -68,6 +73,26 @@ def norm_along_axis0(coeffs, q):
     if q == np.inf:
         return np.abs(coeffs).max(axis=0)
     return (np.abs(coeffs) ** q).sum(axis=0) ** (1.0 / q)
+
+
+def sum_along(values, axis, keepdims=False):
+    """``values.sum(axis)``, bitwise; a short last axis by whole-array adds.
+
+    Over a last axis of fewer than ``_SHORT_AXIS`` entries numpy's own
+    order is ``0.0 + v[0] + v[1] + ...``, so adding the slices in that
+    order gives its result, signed zeros, infinities and NaN included,
+    several times faster on the softmax's many short rows. Other axes and
+    longer ones keep ``np.sum``, whose pairwise order no slice chain
+    reproduces.
+    """
+    count = values.shape[axis]
+    if axis % values.ndim != values.ndim - 1 or not 0 < count < _SHORT_AXIS:
+        return values.sum(axis=axis, keepdims=keepdims)
+    with propagation_errstate():
+        total = values[..., 0] + 0.0
+        for k in range(1, count):
+            total += values[..., k]
+    return total[..., None] if keepdims else total
 
 
 class MultiNormZonotope:
@@ -118,9 +143,13 @@ class MultiNormZonotope:
         Mutates only the internal representation; the abstract value is
         unchanged, so sharing is preserved.
         """
+        if self._eps_tail is not None:
+            self._eps_rows = self._materialized_eps()
+            self._eps_tail = None
+
+    def _materialized_eps(self):
+        """A new dense block of the rows followed by the scattered tail."""
         tail = self._eps_tail
-        if tail is None:
-            return
         TRACER.count("eps_materializations")
         TRACER.count("eps_rows_materialized", len(tail))
         count = self._eps_rows.shape[0]
@@ -129,14 +158,21 @@ class MultiNormZonotope:
         dense[:count] = self._eps_rows
         flat = dense.reshape(total, -1)
         tail.scatter_rows(flat[count:])
-        self._eps_rows = dense
-        self._eps_tail = None
+        return dense
 
     @property
     def eps(self):
         """Dense ``(Einf,) + S`` eps block (materializes any lazy tail)."""
         self._ensure_dense()
         return self._eps_rows
+
+    def eps_copy(self):
+        """A dense eps block the caller owns: ``self.eps.copy()``, except
+        that a lazy tail is scattered straight into the new block (one
+        allocation instead of two) and this zonotope stays lazy."""
+        if self._eps_tail is None:
+            return self._eps_rows.copy()
+        return self._materialized_eps()
 
     def _eps_l1(self):
         """Per-variable ℓ1 mass of the eps block, tail-aware."""
@@ -480,15 +516,13 @@ class MultiNormZonotope:
         variable, so its coefficient simply moves to the collapsed index.
         """
         axis = axis % self.ndim
-        center = self.center.sum(axis=axis, keepdims=keepdims)
+        center = sum_along(self.center, axis, keepdims)
         tail = self._eps_tail
         if tail is not None:
             tail = tail.summed(self.shape, axis, keepdims, center.shape)
         return MultiNormZonotope._build(
-            center,
-            self.phi.sum(axis=axis + 1, keepdims=keepdims),
-            self._eps_rows.sum(axis=axis + 1, keepdims=keepdims), tail,
-            self.p)
+            center, sum_along(self.phi, axis + 1, keepdims),
+            sum_along(self._eps_rows, axis + 1, keepdims), tail, self.p)
 
     def mean_vars(self, axis, keepdims=False):
         """Mean of variables along an axis (exact)."""

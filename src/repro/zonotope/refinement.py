@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..trace import TRACER
-from .multinorm import MultiNormZonotope
+from .multinorm import MultiNormZonotope, norm_along_axis0, sum_along
 
 __all__ = ["EpsRewrite", "apply_eps_rewrites", "refine_softmax_rows",
            "minimize_coefficient_mass"]
@@ -141,43 +141,112 @@ def _minimize_scalar(r, s, is_phi):
 def _minimize_mass_groups(r, s, is_phi):
     """Step 1 over a *group* of softmax rows with equal active-set sizes.
 
-    ``r``: (R, Ta, m) stacked per-row coefficient gathers, already reduced
-    to the symbols with a nonzero D coefficient; ``s``: (R, Ta) the
-    matching nonzero D coefficients; ``is_phi``: (Ta,) — identical across
-    the group because every row gathers ``len(phi_active)`` phi entries
-    first. (Symbols with a zero D coefficient only add a constant to every
-    mass comparison, so dropping them changes nothing.) Returns the chosen
-    ``s`` per (row, variable). Each column takes its global weighted-median
-    breakpoint unless that does worse than 0; columns whose optimum is
-    phi-derived fall back to :func:`_minimize_scalar`. Each lane
-    computation (argsort, cumsum, middle-axis sums) reduces per row in the
-    order a single row's walk would, so a group of any size, one row
-    included, gives every row bitwise the same choices.
+    ``r``: (R, m, Ta) the coefficients of each row's m variables (its
+    lanes), gathered down to the row's symbols with a nonzero D
+    coefficient; ``s``: (R, Ta) the matching nonzero D coefficients;
+    ``is_phi``: (Ta,) — identical across the group because every row
+    gathers its phi entries first. (Symbols with a zero D coefficient only
+    add a constant to every mass comparison, so dropping them changes
+    nothing.) Returns the chosen ``s`` per (row, variable) lane: 0.0 where
+    :func:`_zero_certified` proves the walk answers 0.0, the walk's answer
+    (:func:`_walk_lanes`) elsewhere.
     """
-    n_rows, n_active, n_vars = r.shape
-    breaks = -r / s[:, :, None]                  # (R, Ta, m)
-    weights = np.abs(s)                          # (R, Ta)
+    n_rows, n_vars, _ = r.shape
+    rows, cols = np.nonzero(~_zero_certified(r, s))
+    TRACER.count("refine_lanes", n_rows * n_vars)
+    TRACER.count("refine_lanes_walked", len(rows))
+    result = np.zeros((n_rows, n_vars))
+    if len(rows):
+        result[rows, cols] = _walk_lanes(r, s, is_phi, rows, cols)
+    return result
 
+
+# Floor of the certificate's rounding model: absolute errors of subnormal
+# intermediates are far below it, and no refinable D row comes near it.
+_TINY = 2.0 ** -1000
+
+
+def _zero_certified(r, s):
+    """Lanes of a step-1 group whose slope walk provably returns 0.0.
+
+    Lane (i, j) minimizes ``f(x) = sum_t |r_t + s_t x|`` over its ``n``
+    active symbols. With ``A = sum_{r_t != 0} sgn(r_t) s_t`` and ``Z =
+    sum_{r_t = 0} |s_t|``, f'(0±) = A ± Z, so for ``a = Z - |A| > 0``
+    convexity gives ``f(c) >= f(0) + a |c|`` for every c. The walk (and
+    the phi fallback, :func:`_minimize_scalar`) returns a computed
+    breakpoint c only if its rounded mass is below the rounded mass at 0;
+    with ``W = sum_t |s_t|`` and ``K = 2 (n + 2) 2**-53`` those sums lie
+    within ``K (f(c) + W |c|)`` and ``K f(0)`` of their exact values in
+    any summation order, so c cannot win once ``a (1 - K) - K W > 0``
+    and ``|c| >= 2 K f(0) / (a (1 - K) - K W)``. Zero breakpoints give
+    bitwise-equal masses and never win.
+
+    A lane is certified when ``gain = Z - |A| - tol W`` is positive and
+    every nonzero breakpoint is at least ``(2 tol f(0)) / gain`` away
+    from 0. ``A = sgn(r) @ s`` and ``Z = (r == 0) @ |s|`` are within
+    ``gamma_n W`` of their exact values, so ``gain`` is below ``a (1 - K)
+    - K W`` once ``tol`` covers ``2 gamma_n + 2 K`` and the rounding of
+    these few operations; ``tol = 8 (n + 4) 2**-53`` does with room, and
+    its fourfold margin over ``K`` also covers the rounding of the reach
+    and of the computed breakpoints. The breakpoint test compares each
+    lane's smallest nonzero ``|r_t|`` with its row's largest ``|s_t|``,
+    which can only reject. ``_TINY`` bounds the absolute error of
+    subnormal intermediates. NaN anywhere in a lane, or an infinite
+    ``s_t``, makes ``gain`` NaN or -inf; an infinite ``r_t`` makes the
+    reach infinite, so the lane passes only if every nonzero ``r_t`` is
+    infinite, and then its rounded mass at 0 is inf and no candidate's
+    is below it (each is inf or NaN): the walk answers 0.0 too.
+    """
+    tol = (r.shape[2] + 4) * 2.0 ** -50
+    abs_s = np.abs(s)
+    zero = r == 0
+    slope = np.matmul(np.sign(r), s[:, :, None])[:, :, 0]
+    flat = np.matmul(zero, abs_s[:, :, None])[:, :, 0]
+    gain = flat - np.abs(slope) - tol * abs_s.sum(axis=1)[:, None] - _TINY
+    abs_r = np.abs(r)
+    mass = abs_r.sum(axis=2)
+    smallest = np.where(zero, np.inf, abs_r).min(axis=2)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        reach = (2.0 * tol * mass + _TINY) / gain
+        far = smallest >= reach * abs_s.max(axis=1)[:, None]
+    return (gain > 0) & far
+
+
+def _walk_lanes(r, s, is_phi, rows, cols):
+    """The Appendix A.1 slope walk on the lanes ``(rows[k], cols[k])``.
+
+    Each lane takes its global weighted-median breakpoint unless that
+    does worse than 0; lanes whose optimum is phi-derived fall back to
+    :func:`_minimize_scalar`. The arithmetic is the per-row walk's
+    (``minimize_mass_row`` in the tests), which sums a (Ta, m) block over
+    its symbol axis: one symbol at a time when m > 1 (a cumsum's last
+    entry here) and pairwise when m == 1 (numpy drops the unit axis; a
+    contiguous row sum here). Argsort and cumsum see each lane alone, so
+    every lane gets bitwise the per-row walk's answer.
+    """
+    lane_r = r[rows, cols]                      # (L, Ta)
+    lane_s = s[rows]
+    n_active = lane_r.shape[1]
+    if r.shape[1] > 1:
+        def mass(terms):
+            return np.cumsum(terms, axis=1)[:, -1]
+    else:
+        def mass(terms):
+            return terms.sum(axis=1)
+    breaks = -lane_r / lane_s
     order = np.argsort(breaks, axis=1)
-    sorted_breaks = np.take_along_axis(breaks, order, axis=1)
-    sorted_weights = np.take_along_axis(
-        np.broadcast_to(weights[:, :, None], breaks.shape), order, axis=1)
-    sorted_is_phi = is_phi[order]
-    cumulative = (-weights.sum(axis=1)[:, None, None]
-                  + 2.0 * np.cumsum(sorted_weights, axis=1))
+    lanes = np.arange(len(rows))[:, None]
+    sorted_breaks = breaks[lanes, order]
+    cumulative = (-np.abs(s).sum(axis=1)[rows][:, None]
+                  + 2.0 * np.cumsum(np.abs(lane_s)[lanes, order], axis=1))
     opt_pos = np.minimum((cumulative < 0).sum(axis=1), n_active - 1)
+    chosen = sorted_breaks[lanes[:, 0], opt_pos]
+    phi_hit = is_phi[order[lanes[:, 0], opt_pos]]
 
-    rows_ix = np.arange(n_rows)[:, None]
-    cols_ix = np.arange(n_vars)[None, :]
-    chosen = sorted_breaks[rows_ix, opt_pos, cols_ix]
-    phi_hit = sorted_is_phi[rows_ix, opt_pos, cols_ix]
-
-    mass_at = np.abs(r + s[:, :, None] * chosen[:, None, :]).sum(axis=1)
-    mass_at_zero = np.abs(r).sum(axis=1)
-    result = np.where(mass_at < mass_at_zero, chosen, 0.0)
-
-    for row, col in zip(*np.nonzero(phi_hit)):
-        result[row, col] = _minimize_scalar(r[row, :, col], s[row], is_phi)
+    mass_at = mass(np.abs(lane_r + lane_s * chosen[:, None]))
+    result = np.where(mass_at < mass(np.abs(lane_r)), chosen, 0.0)
+    for lane in np.flatnonzero(phi_hit):
+        result[lane] = _minimize_scalar(lane_r[lane], lane_s[lane], is_phi)
     return result
 
 
@@ -202,38 +271,58 @@ def refine_softmax_rows(z):
 _GROUP_CHUNK_ELEMS = 1 << 21
 
 
+def _active_symbols(active, rows, count):
+    """(len(rows), count) indices of each row's active symbols, ascending.
+
+    ``active``: (n, S) C-contiguous mask; every listed row has ``count``
+    active symbols, so the row-major ``flatnonzero`` reshapes exactly.
+    """
+    flat = np.flatnonzero(active[rows]).reshape(len(rows), count)
+    return flat - active.shape[1] * np.arange(len(rows))[:, None]
+
+
 def _refine_group_step1(center, phi, eps, d_phi_all, d_eps_all,
-                        d_center_all, row_list, len_phi, len_eps, n_vars):
+                        d_center_all, phi_active, eps_active, rows, len_phi,
+                        len_eps):
     """Step 1 for one chunk of rows sharing active-set sizes, in place.
 
-    Every gather is index-pure and ``np.nonzero`` on the (rows, symbols)
-    mask emits row-major pairs, i.e. exactly each row's ``flatnonzero``
-    order; the flat (symbol, row) scatter pairs are unique, so the fancy
-    in-place adds perform exactly one per-element ``+=`` — the same
-    arithmetic as the per-row ``np.outer`` updates.
+    Row ``i``'s coefficients of symbol ``t`` are row ``t * n + i`` of the
+    (symbols * n, m) view of a block, so one flat index gathers both a
+    group's coefficients and its D coefficients (``d_*_all`` are (S, n)).
+    Only lanes whose answer is nonzero are updated, each of their
+    (symbol, row, variable) cells by exactly one ``+= s . value`` — the
+    arithmetic of the per-row ``np.outer`` updates. Adding ``s . 0.0``
+    changes no value (only a -0.0 coefficient could turn +0.0), so
+    skipping the other lanes gives the same abstract element.
     """
-    rows = np.asarray(row_list)
-    local_p, pt = np.nonzero(d_phi_all[:, rows].T)
-    local_e, et = np.nonzero(d_eps_all[:, rows].T)
-    prow = rows[local_p]
-    erow = rows[local_e]
-    r_grp = np.concatenate([
-        phi[pt, prow].reshape(len(rows), len_phi, n_vars),
-        eps[et, erow].reshape(len(rows), len_eps, n_vars)], axis=1)
-    s_grp = np.concatenate([
-        d_phi_all[pt, prow].reshape(len(rows), len_phi),
-        d_eps_all[et, erow].reshape(len(rows), len_eps)], axis=1)
-    is_phi = np.concatenate([np.ones(len_phi, dtype=bool),
-                             np.zeros(len_eps, dtype=bool)])
-    values = _minimize_mass_groups(r_grp, s_grp, is_phi)
+    n, n_vars = center.shape
+    at = rows[:, None]
+    phi_at = _active_symbols(phi_active, rows, len_phi) * n + at
+    eps_at = _active_symbols(eps_active, rows, len_eps) * n + at
+    lanes = np.concatenate(
+        [np.take(phi.reshape(-1, n_vars), phi_at, axis=0).transpose(0, 2, 1),
+         np.take(eps.reshape(-1, n_vars), eps_at, axis=0).transpose(0, 2, 1)],
+        axis=2)
+    s_grp = np.concatenate([np.take(d_phi_all, phi_at),
+                            np.take(d_eps_all, eps_at)], axis=1)
+    is_phi = np.arange(len_phi + len_eps) < len_phi
+    values = _minimize_mass_groups(lanes, s_grp, is_phi)
 
-    center[rows] += values * d_center_all[rows, None]
-    if len_phi:
-        phi[pt, prow] += (s_grp[:, :len_phi].reshape(-1, 1)
-                          * values[local_p])
-    if len_eps:
-        eps[et, erow] += (s_grp[:, len_phi:].reshape(-1, 1)
-                          * values[local_e])
+    moved, cols = np.nonzero(values)
+    if not len(moved):
+        return
+    values = values[moved, cols]
+    center[rows[moved], cols] += values * d_center_all[rows[moved]]
+    shifts = s_grp[moved] * values[:, None]
+    cells = cols[:, None]
+    phi.reshape(-1)[phi_at[moved] * n_vars + cells] += shifts[:, :len_phi]
+    eps.reshape(-1)[eps_at[moved] * n_vars + cells] += shifts[:, len_phi:]
+
+
+# Step 2 evaluates a symbol only if ``2 |beta_m| >= mass - |c_D| -
+# _FILTER_SLACK . mass``: every other symbol's range provably covers
+# [-1, 1] after rounding (see _combined_tightenings).
+_FILTER_SLACK = 2.0 ** -40
 
 
 def _combined_tightenings(refinable, d_center_all, d_phi_mass_all,
@@ -243,13 +332,22 @@ def _combined_tightenings(refinable, d_center_all, d_phi_mass_all,
     Solving row ``i``'s ``0 = c_D + alpha_D.phi + beta_D.eps`` for a
     symbol ``eps_m`` with a significant coefficient restricts its range to
     ``[(-c_D - R_m)/beta_m, (-c_D + R_m)/beta_m]`` (sorted) intersected
-    with [-1, 1], where ``R_m`` is the dual-norm mass of the remaining
-    terms. Rows are evaluated stacked, grouped by significant-symbol
-    count; the per-element operations and the per-row (pairwise) mass sums
-    are those of a single row's evaluation, so the intervals are bitwise
-    the per-row results. Interval intersection (max/min) is commutative,
-    so grouping never changes the outcome. Returns a dict
-    ``index -> (lo, hi)``.
+    with [-1, 1], where ``R_m = mass - |beta_m|`` is the dual-norm mass of
+    the remaining terms. The range is kept only if it does not cover
+    [-1, 1], i.e. only if ``R_m - |c_D| < |beta_m|``, i.e. ``2 |beta_m| >
+    mass - |c_D|``, so only symbols with ``2 |beta_m| >= mass - |c_D| -
+    _FILTER_SLACK . mass`` are evaluated. For every other symbol ``mass -
+    |c_D| - 2 |beta_m|`` exceeds ``_FILTER_SLACK . mass``, far above the
+    ``4 . 2**-53 . mass`` that rounding of ``R_m`` (``|beta_m| < mass /
+    2``), of ``-c_D -+ R_m`` and of the quotient can take off it, so both
+    computed ends clamp to -1 and 1. (Rounding alone does tighten ranges
+    the exact arithmetic would not: ``R_m`` of a 2**26-scale mass can
+    round down by half an ulp, a sizeable share of a symbol of a few
+    ulps; a test pins such a row.) The survivors are evaluated in one
+    flat pass with the per-row oracle's elementwise operations and its
+    per-row (pairwise) mass sums, so every interval is bitwise the
+    per-row result; intersection (max/min) does not depend on order.
+    Returns a dict ``index -> (lo, hi)``.
     """
     combined = {}
     if not len(refinable):
@@ -258,75 +356,61 @@ def _combined_tightenings(refinable, d_center_all, d_phi_mass_all,
     # contiguous axis so numpy applies the same pairwise summation the
     # per-row routine sees on its freshly-allocated |d_eps| vectors.
     abs_all = np.ascontiguousarray(np.abs(d_eps_all[:, refinable]).T)
-    sig_mask = abs_all > _PIVOT_TOL
-    totals = abs_all.sum(axis=1)
-    sig_groups = {}
-    for r, count in enumerate(sig_mask.sum(axis=1)):
-        if count:
-            sig_groups.setdefault(int(count), []).append(r)
-    for count, member_list in sig_groups.items():
-        members = np.asarray(member_list)
-        sig_idx = np.nonzero(sig_mask[members])[1].reshape(-1, count)
-        rows = refinable[members]
-        abs_sig = abs_all[members[:, None], sig_idx]
-        d_eps_sig = d_eps_all[sig_idx, rows[:, None]]
-        rest = ((d_phi_mass_all[rows] + totals[members])[:, None]
-                - abs_sig)
-        neg_center = -d_center_all[rows][:, None]
-        a = (neg_center - rest) / d_eps_sig
-        b = (neg_center + rest) / d_eps_sig
-        lo = np.maximum(np.minimum(a, b), -1.0)
-        hi = np.minimum(np.maximum(a, b), 1.0)
-        keep = hi - lo < 2.0 - _SHRINK_TOL
-        for local, k in zip(*np.nonzero(keep)):
-            key = int(sig_idx[local, k])
-            pair = (float(lo[local, k]), float(hi[local, k]))
-            if key in combined:
-                prev_lo, prev_hi = combined[key]
-                combined[key] = (max(pair[0], prev_lo),
-                                 min(pair[1], prev_hi))
-            else:
-                combined[key] = pair
+    mass = d_phi_mass_all[refinable] + abs_all.sum(axis=1)
+    neg_center = -d_center_all[refinable]
+    floor = mass - np.abs(neg_center) - _FILTER_SLACK * mass
+    members, symbols = np.nonzero((abs_all > _PIVOT_TOL)
+                                  & (2.0 * abs_all >= floor[:, None]))
+    rest = mass[members] - abs_all[members, symbols]
+    coeff = d_eps_all[symbols, refinable[members]]
+    a = (neg_center[members] - rest) / coeff
+    b = (neg_center[members] + rest) / coeff
+    lo = np.maximum(np.minimum(a, b), -1.0)
+    hi = np.minimum(np.maximum(a, b), 1.0)
+    keep = hi - lo < 2.0 - _SHRINK_TOL
+    for key, low, high in zip(symbols[keep].tolist(), lo[keep].tolist(),
+                              hi[keep].tolist()):
+        if key in combined:
+            prev_lo, prev_hi = combined[key]
+            low, high = max(low, prev_lo), min(high, prev_hi)
+        combined[key] = (low, high)
     return combined
 
 
 def _refine_impl(z):
     center = z.center.copy()
     phi = z.phi.copy()
-    eps = z.eps.copy()
+    eps = z.eps_copy()
     n_phi = z.n_phi
-    from .multinorm import norm_along_axis0
 
     # Affine form of every row's D at once; each row then gathers only the
     # symbols that actually touch it (the per-row sparsity is what makes
     # softmax refinement cheap even with thousands of live symbols).
-    d_center_all = 1.0 - center.sum(axis=1)
-    d_phi_all = -phi.sum(axis=2)              # (P, n)
-    d_eps_all = -eps.sum(axis=2)              # (T, n)
+    d_center_all = 1.0 - sum_along(center, 1)
+    d_phi_all = -sum_along(phi, 2)              # (P, n)
+    d_eps_all = -sum_along(eps, 2)              # (T, n)
     d_phi_mass_all = (norm_along_axis0(d_phi_all, z.q)
                       if n_phi else np.zeros(z.shape[0]))
 
     # Step 1, grouped: rows with equal (|phi_active|, |eps_active|) share
-    # one stacked slope-walk (:func:`_minimize_mass_groups`) and one flat
-    # fancy-indexed gather/scatter. Grouping is safe because step 1 only
+    # one stacked certificate and slope walk (:func:`_minimize_mass_groups`)
+    # and one flat gather/scatter. Grouping is safe because step 1 only
     # touches row ``i``'s own slices and step 2 reads the *original* D
-    # forms — rows never observe each other, so evaluation order is free;
-    # and step 2's interval intersection (max/min) is commutative. Every
-    # gather is index-pure and ``np.nonzero`` on the (rows, symbols) mask
-    # emits row-major pairs, i.e. exactly each row's ``flatnonzero`` order.
+    # forms — rows never observe each other, so evaluation order is free.
     refinable = np.flatnonzero(
         np.abs(d_eps_all).max(axis=0, initial=0.0) > _PIVOT_TOL)
     n_vars = z.shape[1]
+    phi_active = np.ascontiguousarray(d_phi_all.T) != 0
+    eps_active = np.ascontiguousarray(d_eps_all.T) != 0
 
     groups = {}
-    if len(refinable):
-        phi_counts = np.count_nonzero(d_phi_all[:, refinable], axis=0)
-        eps_counts = np.count_nonzero(d_eps_all[:, refinable], axis=0)
-        for row, lp, le in zip(refinable, phi_counts, eps_counts):
-            groups.setdefault((int(lp), int(le)), []).append(int(row))
+    for row, lp, le in zip(refinable.tolist(),
+                           phi_active[refinable].sum(axis=1).tolist(),
+                           eps_active[refinable].sum(axis=1).tolist()):
+        groups.setdefault((lp, le), []).append(row)
 
     for (len_phi, len_eps), row_list in groups.items():
-        # Chunk wide groups so the stacked (rows, active, vars) slope-walk
+        # Chunk wide groups so the stacked (rows, vars, active) slope-walk
         # temporaries stay cache-sized — each row's computation is
         # independent, so chunking never changes a bit, only the peak
         # working set (a large symbol cap would otherwise materialize
@@ -335,12 +419,12 @@ def _refine_impl(z):
         chunk = max(1, _GROUP_CHUNK_ELEMS // per_row)
         for start in range(0, len(row_list), chunk):
             _refine_group_step1(center, phi, eps, d_phi_all, d_eps_all,
-                                d_center_all, row_list[start:start + chunk],
-                                len_phi, len_eps, n_vars)
+                                d_center_all, phi_active, eps_active,
+                                np.asarray(row_list[start:start + chunk]),
+                                len_phi, len_eps)
 
     # Step 2: symbol tightenings from D = 0 (D is unchanged by step 1 on
-    # the constraint set, and its affine form is fixed), stacked over rows
-    # with equal significant-symbol counts.
+    # the constraint set, and its affine form is fixed).
     combined = _combined_tightenings(refinable, d_center_all, d_phi_mass_all,
                                      d_eps_all)
 

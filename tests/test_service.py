@@ -8,12 +8,14 @@ concurrency soak with radii bitwise identical to serial execution.
 
 import asyncio
 import json
+import logging
 import multiprocessing
+import time
 
 import pytest
 
 from repro.scheduler.worker import execute_query
-from repro.service import ServiceConfig, parse_submission
+from repro.service import ServiceConfig, parse_submission, server
 from repro.service.protocol import MAX_BODY_BYTES
 from repro.trace import TRACER, read_jsonl
 from repro.trace.__main__ import main as trace_main
@@ -178,8 +180,11 @@ class TestLifecycle:
         assert report["status"] == "drained"
         assert report["timed_out"] == 0
 
+
+class TestRequestFraming:
     """Raw requests: ``Content-Length`` is checked before the body is
-    read, so a malformed or oversized one is a typed 400."""
+    read, so a malformed or oversized one is a typed 400, and a request
+    must arrive within ``REQUEST_READ_SECONDS``."""
 
     @staticmethod
     def _raw_submit(model, content_length, body=b""):
@@ -222,6 +227,59 @@ class TestLifecycle:
         status, ack = self._raw_submit(tiny_model, len(body), body)
         assert status == 202
         assert ack["status"] == "queued"
+
+    def test_stalled_body_is_a_typed_400_within_the_deadline(
+            self, tiny_model, monkeypatch, caplog):
+        """A client that declares 10 body bytes and sends 4 is answered
+        once the read deadline passes, and the service stops without a
+        cancelled handler to log."""
+        monkeypatch.setattr(server, "REQUEST_READ_SECONDS", 0.5)
+        head = (b"POST /submit HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+                b"Content-Length: 10\r\n\r\n")
+
+        async def main():
+            async with serving(tiny_model) as (service, _):
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", service.port)
+                try:
+                    writer.write(head + b'{"te')
+                    await writer.drain()
+                    started = time.monotonic()
+                    raw = await asyncio.wait_for(reader.read(), 5.0)
+                    elapsed = time.monotonic() - started
+                finally:
+                    writer.close()
+                    await writer.wait_closed()
+            return raw, elapsed
+
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            raw, elapsed = asyncio.run(main())
+        status_line, _, rest = raw.partition(b"\r\n")
+        assert int(status_line.split()[1]) == 400
+        body = json.loads(rest.partition(b"\r\n\r\n")[2])
+        assert body["code"] == "bad-request"
+        assert elapsed < 0.5 + 2.0
+        assert not [record for record in caplog.records
+                    if record.levelno >= logging.ERROR]
+
+    def test_long_poll_outlives_the_read_deadline(self, tiny_model,
+                                                  sentences, monkeypatch):
+        """The deadline bounds reading the request, not the ``?wait=``
+        answer: a query held past it is still answered normally."""
+        monkeypatch.setattr(server, "REQUEST_READ_SECONDS", 0.3)
+
+        async def main():
+            async with serving_held(tiny_model) as (_, client, gate):
+                reply = asyncio.ensure_future(client.submit(
+                    submission(sentences[2], verifier="ibp"), wait=30))
+                await gate.occupied()
+                await asyncio.sleep(0.8)
+                gate.release()
+                return await reply
+
+        status, done = asyncio.run(main())
+        assert status == 200
+        assert done["status"] == "done"
 
 
 class TestDedup:

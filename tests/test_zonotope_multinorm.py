@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.zonotope import MultiNormZonotope, dual_exponent, norm_along_axis0
+from repro.zonotope.multinorm import sum_along
 
 from tests.conftest import sample_lp_ball
 
@@ -314,3 +315,43 @@ def test_property_affine_combination_exact(seed, scale_a, scale_b):
         combo.concretize(phi, eps),
         scale_a * a.concretize(phi, eps) + scale_b * b.concretize(phi, eps),
         atol=1e-9)
+
+
+def special_values(rng, shape):
+    """Random values salted with signed zeros, infinities and NaN."""
+    values = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, shape)
+    salt = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan], size=shape)
+    return np.where(rng.random(shape) < 0.2, salt, values)
+
+
+class TestShortSums:
+    """``sum_along`` adds a short last axis slice by slice, which is
+    numpy's own order below 8 entries: a numpy that sums differently
+    fails here."""
+
+    @pytest.mark.parametrize("count", range(1, 8))
+    def test_equals_numpy_sum_bitwise(self, rng, count):
+        values = special_values(rng, (400, 6, count))
+        # All-negative-zero and all-infinite rows pin the sign rules.
+        values[0] = -0.0
+        values[1] = np.inf
+        values[2, :, 0] = -np.inf
+        layouts = [values, np.swapaxes(np.swapaxes(values, 0, 2).copy(), 0, 2),
+                   values[::2]]
+        for layout in layouts:
+            for keepdims in (False, True):
+                got = sum_along(layout, -1, keepdims)
+                with np.errstate(invalid="ignore"):
+                    want = layout.sum(axis=-1, keepdims=keepdims)
+                assert got.shape == want.shape
+                assert np.array_equal(got, want, equal_nan=True)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_sum_vars_keeps_numpy_sums(self, rng):
+        for shape in ((3, 5), (2, 4, 5), (3, 12)):
+            z = random_zonotope(rng, shape=shape)
+            for axis in range(len(shape)):
+                out = z.sum_vars(axis)
+                assert np.array_equal(out.center, z.center.sum(axis=axis))
+                assert np.array_equal(out.phi, z.phi.sum(axis=axis + 1))
+                assert np.array_equal(out.eps, z.eps.sum(axis=axis + 1))

@@ -9,10 +9,11 @@ from hypothesis import given, settings, strategies as st
 from repro.zonotope import (MultiNormZonotope, softmax, refine_softmax_rows,
                             minimize_coefficient_mass, EpsRewrite,
                             apply_eps_rewrites)
+from repro.trace import TRACER
 from repro.zonotope.refinement import (_PIVOT_TOL, _SHRINK_TOL,
                                        _combined_tightenings,
                                        _minimize_mass_groups,
-                                       _minimize_scalar)
+                                       _minimize_scalar, _zero_certified)
 
 from tests.conftest import sample_lp_ball
 
@@ -250,6 +251,11 @@ def tightenings_from_row(d_center, d_phi_mass, d_eps):
             for m, l, h in zip(significant[keep], lo[keep], hi[keep])}
 
 
+def lanes_of(r):
+    """The group kernels' (R, m, Ta) lane layout of (R, Ta, m) gathers."""
+    return np.ascontiguousarray(np.swapaxes(r, 1, 2))
+
+
 def slope_walk_case(rng, n_rows):
     """Random stacked step-1 operands: (r, s, is_phi)."""
     n_active, n_vars = int(rng.integers(1, 9)), int(rng.integers(1, 6))
@@ -268,7 +274,7 @@ class TestGroupedRefinementParity:
     def test_matches_rowwise_oracle(self, seed):
         rng = np.random.default_rng((97, seed))
         r, s, is_phi = slope_walk_case(rng, int(rng.integers(2, 7)))
-        grouped = _minimize_mass_groups(r, s, is_phi)
+        grouped = _minimize_mass_groups(lanes_of(r), s, is_phi)
         for row in range(len(r)):
             oracle = minimize_mass_row(r[row], s[row], is_phi)
             assert np.array_equal(grouped[row], oracle), \
@@ -280,8 +286,9 @@ class TestGroupedRefinementParity:
         rng = np.random.default_rng(98)
         for _ in range(300):
             r, s, is_phi = slope_walk_case(rng, 1)
-            assert np.array_equal(_minimize_mass_groups(r, s, is_phi)[0],
-                                  minimize_mass_row(r[0], s[0], is_phi))
+            assert np.array_equal(
+                _minimize_mass_groups(lanes_of(r), s, is_phi)[0],
+                minimize_mass_row(r[0], s[0], is_phi))
 
     def test_phi_break_falls_back_to_scalar_walk(self):
         # Force the optimum onto a phi breakpoint: the group kernel must
@@ -291,7 +298,7 @@ class TestGroupedRefinementParity:
         for n_rows in (1, 3):
             r = rng.normal(size=(n_rows, 4, 2))
             s = np.ones((n_rows, 4))
-            grouped = _minimize_mass_groups(r, s, is_phi)
+            grouped = _minimize_mass_groups(lanes_of(r), s, is_phi)
             for row in range(n_rows):
                 oracle = minimize_mass_row(r[row], s[row], is_phi)
                 assert np.array_equal(grouped[row], oracle)
@@ -311,17 +318,268 @@ class TestGroupedRefinementParity:
         d_phi_mass_all = rng.uniform(0.0, 0.5, size=n_rows)
         refinable = np.flatnonzero(
             np.abs(d_eps_all).max(axis=0, initial=0.0) > _PIVOT_TOL)
-
-        expected = {}
-        for row in refinable:
-            ranges = tightenings_from_row(
-                d_center_all[row], d_phi_mass_all[row],
-                np.ascontiguousarray(d_eps_all[:, row]))
-            for key, (lo, hi) in ranges.items():
-                if key in expected:
-                    lo = max(lo, expected[key][0])
-                    hi = min(hi, expected[key][1])
-                expected[key] = (lo, hi)
         got = _combined_tightenings(refinable, d_center_all, d_phi_mass_all,
                                     d_eps_all)
-        assert got == expected
+        assert got == rowwise_intersection(refinable, d_center_all,
+                                           d_phi_mass_all, d_eps_all)
+
+
+def assert_step1_parity(r, s, is_phi):
+    """The group kernel equals the per-row oracle on every lane, bitwise
+    and signbit included, and every lane it certifies has the oracle
+    answer 0.0. ``r``: (R, Ta, m); returns the certified (R, m) mask."""
+    lanes = lanes_of(r)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        certified = _zero_certified(lanes, s)
+        grouped = _minimize_mass_groups(lanes, s, is_phi)
+        oracles = [minimize_mass_row(r[row], s[row], is_phi)
+                   for row in range(len(r))]
+    for row, oracle in enumerate(oracles):
+        assert np.array_equal(grouped[row], oracle, equal_nan=True), row
+        assert np.array_equal(np.signbit(grouped[row]), np.signbit(oracle))
+        assert np.all(oracle[certified[row]] == 0.0), row
+    return certified
+
+
+def sparse_lanes(rng, n_rows, n_active, n_vars, touched):
+    """Step-1 operands shaped like softmax rows: each variable touches
+    about ``touched`` of its row's active symbols (exact zeros elsewhere),
+    so most lanes are certifiable."""
+    r = (rng.normal(size=(n_rows, n_active, n_vars))
+         * (rng.random((n_rows, n_active, n_vars)) < touched))
+    s = rng.normal(size=(n_rows, n_active))
+    is_phi = np.arange(n_active) < int(rng.integers(0, n_active // 2 + 1))
+    return r, s, is_phi
+
+
+U = 2.0 ** -53
+
+
+def edge_lanes():
+    """Named one-row step-1 cases: (r (Ta, m), s (Ta,), is_phi (Ta,))."""
+    cases = {}
+    # A phi zero breakpoint sends the walk to its non-phi neighbour
+    # -1.2 u, and rounding makes that tiny breakpoint's mass beat the mass
+    # at 0 although Z - |A| = 0.067 is far above any rounding slack: only
+    # the breakpoint test stands between this lane and a wrong 0.0.
+    cases["phi-fallback-rounding"] = (
+        np.array([[0.0], [1.2 * U], [1.0]]), np.array([2.4, 1.0, 1.6 / 1.2]),
+        np.array([True, False, False]))
+    tiny = np.array([[0.0, 1e-300], [1e-300, 0.0], [1.0, 1.0], [0.0, 0.0]])
+    cases["tiny-breakpoints"] = (tiny, np.array([1.0, 1.0, 0.5, 3.0]),
+                                 np.zeros(4, dtype=bool))
+    cases["tiny-breakpoints-phi"] = (tiny, np.array([3.0, 1.0, 0.5, 3.0]),
+                                     np.array([True, False, False, True]))
+    cases["ties"] = (
+        np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 0.0],
+                  [-1.0, 0.0, 3.0], [1.0, 2.0, -3.0]]),
+        np.array([1.0, 2.0, 3.0, 1.0, 1.0]), np.zeros(5, dtype=bool))
+    cases["signed-zeros"] = (
+        np.array([[-0.0, 0.0], [0.0, -0.0], [1.0, -0.0], [-0.0, 2.0]]),
+        np.array([1.0, -2.0, 0.5, -0.25]), np.array([True, False, False,
+                                                      False]))
+    # Z = |A| exactly: f is flat on [-1, 0].
+    cases["Z-equals-A"] = (np.array([[0.0], [1.0]]), np.array([1.0, 1.0]),
+                           np.zeros(2, dtype=bool))
+    # Z - |A| within rounding: 0.1 + 0.2 against 0.3.
+    cases["Z-near-A"] = (np.array([[0.0], [0.0], [1.0]]),
+                         np.array([0.1, 0.2, 0.3]), np.zeros(3, dtype=bool))
+    cases["Z-near-A-below"] = (np.array([[0.0], [0.0], [1.0]]),
+                               np.array([0.1, 0.2, 0.30000000000000004]),
+                               np.zeros(3, dtype=bool))
+    cases["all-zero"] = (np.zeros((4, 3)), np.array([1.0, -2.0, 3.0, 0.5]),
+                         np.array([True, False, False, False]))
+    # A flat minimum: f(c) = f(0) exactly, so summation order alone
+    # decides whether the walk answers c; the per-row walk sums 12 symbols
+    # one at a time for m > 1 and pairwise for m == 1, and the two orders
+    # disagree on this lane.
+    flat = np.array([0.4731902644201037, 0.7610352146098565,
+                     0.7400285901907748, 0.9388537179520404,
+                     0.2034393699528147, 0.7561136053686784,
+                     -0.9346815357621039, -0.9711335709321818,
+                     -0.11323567446883237, -0.8772760812210182,
+                     -0.9830755360597099, -0.9614891616498672])
+    cases["flat-minimum"] = (np.stack([flat, flat[::-1]], axis=1),
+                             np.ones(12), np.zeros(12, dtype=bool))
+    cases["flat-minimum-one-variable"] = (flat[:, None], np.ones(12),
+                                          np.zeros(12, dtype=bool))
+    cases["phi-only"] = (np.array([[1.0, 0.0], [0.0, 2.0], [-1.0, 0.0]]),
+                         np.array([1.0, 1.0, 1.0]), np.ones(3, dtype=bool))
+    cases["phi-hit"] = (np.array([[0.3, 0.0], [0.0, 0.0], [1.0, -2.0],
+                                  [-0.5, 0.1]]),
+                        np.array([4.0, 1.0, 0.5, 0.5]),
+                        np.array([True, True, False, False]))
+    rng = np.random.default_rng(7)
+    base, s_base, phi_base = sparse_lanes(rng, 1, 9, 4, 0.4)
+    base, s_base = base[0], s_base[0]
+    for name, value in (("nan", np.nan), ("inf", np.inf),
+                        ("-inf", -np.inf)):
+        r = base.copy()
+        r[2, 1] = value
+        cases[f"{name}-coefficient"] = (r, s_base, phi_base)
+    s = s_base.copy()
+    s[3] = np.inf
+    cases["inf-direction"] = (base, s, phi_base)
+    # Every nonzero coefficient infinite: the mass at 0 is inf and no
+    # candidate's is below it, so the answer is 0.0 and may be certified.
+    cases["inf-only"] = (np.array([[0.0, np.inf], [np.inf, 0.0],
+                                   [0.0, -np.inf], [0.0, 0.0]]),
+                         np.array([1.0, 1.0, 3.0, 2.0]),
+                         np.zeros(4, dtype=bool))
+    for name, r_scale, s_scale in (("1e150", 1e150, 1.0),
+                                   ("1e-150", 1e-150, 1.0),
+                                   ("1e150/1e-150", 1e150, 1e-150),
+                                   ("1e-150/1e150", 1e-150, 1e150)):
+        cases[name] = (base * r_scale, s_base * s_scale, phi_base)
+    return cases
+
+
+class TestZeroCertificate:
+    """Step 1 walks only the lanes a rounding-safe test cannot prove
+    answer 0.0; the per-row walk (``minimize_mass_row``) is the oracle."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_sparse_groups_match_rowwise_oracle(self, seed):
+        rng = np.random.default_rng((101, seed))
+        n_vars = int(rng.integers(1, 6))
+        r, s, is_phi = sparse_lanes(rng, int(rng.integers(1, 9)),
+                                    int(rng.integers(2, 40)), n_vars,
+                                    float(rng.uniform(0.1, 0.6)))
+        assert_step1_parity(r, s, is_phi)
+
+    def test_most_softmax_like_lanes_are_certified(self):
+        rng = np.random.default_rng(102)
+        r, s, is_phi = sparse_lanes(rng, 10, 200, 5, 0.3)
+        certified = assert_step1_parity(r, s, is_phi)
+        assert certified.mean() > 0.5
+
+    @pytest.mark.parametrize("name", sorted(edge_lanes()))
+    def test_edge_lanes_match_rowwise_oracle(self, name):
+        r, s, is_phi = edge_lanes()[name]
+        assert_step1_parity(r[None], s[None], is_phi)
+        # In a group of rows too, and as any lane of it.
+        rng = np.random.default_rng(103)
+        others, s_others, _ = sparse_lanes(rng, 3, *r.shape, 0.4)
+        assert_step1_parity(np.concatenate([others[:1], r[None], others]),
+                            np.concatenate([s_others[:1], s[None],
+                                            s_others]), is_phi)
+
+    def test_phi_fallback_rounding_lane_is_walked(self):
+        r, s, is_phi = edge_lanes()["phi-fallback-rounding"]
+        assert minimize_mass_row(r, s, is_phi)[0] == -1.2 * U
+        assert not _zero_certified(lanes_of(r[None]), s[None]).any()
+
+    def test_non_finite_lanes_are_walked(self):
+        """A NaN, or an infinity beside finite coefficients, leaves the
+        lane to the walk; so does an infinite D coefficient."""
+        cases = edge_lanes()
+        for name in ("nan-coefficient", "inf-coefficient",
+                     "-inf-coefficient"):
+            r, s, _ = cases[name]
+            with np.errstate(invalid="ignore"):
+                certified = _zero_certified(lanes_of(r[None]), s[None])
+            assert not certified[0, 1], name
+        r, s, _ = cases["inf-direction"]
+        with np.errstate(invalid="ignore"):
+            assert not _zero_certified(lanes_of(r[None]), s[None]).any()
+
+    def test_breakpoints_at_the_threshold(self):
+        """Bisect the tiny breakpoint at which the certificate flips; the
+        lane matches the oracle one ulp either side and at the flip."""
+        s = np.array([2.4, 1.0, 1.6 / 1.2])
+        is_phi = np.array([True, False, False])
+
+        def lane(x):
+            return np.array([[0.0], [x], [1.0]])
+
+        def certified(x):
+            return bool(_zero_certified(lanes_of(lane(x)[None]),
+                                        s[None])[0, 0])
+
+        low, high = 1e-300, 1.0
+        assert not certified(low) and certified(high)
+        while np.nextafter(low, high) < high:
+            mid = np.sqrt(low * high)
+            if mid in (low, high):
+                mid = np.nextafter(low, high)
+            low, high = (mid, high) if not certified(mid) else (low, mid)
+        for x in (low, high, np.nextafter(high, 2.0)):
+            for sign in (1.0, -1.0):
+                assert_step1_parity(lane(sign * x)[None], s[None], is_phi)
+
+    def test_refinement_counts_lanes_and_walks(self, rng):
+        scores = score_zonotope(rng, n=4, m=5, n_eps=6)
+        with TRACER.query_scope("lanes") as record:
+            softmax(scores, refine_sum=True)
+        counters = record["perf"]["counters"]
+        assert counters["refine_lanes"] == 4 * 5
+        assert 0 <= counters["refine_lanes_walked"] <= 20
+
+
+def rowwise_intersection(refinable, d_center_all, d_phi_mass_all,
+                         d_eps_all):
+    """Per-row oracle tightenings, intersected over rows."""
+    expected = {}
+    for row in refinable:
+        ranges = tightenings_from_row(
+            d_center_all[row], d_phi_mass_all[row],
+            np.ascontiguousarray(d_eps_all[:, row]))
+        for key, (lo, hi) in ranges.items():
+            if key in expected:
+                lo = max(lo, expected[key][0])
+                hi = min(hi, expected[key][1])
+            expected[key] = (lo, hi)
+    return expected
+
+
+class TestTighteningPrefilter:
+    """Step 2 evaluates only symbols that can tighten; rows straddling the
+    prefilter's boundary, and near-infeasible rows (|c_D| ~ mass) whose
+    ranges are rounding noise, still match the per-row oracle."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_boundary_rows_match_rowwise_intersection(self, seed):
+        rng = np.random.default_rng((104, seed))
+        n_symbols, n_rows = 7, 40
+        # Each row owns its symbols, so no row's range masks another's.
+        d_eps_all = np.zeros((n_symbols * n_rows, n_rows))
+        for row in range(n_rows):
+            d_eps_all[row * n_symbols:(row + 1) * n_symbols, row] = \
+                rng.normal(size=n_symbols)
+        d_phi_mass_all = rng.uniform(0.0, 0.5, size=n_rows)
+        mass = d_phi_mass_all + np.abs(d_eps_all).sum(axis=0)
+        beta = np.abs(d_eps_all).max(axis=0)
+        # |c_D| puts 2 |beta| near the prefilter's floor, at the keep
+        # test's own boundary, just inside it (kept) and at the edge of
+        # feasibility (|c_D| = mass), each +- a few ulps.
+        share = rng.choice([1.0 - 1e-9, 1.0 - 1e-12, 1.0, 1.0 + 1e-5,
+                            1.0 + 1e-3], n_rows)
+        center = mass - 2.0 * beta / share
+        degenerate = rng.random(n_rows) < 0.25
+        center[degenerate] = mass[degenerate]
+        ulps = rng.integers(-4, 5, size=n_rows)
+        center = center + ulps * np.spacing(center)
+        d_center_all = center * rng.choice([-1.0, 1.0], n_rows)
+        refinable = np.arange(n_rows)
+        got = _combined_tightenings(refinable, d_center_all, d_phi_mass_all,
+                                    d_eps_all)
+        assert got == rowwise_intersection(refinable, d_center_all,
+                                           d_phi_mass_all, d_eps_all)
+
+    def test_rounding_noise_tightening_is_kept(self):
+        """|c_D| within a few ulps of a 2**26-scale mass and a symbol of a
+        few ulps: the exact range covers [-1, 1] with 0.4% to spare, but
+        ``R_m`` rounds down by 0.45 ulp and the oracle keeps a range; the
+        prefilter's ``_FILTER_SLACK`` keeps the symbol evaluated."""
+        ulp = np.spacing(2.0 ** 26)
+        d_eps_all = np.array([[2.0 ** 26 + 5 * ulp], [5.55 * ulp]])
+        mass = np.abs(d_eps_all[:, 0]).sum()
+        d_center_all = np.array([mass - 11.5 * ulp])
+        d_phi_mass_all = np.zeros(1)
+        refinable = np.arange(1)
+        expected = rowwise_intersection(refinable, d_center_all,
+                                        d_phi_mass_all, d_eps_all)
+        assert 1 in expected
+        assert 2.0 * d_eps_all[1, 0] < 0.999 * (mass - d_center_all[0])
+        assert _combined_tightenings(refinable, d_center_all,
+                                     d_phi_mass_all, d_eps_all) == expected
