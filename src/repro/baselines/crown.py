@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..verify.guards import certified_from_margin
+from ..verify.regions import word_position_mask
 from .graph import build_transformer_graph, interval_propagate
 from .relaxations import unary_relaxation, mul_relaxation
 
@@ -367,9 +368,8 @@ class CrownVerifier:
         if true_label is None:
             true_label = self.model.predict(token_ids)
         embeddings = self.model.embed_array(token_ids)
-        mask = np.zeros(embeddings.shape, dtype=bool)
-        mask[position] = True
-        region = LpBallInputRegion(embeddings, radius, p, mask)
+        region = LpBallInputRegion(embeddings, radius, p,
+                                   word_position_mask(embeddings, position))
         return self.certify_region(region, true_label)
 
     def certify_synonym_attack(self, attack, true_label=None):

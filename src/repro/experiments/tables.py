@@ -20,10 +20,9 @@ from ..baselines import (CrownVerifier, BACKWARD_UNLIMITED,
                          BranchAndBoundVerifier)
 from ..nlp import build_synonym_attack, make_synonym_challenge
 from ..verify import DeepTVerifier, VerifierConfig, FAST, PRECISE, COMBINED
-from ..verify.radius import binary_search_radius
 from .harness import (SCALE, get_transformer, evaluation_sentences,
-                      radius_report_deept, radius_report_crown,
-                      format_radius_row)
+                      load_or_train, radius_report_deept,
+                      radius_report_crown, format_radius_row)
 
 __all__ = [
     "run_table1", "run_table2", "run_table3", "run_table4", "run_table5",
@@ -96,14 +95,44 @@ def ratio_column(numerator, denominator, change=False):
     return value, f"{value:8.2f}"
 
 
-def _fast_vs_baf(preset, scale, layers, norms, divide_by_std=False,
-                 title=""):
-    """Shared engine for Tables 1, 2 and 7: DeepT-Fast vs CROWN-BaF."""
+def _fast(**knobs):
+    """A DeepT-Fast column's verifier at the scale's symbol cap."""
+    return lambda scale: FAST(noise_symbol_cap=scale.noise_symbol_cap,
+                              **knobs)
+
+
+# A radius-table column is (row key, report name, verifier), where the
+# verifier maps the scale to a DeepT configuration or a CROWN depth.
+_DEEPT_FAST = ("deept", "DeepT-Fast", _fast())
+_CROWN_BAF = ("crown", "CROWN-BaF", lambda scale: scale.baf_depth)
+_DEEPT_PRECISE = ("precise", "DeepT-Precise",
+                  lambda scale: PRECISE(
+                      noise_symbol_cap=scale.precise_symbol_cap))
+_CROWN_BACKWARD = ("backward", "CROWN-Backward",
+                   lambda scale: BACKWARD_UNLIMITED)
+_FAST_VS_BAF = (_DEEPT_FAST, _CROWN_BAF)
+
+
+def _radius_table(title, scale, layers, norms, columns, cell=None,
+                  preset="sst-small", divide_by_std=False):
+    """The paper's radius protocol, shared by Tables 1, 2, 4-7 and 12-14.
+
+    For each depth the model is loaded and ``scale.n_sentences``
+    evaluation sentences are taken; for each norm every column runs one
+    radius report over them. ``cell`` (``"ratio"`` or
+    ``"change_percent"``) adds the first two columns' average-radius
+    ratio to the row; a ratio table also prints a column header. The
+    norm shows in a row label only when the table has several. Each row
+    holds its reports under their column keys and, in column order,
+    under ``reports``.
+    """
     scale = scale or SCALE
     rows = []
     print(f"\n=== {title} ===")
-    print(f"{'M/lp':<10} | {'DeepT-Fast  Min/Avg/Time':>28} | "
-          f"{'CROWN-BaF  Min/Avg/Time':>28} | Ratio")
+    if cell == "ratio":
+        print(" | ".join([f"{'M/lp':<10}"]
+                         + [f"{name + '  Min/Avg/Time':>28}"
+                            for _, name, _ in columns] + ["Ratio"]))
     for n_layers in layers:
         model, dataset, accuracy = get_transformer(
             preset, n_layers=n_layers, scale=scale,
@@ -111,38 +140,49 @@ def _fast_vs_baf(preset, scale, layers, norms, divide_by_std=False,
         sentences = evaluation_sentences(model, dataset, scale.n_sentences)
         for norm_name in norms:
             p = _NORMS[norm_name]
-            deept = radius_report_deept(
-                model, sentences, p,
-                FAST(noise_symbol_cap=scale.noise_symbol_cap), scale=scale,
-                name="DeepT-Fast")
-            crown = radius_report_crown(model, sentences, p,
-                                        scale.baf_depth, scale=scale,
-                                        name="CROWN-BaF")
-            ratio, cell = ratio_column(deept.avg_radius, crown.avg_radius)
-            rows.append(dict(n_layers=n_layers, p=norm_name,
-                             accuracy=accuracy, deept=deept, crown=crown,
-                             ratio=ratio))
-            print(format_radius_row(f"M={n_layers} {norm_name}",
-                                    [deept, crown]) + f" | {cell}")
+            row = dict(n_layers=n_layers, p=norm_name, accuracy=accuracy,
+                       reports=[])
+            for key, name, verifier in columns:
+                setting = verifier(scale)
+                if isinstance(setting, VerifierConfig):
+                    report = radius_report_deept(model, sentences, p,
+                                                 setting, scale=scale,
+                                                 name=name)
+                else:
+                    report = radius_report_crown(model, sentences, p,
+                                                 setting, scale=scale,
+                                                 name=name)
+                row[key] = report
+                row["reports"].append(report)
+            label = f"M={n_layers}"
+            if len(norms) > 1:
+                label += f" {norm_name}"
+            line = format_radius_row(label, row["reports"])
+            if cell:
+                first, second = row["reports"][:2]
+                row[cell], text = ratio_column(
+                    first.avg_radius, second.avg_radius,
+                    change=cell == "change_percent")
+                line += f" | {text}"
+            print(line)
+            rows.append(row)
     return {"rows": rows}
 
 
 @_record("table1")
 def run_table1(scale=None):
     """Table 1: DeepT-Fast vs CROWN-BaF on the SST-scale corpus."""
-    return _fast_vs_baf("sst-small", scale, (3, 6, 12),
-                        ("l1", "l2", "linf"),
-                        title="Table 1: SST, certified radius (min/avg) "
-                              "and time")
+    return _radius_table("Table 1: SST, certified radius (min/avg) and time",
+                         scale, (3, 6, 12), tuple(_NORMS), _FAST_VS_BAF,
+                         cell="ratio")
 
 
 @_record("table2")
 def run_table2(scale=None):
     """Table 2: same comparison on the Yelp-scale corpus."""
-    return _fast_vs_baf("yelp-large", scale, (3, 6, 12),
-                        ("l1", "l2", "linf"),
-                        title="Table 2: Yelp, certified radius (min/avg) "
-                              "and time")
+    return _radius_table("Table 2: Yelp, certified radius (min/avg) and "
+                         "time", scale, (3, 6, 12), tuple(_NORMS),
+                         _FAST_VS_BAF, cell="ratio", preset="yelp-large")
 
 
 @_record("table3")
@@ -166,7 +206,7 @@ def run_table3(scale=None, crown_budget_seconds=60.0):
         model, dataset, accuracy = get_transformer(
             "sst-small", n_layers=n_layers, scale=wide_scale,
             embed_dim=wide_embed, hidden_dim=wide_hidden)
-        sentences = evaluation_sentences(model, dataset, 1)
+        sentences = evaluation_sentences(model, dataset, scale.n_sentences)
         for norm_name in ("l2",):
             p = _NORMS[norm_name]
             deept = radius_report_deept(
@@ -200,94 +240,29 @@ def run_table3(scale=None, crown_budget_seconds=60.0):
 
 
 @_record("table4")
-def run_table4(scale=None, layers=(3, 6, 12), include_baf=False):
-    """Table 4 (and Table 12 with ``include_baf``): the
-    precision-performance trade-off for ℓ∞ perturbations."""
-    scale = scale or SCALE
-    rows = []
-    label = "Table 12 (A.4)" if include_baf else "Table 4"
-    print(f"\n=== {label}: precision/performance trade-off (ℓ∞) ===")
-    for n_layers in layers:
-        model, dataset, _ = get_transformer("sst-small", n_layers=n_layers,
-                                            scale=scale)
-        sentences = evaluation_sentences(model, dataset, 1)
-        reports = [radius_report_deept(
-            model, sentences, np.inf,
-            FAST(noise_symbol_cap=scale.noise_symbol_cap), scale=scale,
-            name="DeepT-Fast")]
-        if include_baf:
-            reports.append(radius_report_crown(
-                model, sentences, np.inf, scale.baf_depth, scale=scale,
-                name="CROWN-BaF"))
-        reports.append(radius_report_deept(
-            model, sentences, np.inf,
-            PRECISE(noise_symbol_cap=scale.precise_symbol_cap), scale=scale,
-            name="DeepT-Precise"))
-        reports.append(radius_report_crown(
-            model, sentences, np.inf, BACKWARD_UNLIMITED, scale=scale,
-            name="CROWN-Backward"))
-        print(format_radius_row(f"M={n_layers}", reports))
-        rows.append(dict(n_layers=n_layers, reports=reports))
-    return {"rows": rows}
+def run_table4(scale=None, layers=(3, 6, 12)):
+    """Table 4: the precision-performance trade-off for ℓ∞ perturbations."""
+    return _radius_table("Table 4: precision/performance trade-off (ℓ∞)",
+                         scale, layers, ("linf",),
+                         (_DEEPT_FAST, _DEEPT_PRECISE, _CROWN_BACKWARD))
 
 
 @_record("table5")
 def run_table5(scale=None, layers=(3, 6, 12)):
     """Table 5: ℓ1/ℓ2 comparison incl. CROWN-Backward."""
-    scale = scale or SCALE
-    rows = []
-    print("\n=== Table 5: ℓ1/ℓ2 perturbations ===")
-    for n_layers in layers:
-        model, dataset, _ = get_transformer("sst-small", n_layers=n_layers,
-                                            scale=scale)
-        sentences = evaluation_sentences(model, dataset, 1)
-        for norm_name in ("l1", "l2"):
-            p = _NORMS[norm_name]
-            reports = [
-                radius_report_deept(
-                    model, sentences, p,
-                    FAST(noise_symbol_cap=scale.noise_symbol_cap),
-                    scale=scale, name="DeepT-Fast"),
-                radius_report_crown(model, sentences, p, scale.baf_depth,
-                                    scale=scale, name="CROWN-BaF"),
-                radius_report_crown(model, sentences, p, BACKWARD_UNLIMITED,
-                                    scale=scale, name="CROWN-Backward"),
-            ]
-            print(format_radius_row(f"M={n_layers} {norm_name}", reports))
-            rows.append(dict(n_layers=n_layers, p=norm_name,
-                             reports=reports))
-    return {"rows": rows}
+    return _radius_table("Table 5: ℓ1/ℓ2 perturbations", scale, layers,
+                         ("l1", "l2"),
+                         (_DEEPT_FAST, _CROWN_BAF, _CROWN_BACKWARD))
 
 
 @_record("table6")
 def run_table6(scale=None, layers=(3, 6, 12)):
     """Table 6: dual-norm application order (ℓ∞-first vs ℓp-first)."""
-    scale = scale or SCALE
-    rows = []
-    print("\n=== Table 6: dual-norm order in the Fast dot product ===")
-    for n_layers in layers:
-        model, dataset, _ = get_transformer("sst-small", n_layers=n_layers,
-                                            scale=scale)
-        sentences = evaluation_sentences(model, dataset, scale.n_sentences)
-        for norm_name in ("l1", "l2"):
-            p = _NORMS[norm_name]
-            first = radius_report_deept(
-                model, sentences, p,
-                FAST(noise_symbol_cap=scale.noise_symbol_cap,
-                     dual_norm_order="linf_first"), scale=scale,
-                name="linf-first")
-            second = radius_report_deept(
-                model, sentences, p,
-                FAST(noise_symbol_cap=scale.noise_symbol_cap,
-                     dual_norm_order="lp_first"), scale=scale,
-                name="lp-first")
-            change, cell = ratio_column(first.avg_radius,
-                                        second.avg_radius, change=True)
-            print(format_radius_row(f"M={n_layers} {norm_name}",
-                                    [first, second]) + f" | {cell}")
-            rows.append(dict(n_layers=n_layers, p=norm_name, first=first,
-                             second=second, change_percent=change))
-    return {"rows": rows}
+    columns = (("first", "linf-first", _fast(dual_norm_order="linf_first")),
+               ("second", "lp-first", _fast(dual_norm_order="lp_first")))
+    return _radius_table("Table 6: dual-norm order in the Fast dot product",
+                         scale, layers, ("l1", "l2"), columns,
+                         cell="change_percent")
 
 
 @_record("table7")
@@ -299,9 +274,9 @@ def run_table7(scale=None, layers=(3, 6)):
     (division slashing radii, DeepT leading BaF, gap growing with depth)
     is already established by M=6.
     """
-    return _fast_vs_baf("sst-small", scale, layers,
-                        ("l1", "l2", "linf"), divide_by_std=True,
-                        title="Table 7: standard layer normalization")
+    return _radius_table("Table 7: standard layer normalization", scale,
+                         layers, tuple(_NORMS), _FAST_VS_BAF, cell="ratio",
+                         divide_by_std=True)
 
 
 def _challenge_attacks(model, dataset, n_sentences, n_polar, seed=0):
@@ -452,10 +427,6 @@ def run_table11(scale=None, n_images=3):
                       evaluate_vision_transformer)
     from ..verify import max_certified_image_radius
 
-    import os
-
-    from .harness import load_cached_state, model_cache_dir
-
     scale = scale or SCALE
     images, labels = make_digit_dataset(n_per_class=60, size=14, seed=0)
     split = int(0.85 * len(images))
@@ -466,13 +437,10 @@ def run_table11(scale=None, n_images=3):
                                            hidden_dim=48, n_layers=1,
                                            n_classes=10, seed=0)
 
-    model = build_model()
-    cache_path = os.path.join(model_cache_dir(), "vit_table11.npz")
-    if not load_cached_state(model, cache_path):
-        model = build_model()  # discard any partial load
-        train_vision_transformer(model, images[:split], labels[:split],
-                                 epochs=20, lr=2e-3)
-        np.savez(cache_path, **model.state_dict())
+    model = load_or_train(
+        "vit_table11.npz", build_model,
+        lambda model: train_vision_transformer(
+            model, images[:split], labels[:split], epochs=20, lr=2e-3))
     accuracy = evaluate_vision_transformer(model, images[split:],
                                            labels[split:])
     verifier = DeepTVerifier(model,
@@ -500,67 +468,33 @@ def run_table11(scale=None, n_images=3):
 @_record("table12")
 def run_table12(scale=None, layers=(3, 6, 12)):
     """Table 12 (A.4): Table 4 plus the CROWN-BaF column."""
-    # The undecorated Table 4 body: the recorded one would overwrite
-    # table4.txt with this table's output.
-    return run_table4.__wrapped__(scale=scale, layers=layers,
-                                  include_baf=True)
+    return _radius_table("Table 12 (A.4): precision/performance trade-off "
+                         "(ℓ∞)", scale, layers, ("linf",),
+                         (_DEEPT_FAST, _CROWN_BAF, _DEEPT_PRECISE,
+                          _CROWN_BACKWARD))
 
 
 @_record("table13")
 def run_table13(scale=None, layers=(3, 6, 12)):
     """Table 13 (A.5): softmax-sum refinement ablation."""
-    scale = scale or SCALE
-    rows = []
-    print("\n=== Table 13 (A.5): softmax-sum refinement ===")
-    for n_layers in layers:
-        model, dataset, _ = get_transformer("sst-small", n_layers=n_layers,
-                                            scale=scale)
-        sentences = evaluation_sentences(model, dataset, scale.n_sentences)
-        for norm_name in ("l1", "l2", "linf"):
-            p = _NORMS[norm_name]
-            with_ref = radius_report_deept(
-                model, sentences, p,
-                FAST(noise_symbol_cap=scale.noise_symbol_cap,
-                     softmax_sum_refinement=True), scale=scale,
-                name="with")
-            without = radius_report_deept(
-                model, sentences, p,
-                FAST(noise_symbol_cap=scale.noise_symbol_cap,
-                     softmax_sum_refinement=False), scale=scale,
-                name="without")
-            change, cell = ratio_column(with_ref.avg_radius,
-                                        without.avg_radius, change=True)
-            print(format_radius_row(f"M={n_layers} {norm_name}",
-                                    [with_ref, without]) + f" | {cell}")
-            rows.append(dict(n_layers=n_layers, p=norm_name,
-                             with_refinement=with_ref,
-                             without_refinement=without,
-                             change_percent=change))
-    return {"rows": rows}
+    columns = (("with_refinement", "with",
+                _fast(softmax_sum_refinement=True)),
+               ("without_refinement", "without",
+                _fast(softmax_sum_refinement=False)))
+    return _radius_table("Table 13 (A.5): softmax-sum refinement", scale,
+                         layers, tuple(_NORMS), columns,
+                         cell="change_percent")
 
 
 @_record("table14")
 def run_table14(scale=None, layers=(6, 12)):
     """Table 14 (A.6): combined Fast+Precise vs CROWN-Backward (ℓ∞)."""
-    scale = scale or SCALE
-    rows = []
-    print("\n=== Table 14 (A.6): combined DeepT verifier ===")
-    for n_layers in layers:
-        model, dataset, _ = get_transformer("sst-small", n_layers=n_layers,
-                                            scale=scale)
-        sentences = evaluation_sentences(model, dataset, 1)
-        combined = radius_report_deept(
-            model, sentences, np.inf,
-            COMBINED(noise_symbol_cap=scale.noise_symbol_cap,
-                     last_layer_cap=scale.precise_symbol_cap), scale=scale,
-            name="Combined DeepT")
-        backward = radius_report_crown(model, sentences, np.inf,
-                                       BACKWARD_UNLIMITED, scale=scale,
-                                       name="CROWN-Backward")
-        print(format_radius_row(f"M={n_layers}", [combined, backward]))
-        rows.append(dict(n_layers=n_layers, combined=combined,
-                         backward=backward))
-    return {"rows": rows}
+    combined = ("combined", "Combined DeepT",
+                lambda scale: COMBINED(
+                    noise_symbol_cap=scale.noise_symbol_cap,
+                    last_layer_cap=scale.precise_symbol_cap))
+    return _radius_table("Table 14 (A.6): combined DeepT verifier", scale,
+                         layers, ("linf",), (combined, _CROWN_BACKWARD))
 
 
 @_record("figure4")

@@ -1,10 +1,10 @@
 """Training loops for the classifiers.
 
 The paper trains its Transformers from scratch on SST/Yelp; we do the same
-on the synthetic corpora. ``robust_sigma`` adds Gaussian noise to the input
-embeddings during training — our stand-in for the certified training of Xu
-et al. used for the Table 8 network (it flattens the decision surface around
-the embeddings, which is the property Table 8 relies on).
+on the synthetic corpora. The Table 8/9 network comes from
+:func:`train_transformer_certified`, IBP certified training against each
+sentence's synonym box: our stand-in for the certified training of Xu et
+al. (DESIGN §2).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ def _batches(n, batch_size, rng):
 
 
 def train_transformer(model, sequences, labels, epochs=10, lr=1e-3,
-                      batch_size=16, robust_sigma=0.0, seed=0, verbose=False):
+                      batch_size=16, seed=0, verbose=False):
     """Train a :class:`TransformerClassifier` on token-id sequences.
 
     Parameters
@@ -35,9 +35,6 @@ def train_transformer(model, sequences, labels, epochs=10, lr=1e-3,
         List of integer token-id lists (variable length).
     labels:
         Array of 0/1 labels.
-    robust_sigma:
-        If positive, Gaussian noise of this scale is added to the input
-        embeddings of every training example (robustness-oriented training).
     """
     labels = np.asarray(labels)
     optimizer = Adam(model.parameters(), lr=lr)
@@ -47,14 +44,9 @@ def train_transformer(model, sequences, labels, epochs=10, lr=1e-3,
         total_loss, count = 0.0, 0
         for idx in _batches(len(sequences), batch_size, rng):
             optimizer.zero_grad()
-            logits = []
-            for i in idx:
-                emb = model.embed(sequences[i])
-                if robust_sigma > 0:
-                    noise = rng.normal(0.0, robust_sigma, size=emb.shape)
-                    emb = emb + Tensor(noise)
-                logits.append(model.forward_from_embeddings(emb))
-            loss = cross_entropy(stack(logits, axis=0), labels[idx])
+            loss = cross_entropy(
+                model.forward_batch([sequences[i] for i in idx]),
+                labels[idx])
             loss.backward()
             optimizer.step()
             total_loss += loss.item() * len(idx)

@@ -11,14 +11,29 @@ import numpy as np
 
 from ..zonotope import MultiNormZonotope
 
-__all__ = ["lp_ball_region", "word_perturbation_region",
-           "synonym_attack_region", "image_perturbation_region"]
+__all__ = ["lp_ball_region", "word_position_mask",
+           "word_perturbation_region", "synonym_attack_region",
+           "image_perturbation_region"]
 
 
 def lp_ball_region(center, radius, p, perturbed_mask=None):
     """Generic ℓp ball region over an (N, E) embedding matrix."""
     return MultiNormZonotope.from_lp_ball(center, radius, p,
                                           perturbed_mask=perturbed_mask)
+
+
+def word_position_mask(embeddings, position):
+    """Mask of the word at ``position`` in an (N, E) embedding matrix.
+
+    Every T1 front end builds its region through this check: a position
+    outside the sequence, negative ones included, raises ``ValueError``.
+    """
+    if not 0 <= position < len(embeddings):
+        raise ValueError(f"position {position} out of range "
+                         f"for a {len(embeddings)}-token sequence")
+    mask = np.zeros(embeddings.shape, dtype=bool)
+    mask[position] = True
+    return mask
 
 
 def word_perturbation_region(model, token_ids, position, radius, p):
@@ -28,13 +43,9 @@ def word_perturbation_region(model, token_ids, position, radius, p):
     perturbs content-word positions.
     """
     embeddings = model.embed_array(token_ids)
-    if not 0 <= position < len(embeddings):
-        raise ValueError(f"position {position} out of range "
-                         f"for a {len(embeddings)}-token sequence")
-    mask = np.zeros(embeddings.shape, dtype=bool)
-    mask[position] = True
-    return MultiNormZonotope.from_lp_ball(embeddings, radius, p,
-                                          perturbed_mask=mask)
+    return MultiNormZonotope.from_lp_ball(
+        embeddings, radius, p,
+        perturbed_mask=word_position_mask(embeddings, position))
 
 
 def synonym_attack_region(attack):

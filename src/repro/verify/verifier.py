@@ -138,9 +138,8 @@ class DeepTVerifier:
     def _certify_region_once(self, region, true_label, config):
         """One guarded zonotope propagation + margin check (no retry)."""
         logits = propagate_classifier(self.model, region, config)
-        lower, upper = logits.bounds()
         margins = []
-        for other in range(len(lower)):
+        for other in range(logits.shape[0]):
             if other == true_label:
                 continue
             margin = (logits[true_label] - logits[other]).bounds()[0]

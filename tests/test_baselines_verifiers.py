@@ -165,6 +165,27 @@ class TestIntervalVerifier:
                                                       50.0, 2)
 
 
+class TestWordPosition:
+    """Every T1 front end refuses a position outside the sentence.
+
+    CROWN used to index its mask unchecked: -1 certified the last word
+    and ``len(sentence)`` raised ``IndexError``.
+    """
+
+    @pytest.mark.parametrize("make_verifier", [
+        lambda model: DeepTVerifier(model, FAST(noise_symbol_cap=64)),
+        IBPVerifier,
+        lambda model: CrownVerifier(model, backsub_depth=BACKWARD_UNLIMITED),
+    ], ids=["deept", "ibp", "crown"])
+    def test_position_outside_sentence_raises(self, tiny_model,
+                                              tiny_sentence, make_verifier):
+        verifier = make_verifier(tiny_model)
+        for position in (-1, len(tiny_sentence)):
+            with pytest.raises(ValueError, match="out of range"):
+                verifier.certify_word_perturbation(tiny_sentence, position,
+                                                   1e-3, np.inf)
+
+
 class TestEnumeration:
     def test_exhaustive_robust(self, tiny_model, tiny_corpus,
                                tiny_sentence):

@@ -115,6 +115,25 @@ class TestModelCacheRecovery:
         with np.load(path) as archive:
             assert set(archive.files) == set(reference)
 
+
+class TestCommittedArchives:
+    """The committed sst-small archives load under today's cache key.
+
+    A drifted key would not fail a table: ``get_transformer`` would
+    quietly retrain and save a new archive. Training is refused here, as
+    the paper-workload benchmark refuses it.
+    """
+
+    @pytest.mark.parametrize("n_layers", [3, 6, 12])
+    def test_loads_without_training(self, n_layers, monkeypatch):
+        def refuse_training(*args, **kwargs):
+            raise AssertionError("get_transformer trained instead of "
+                                 "loading the committed archive")
+
+        monkeypatch.setattr(harness, "train_transformer", refuse_training)
+        model, _, _ = get_transformer("sst-small", n_layers=n_layers)
+        assert model.n_layers == n_layers
+
 class TestFigure4:
     def test_reproduces_paper_geometry(self):
         result = run_figure4(n_samples=300)

@@ -1,13 +1,14 @@
 """Micro-scale smoke runs of the table runners.
 
 The full paper-shaped runs live in benchmarks/; here each runner executes
-at a deliberately tiny scale (1-layer models, one sentence, few bisection
-steps) so its code path — training cache, radius protocol, printing,
-result structure — is covered by the fast test suite.
+at a deliberately tiny scale (1-layer models, one or two sentences, few
+bisection steps) so its code path — training cache, radius protocol,
+printing, result structure — is covered by the fast test suite.
 """
 
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,10 +16,11 @@ import pytest
 os.environ["REPRO_NO_RECORD"] = "1"  # micro runs must not clobber
                                      # benchmarks/results artifacts
 
-from repro.experiments.harness import ExperimentScale
-from repro.experiments.tables import (_fast_vs_baf, run_table6, run_table9,
-                                      run_table10, run_table13,
-                                      run_table14, run_figure4)
+from repro.experiments.harness import ExperimentScale, RadiusReport
+from repro.experiments.tables import (_FAST_VS_BAF, _radius_table,
+                                      run_table4, run_table5, run_table6,
+                                      run_table9, run_table10, run_table12,
+                                      run_table13, run_table14, run_figure4)
 
 
 @pytest.fixture(scope="module")
@@ -32,8 +34,8 @@ def micro_scale():
 
 class TestFastVsBafEngine:
     def test_single_layer_row(self, micro_scale, capsys):
-        result = _fast_vs_baf("sst-small", micro_scale, (1,), ("l2",),
-                              title="micro")
+        result = _radius_table("micro", micro_scale, (1,), ("l2",),
+                               _FAST_VS_BAF, cell="ratio")
         rows = result["rows"]
         assert len(rows) == 1
         row = rows[0]
@@ -71,8 +73,8 @@ class TestRatioColumn:
 
         monkeypatch.setattr(tables, "radius_report_deept", deept)
         monkeypatch.setattr(tables, "radius_report_crown", crown)
-        result = _fast_vs_baf("sst-small", micro_scale, (1,), ("l2",),
-                              title="zero baseline")
+        result = _radius_table("zero baseline", micro_scale, (1,),
+                               ("l2",), _FAST_VS_BAF, cell="ratio")
         row = capsys.readouterr().out.splitlines()[-1]
         assert row.rstrip().endswith("∞"), row
         assert "72500000000" not in row
@@ -97,6 +99,35 @@ class TestAblationRunners:
         row = result["rows"][0]
         assert row["combined"].radii
         assert row["backward"].radii
+
+
+class TestSentenceCount:
+    """Every radius table runs the scale's sentence count.
+
+    Tables 4, 5, 12 and 14 used to take one sentence whatever the scale
+    said.
+    """
+
+    @staticmethod
+    def row_reports(row):
+        """Every radius report of a row, keyed or listed."""
+        values = list(row.values()) + list(row.get("reports", ()))
+        return [value for value in values
+                if isinstance(value, RadiusReport)]
+
+    @pytest.mark.parametrize("runner", [run_table4, run_table5, run_table6,
+                                        run_table12, run_table13,
+                                        run_table14],
+                             ids=["4", "5", "6", "12", "13", "14"])
+    def test_reports_hold_every_sentence(self, micro_scale, runner):
+        scale = replace(micro_scale, n_sentences=2)
+        result = runner(scale=scale, layers=(1,))
+        for row in result["rows"]:
+            reports = self.row_reports(row)
+            assert reports
+            for report in reports:
+                assert len(report.radii) == 2 * scale.n_positions, \
+                    report.name
 
 
 class TestStandaloneRunners:
