@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..autograd import Tensor, softmax, concatenate
+from ..autograd import softmax, concatenate
 from .layers import Module, Linear
 
 __all__ = ["AttentionHead", "MultiHeadSelfAttention"]
 
 
 class AttentionHead(Module):
-    """A single self-attention head with its query/key/value projections."""
+    """One head's query/key/value projections (parameters only: the
+    multi-head forward runs every head, and the verifiers read them)."""
 
     def __init__(self, embed_dim, d_k, d_v, rng=None, init_std=0.1):
         rng = rng or np.random.default_rng(0)
@@ -26,15 +27,6 @@ class AttentionHead(Module):
         self.w_q = Linear(embed_dim, d_k, rng=rng, init_std=init_std)
         self.w_k = Linear(embed_dim, d_k, rng=rng, init_std=init_std)
         self.w_v = Linear(embed_dim, d_v, rng=rng, init_std=init_std)
-
-    def forward(self, x):
-        """``x``: (N, E) sequence of embeddings; returns (N, d_v)."""
-        q = self.w_q(x)
-        k = self.w_k(x)
-        v = self.w_v(x)
-        scores = (q @ k.T) * (1.0 / np.sqrt(self.d_k))
-        weights = softmax(scores, axis=-1)
-        return weights @ v
 
 
 class MultiHeadSelfAttention(Module):
@@ -52,7 +44,8 @@ class MultiHeadSelfAttention(Module):
         self.w_o = Linear(n_heads * d, embed_dim, rng=rng, init_std=init_std)
 
     def forward(self, x):
-        """``x``: (N, E); returns (N, E).
+        """``x``: (..., N, E); returns (..., N, E). Leading axes stack
+        same-length sequences; a 2-D input is one sequence.
 
         All heads run batched: the per-head projection weights are stacked
         into single (E, A*d) matrices and the score/mixing products are one
@@ -60,9 +53,12 @@ class MultiHeadSelfAttention(Module):
         (``repro.verify.propagation.propagate_attention``). Gradients still
         flow into the per-head parameters through the concatenation.
         """
-        n_tokens = x.shape[0]
+        *lead, n_tokens, _ = x.shape
         n_heads = self.n_heads
         d = self.heads[0].d_k
+        at = len(lead)  # the token axis once the heads are split off
+        swap = (*range(at), at + 1, at, at + 2)  # (N, A, d) <-> (A, N, d)
+        roll = (*range(at), at + 1, at + 2, at)  # (N, A, d) -> (A, d, N)
 
         def stacked_proj(name):
             weight = concatenate(
@@ -71,28 +67,14 @@ class MultiHeadSelfAttention(Module):
             biases = [getattr(h, name).bias for h in self.heads]
             if all(b is not None for b in biases):
                 out = out + concatenate(biases, axis=0)
-            return out
+            return out.reshape(*lead, n_tokens, n_heads, d)
 
-        q = stacked_proj("w_q").reshape(n_tokens, n_heads, d) \
-            .transpose(1, 0, 2)                        # (A, N, d)
-        k = stacked_proj("w_k").reshape(n_tokens, n_heads, d) \
-            .transpose(1, 2, 0)                        # (A, d, N)
-        v = stacked_proj("w_v").reshape(n_tokens, n_heads, d) \
-            .transpose(1, 0, 2)                        # (A, N, d)
+        q = stacked_proj("w_q").transpose(swap)        # (..., A, N, d)
+        k = stacked_proj("w_k").transpose(roll)        # (..., A, d, N)
+        v = stacked_proj("w_v").transpose(swap)        # (..., A, N, d)
 
         scores = (q @ k) * (1.0 / np.sqrt(d))
-        weights = softmax(scores, axis=-1)             # (A, N, N)
-        mixed = (weights @ v).transpose(1, 0, 2) \
-            .reshape(n_tokens, n_heads * d)            # (N, A*d)
+        weights = softmax(scores, axis=-1)             # (..., A, N, N)
+        mixed = (weights @ v).transpose(swap) \
+            .reshape(*lead, n_tokens, n_heads * d)      # (..., N, A*d)
         return self.w_o(mixed)
-
-    def attention_weights(self, x):
-        """Concrete softmax attention matrices, one (N, N) array per head."""
-        mats = []
-        for head in self.heads:
-            q = head.w_q(Tensor(np.asarray(x))).data
-            k = head.w_k(Tensor(np.asarray(x))).data
-            scores = (q @ k.T) / np.sqrt(head.d_k)
-            e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-            mats.append(e / e.sum(axis=-1, keepdims=True))
-        return mats

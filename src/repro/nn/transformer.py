@@ -126,15 +126,17 @@ class TransformerClassifier(Module):
 
     # --------------------------------------------------------------- forward
     def forward_from_embeddings(self, embeddings):
-        """Run the network from an (N, E) embeddings tensor to 2 logits.
+        """Run the network from (..., N, E) embeddings to (..., 2) logits.
 
         This is the part of the network the verifier abstracts: perturbation
-        regions live in embedding space (threat models T1 and T2).
+        regions live in embedding space (threat models T1 and T2). Leading
+        axes stack same-length sequences (one forward scores them all); a
+        2-D input is one sequence.
         """
         x = embeddings
         for layer in self.layers:
             x = layer(x)
-        pooled = self.pool(x[0]).tanh()
+        pooled = self.pool(x[..., 0, :]).tanh()
         return self.classifier(pooled)
 
     def forward(self, token_ids):

@@ -75,10 +75,11 @@ class VisionTransformerClassifier(Module):
             return self.embed(image).data
 
     def forward_from_embeddings(self, embeddings):
+        """(..., n_patches, E) embeddings to (..., n_classes) logits."""
         x = embeddings
         for layer in self.layers:
             x = layer(x)
-        pooled = self.pool(x[0]).tanh()
+        pooled = self.pool(x[..., 0, :]).tanh()
         return self.classifier(pooled)
 
     def forward(self, image):

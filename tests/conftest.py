@@ -15,6 +15,14 @@ from repro.nn import (TransformerClassifier, train_transformer,
                       MLPClassifier, train_mlp)
 
 
+@pytest.fixture(scope="session", autouse=True)
+def no_recorded_results():
+    """No test rewrites the tracked tables in ``benchmarks/results``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_NO_RECORD", "1")
+        yield
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)

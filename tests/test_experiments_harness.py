@@ -11,7 +11,7 @@ from repro.experiments.harness import (ExperimentScale, SCALE, RadiusReport,
                                        format_radius_row,
                                        evaluation_sentences, get_corpus,
                                        get_transformer, load_cached_state)
-from repro.experiments.tables import run_figure4
+from repro.experiments.tables import results_dir, run_figure4
 from repro.scheduler import positions_for
 
 
@@ -124,6 +124,9 @@ class TestCommittedArchives:
     the paper-workload benchmark refuses it.
     """
 
+    # Test-set accuracy of each committed archive (of 80 sentences).
+    ACCURACY = {3: 0.95, 6: 0.95, 12: 0.9875}
+
     @pytest.mark.parametrize("n_layers", [3, 6, 12])
     def test_loads_without_training(self, n_layers, monkeypatch):
         def refuse_training(*args, **kwargs):
@@ -131,12 +134,27 @@ class TestCommittedArchives:
                                  "loading the committed archive")
 
         monkeypatch.setattr(harness, "train_transformer", refuse_training)
-        model, _, _ = get_transformer("sst-small", n_layers=n_layers)
+        model, dataset, accuracy = get_transformer("sst-small",
+                                                   n_layers=n_layers)
         assert model.n_layers == n_layers
+        assert accuracy == self.ACCURACY[n_layers]
+        # The evaluation's stacked forwards (one per sentence length)
+        # count the sentences that one-at-a-time prediction counts.
+        correct = sum(model.predict(sequence) == int(label)
+                      for sequence, label in zip(dataset.test_sequences,
+                                                 dataset.test_labels))
+        assert correct / len(dataset.test_sequences) == accuracy
 
 class TestFigure4:
     def test_reproduces_paper_geometry(self):
+        recorded = os.path.join(results_dir(), "figure4.txt")
+        with open(recorded, "rb") as f:
+            before = f.read()
         result = run_figure4(n_samples=300)
+        # The session sets REPRO_NO_RECORD (conftest.py): the tracked
+        # result, sampled at the runner's default 4000 points, stays.
+        with open(recorded, "rb") as f:
+            assert f.read() == before
         lower, upper = result["bounds"]
         # x = 4 ± (sqrt(2) + 3), y = 3 ± (sqrt(2) + 2) per Theorem 1.
         assert lower[0] == pytest.approx(4 - np.sqrt(2) - 3)

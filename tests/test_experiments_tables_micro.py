@@ -7,14 +7,10 @@ printing, result structure — is covered by the fast test suite.
 """
 
 import math
-import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
-
-os.environ["REPRO_NO_RECORD"] = "1"  # micro runs must not clobber
-                                     # benchmarks/results artifacts
 
 from repro.experiments.harness import ExperimentScale, RadiusReport
 from repro.experiments.tables import (_FAST_VS_BAF, _radius_table,

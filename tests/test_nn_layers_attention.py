@@ -5,7 +5,7 @@ import pytest
 
 from repro.autograd import Tensor, no_grad
 from repro.nn import (Module, Linear, Embedding, LayerNorm,
-                      AttentionHead, MultiHeadSelfAttention)
+                      MultiHeadSelfAttention)
 
 
 class TestLinear:
@@ -104,38 +104,41 @@ class TestModule:
             Module()()
 
 
-class TestAttention:
-    def test_head_output_shape(self, rng):
-        head = AttentionHead(8, 4, 4, rng=rng)
-        out = head(Tensor(rng.normal(size=(5, 8))))
-        assert out.shape == (5, 4)
+def _attention_reference(attention, x):
+    """Eq. (1) for one (N, E) sequence, head by head in plain numpy."""
+    outputs = []
+    for head in attention.heads:
+        q = x @ head.w_q.weight.data + head.w_q.bias.data
+        k = x @ head.w_k.weight.data + head.w_k.bias.data
+        v = x @ head.w_v.weight.data + head.w_v.bias.data
+        scores = q @ k.T / np.sqrt(head.d_k)
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        outputs.append(e / e.sum(axis=-1, keepdims=True) @ v)
+    return (np.concatenate(outputs, axis=-1) @ attention.w_o.weight.data
+            + attention.w_o.bias.data)
 
+
+class TestAttention:
     def test_multihead_output_shape(self, rng):
         attention = MultiHeadSelfAttention(8, 2, rng=rng)
         out = attention(Tensor(rng.normal(size=(5, 8))))
         assert out.shape == (5, 8)
+        stacked = attention(Tensor(rng.normal(size=(3, 5, 8))))
+        assert stacked.shape == (3, 5, 8)
 
     def test_embed_dim_divisibility(self, rng):
         with pytest.raises(ValueError):
             MultiHeadSelfAttention(9, 2, rng=rng)
 
-    def test_attention_weights_are_distributions(self, rng):
-        attention = MultiHeadSelfAttention(8, 2, rng=rng)
-        x = rng.normal(size=(4, 8))
-        for mat in attention.attention_weights(x):
-            assert mat.shape == (4, 4)
-            np.testing.assert_allclose(mat.sum(axis=-1), 1.0)
-            assert np.all(mat >= 0)
-
     def test_attention_matches_manual_computation(self, rng):
-        head = AttentionHead(6, 3, 3, rng=rng)
+        attention = MultiHeadSelfAttention(6, 3, rng=rng)
         x = rng.normal(size=(4, 6))
+        stacked = rng.normal(size=(3, 4, 6))
         with no_grad():
-            out = head(Tensor(x)).data
-        q = x @ head.w_q.weight.data + head.w_q.bias.data
-        k = x @ head.w_k.weight.data + head.w_k.bias.data
-        v = x @ head.w_v.weight.data + head.w_v.bias.data
-        scores = q @ k.T / np.sqrt(3)
-        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-        weights = e / e.sum(axis=-1, keepdims=True)
-        np.testing.assert_allclose(out, weights @ v, atol=1e-12)
+            out = attention(Tensor(x)).data
+            stacked_out = attention(Tensor(stacked)).data
+        np.testing.assert_allclose(out, _attention_reference(attention, x),
+                                   atol=1e-12)
+        for row, sequence in zip(stacked_out, stacked):
+            np.testing.assert_allclose(
+                row, _attention_reference(attention, sequence), atol=1e-12)

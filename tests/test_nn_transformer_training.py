@@ -11,6 +11,67 @@ from repro.nn import (TransformerClassifier, MLPClassifier,
                       evaluate_vision_transformer)
 
 
+def _assert_rows_match(model, embeddings):
+    """Each row of one stacked forward matches that input's own forward.
+
+    Not bitwise: a stacked matmul may sum in another order than the
+    one-sequence matmul, so rows agree to rounding (1e-12 of each logit,
+    or of the largest logit for logits near 0).
+    """
+    with no_grad():
+        stacked = model.forward_from_embeddings(
+            Tensor(np.stack(embeddings))).data
+    assert stacked.shape == (len(embeddings), model.classifier.out_features)
+    scale = np.abs(stacked).max()
+    for row, embedding in zip(stacked, embeddings):
+        own = model.logits_from_embedding_array(embedding)
+        assert row.argmax() == own.argmax()
+        np.testing.assert_allclose(row, own, rtol=1e-12, atol=1e-12 * scale)
+
+
+def _by_length(sequences):
+    groups = {}
+    for sequence in sequences:
+        groups.setdefault(len(sequence), []).append(sequence)
+    return groups
+
+
+class TestStackedForward:
+    """Leading axes of ``forward_from_embeddings`` stack sequences."""
+
+    @pytest.mark.parametrize("fixture", ["tiny_model", "tiny_model_std_norm"])
+    def test_rows_match_own_forward(self, fixture, tiny_corpus, request):
+        model = request.getfixturevalue(fixture)
+        groups = _by_length(tiny_corpus.test_sequences)
+        assert len(groups) > 1 and max(map(len, groups.values())) > 1
+        for group in groups.values():
+            _assert_rows_match(model, [model.embed_array(s) for s in group])
+
+    @pytest.mark.parametrize("fixture", ["tiny_model", "tiny_model_std_norm"])
+    def test_evaluation_counts_what_predict_counts(self, fixture,
+                                                   tiny_corpus, request):
+        model = request.getfixturevalue(fixture)
+        sequences, labels = tiny_corpus.test_sequences, tiny_corpus.test_labels
+        correct = sum(model.predict(s) == int(label)
+                      for s, label in zip(sequences, labels))
+        assert evaluate_transformer(model, sequences, labels) \
+            == correct / len(sequences)
+
+    def test_vision_rows_match_and_count(self):
+        model = VisionTransformerClassifier(image_size=8, patch_size=4,
+                                            embed_dim=8, n_heads=2,
+                                            hidden_dim=16, n_layers=2,
+                                            n_classes=10, seed=1)
+        rng = np.random.default_rng(4)
+        images = rng.uniform(size=(12, 8, 8))
+        labels = rng.integers(0, 10, size=12)
+        _assert_rows_match(model, [model.embed_array(i) for i in images])
+        correct = sum(model.predict(image) == label
+                      for image, label in zip(images, labels))
+        assert evaluate_vision_transformer(model, images, labels) \
+            == correct / len(images)
+
+
 class TestTransformerClassifier:
     def test_forward_shapes(self, tiny_model, tiny_sentence):
         logits = tiny_model.forward(tiny_sentence)
