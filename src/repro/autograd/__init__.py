@@ -3,13 +3,13 @@
 from .tensor import Tensor, as_tensor, no_grad, is_grad_enabled
 from .functional import (
     softmax, log_softmax, cross_entropy, concatenate, stack,
-    embedding_lookup, pad_stack, gelu,
+    embedding_lookup,
 )
-from .optim import Optimizer, SGD, Adam
+from .optim import Optimizer, Adam
 
 __all__ = [
     "Tensor", "as_tensor", "no_grad", "is_grad_enabled",
     "softmax", "log_softmax", "cross_entropy", "concatenate", "stack",
-    "embedding_lookup", "pad_stack", "gelu",
-    "Optimizer", "SGD", "Adam",
+    "embedding_lookup",
+    "Optimizer", "Adam",
 ]

@@ -12,7 +12,7 @@ from .tensor import Tensor, as_tensor
 
 __all__ = [
     "softmax", "log_softmax", "cross_entropy", "concatenate", "stack",
-    "embedding_lookup", "pad_stack", "gelu",
+    "embedding_lookup",
 ]
 
 
@@ -94,34 +94,3 @@ def embedding_lookup(table, indices):
         return (g,)
 
     return Tensor._make(out_data, (table,), backward, "embedding")
-
-
-def pad_stack(sequences, pad_value=0.0):
-    """Stack variable-length ``(n_i, dim)`` arrays into ``(batch, n_max, dim)``.
-
-    Returns the stacked ndarray and a boolean mask of valid positions. This
-    is a plain-numpy helper (inputs are data, not graph nodes).
-    """
-    n_max = max(len(s) for s in sequences)
-    dim = sequences[0].shape[1]
-    out = np.full((len(sequences), n_max, dim), pad_value, dtype=np.float64)
-    mask = np.zeros((len(sequences), n_max), dtype=bool)
-    for i, seq in enumerate(sequences):
-        out[i, : len(seq)] = seq
-        mask[i, : len(seq)] = True
-    return out, mask
-
-
-def gelu(x):
-    """Differentiable GELU: ``x * Phi(x)`` (exact normal-CDF form)."""
-    from scipy.stats import norm as _norm
-    x = as_tensor(x)
-    cdf = _norm.cdf(x.data)
-    pdf = _norm.pdf(x.data)
-    out_data = x.data * cdf
-    grad_factor = cdf + x.data * pdf
-
-    def backward(grad):
-        return (grad * grad_factor,)
-
-    return Tensor._make(out_data, (x,), backward, "gelu")

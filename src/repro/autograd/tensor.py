@@ -250,14 +250,6 @@ class Tensor:
 
         return Tensor._make(np.log(self.data), (self,), backward, "log")
 
-    def sigmoid(self):
-        out_data = 1.0 / (1.0 + np.exp(-self.data))
-
-        def backward(grad):
-            return (grad * out_data * (1.0 - out_data),)
-
-        return Tensor._make(out_data, (self,), backward, "sigmoid")
-
     def clamp(self, low, high):
         """Clip values to [low, high]; gradient is zero outside the range."""
         inside = (self.data >= low) & (self.data <= high)

@@ -210,8 +210,7 @@ class _BacksubEngine:
                 self._accumulate(coeffs, parent,
                                  lam[..., offset: offset + width])
                 offset += width
-        elif node.op in ("relu", "tanh", "exp", "reciprocal", "rsqrt",
-                         "gelu"):
+        elif node.op in ("relu", "tanh", "exp", "reciprocal", "rsqrt"):
             parent = parents[0]
             a_l, b_l, a_u, b_u = unary_relaxation(node.op, parent.lower,
                                                   parent.upper, node.params)
@@ -298,7 +297,7 @@ class CrownVerifier:
         if self.backsub_depth <= 0:
             return
         needs_tight = {"relu", "tanh", "exp", "reciprocal", "rsqrt",
-                       "gelu", "mul", "matmul"}
+                       "mul", "matmul"}
         engine = _BacksubEngine(graph, region, self.backsub_depth)
         bound_parents = set()
         for node in graph.nodes:

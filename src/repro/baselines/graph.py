@@ -121,8 +121,7 @@ class Graph:
 
     def unary(self, op, x, **params):
         """Elementwise nonlinearity node (relu/tanh/exp/reciprocal/rsqrt)."""
-        if op not in ("relu", "tanh", "exp", "reciprocal", "rsqrt",
-                      "gelu"):
+        if op not in ("relu", "tanh", "exp", "reciprocal", "rsqrt"):
             raise ValueError(f"unknown unary op {op}")
         return self._add(op, [x], dict(params), x.shape)
 
@@ -222,8 +221,7 @@ class GraphBuilder:
 
     def _feed_forward(self, graph, x, ffn):
         hidden = graph.affine(x, ffn.fc1.weight.data, ffn.fc1.bias.data)
-        activation = getattr(ffn, "activation", "relu")
-        hidden = graph.unary(activation, hidden)
+        hidden = graph.unary("relu", hidden)
         return graph.affine(hidden, ffn.fc2.weight.data, ffn.fc2.bias.data)
 
     def _softmax(self, graph, scores):
@@ -312,17 +310,6 @@ def _node_interval(node, input_lower, input_upper):
     elif node.op == "tanh":
         node.lower = np.tanh(parents[0].lower)
         node.upper = np.tanh(parents[0].upper)
-    elif node.op == "gelu":
-        from scipy.stats import norm as _norm
-        lo, hi = parents[0].lower, parents[0].upper
-        g_lo = lo * _norm.cdf(lo)
-        g_hi = hi * _norm.cdf(hi)
-        # GELU dips to ~-0.1700 at t* ~ -0.7518; the interval minimum is
-        # the dip when [l, u] contains t*, else the smaller endpoint.
-        t_star, g_star = -0.7518, -0.17
-        contains = (lo <= t_star) & (hi >= t_star)
-        node.lower = np.where(contains, g_star, np.minimum(g_lo, g_hi))
-        node.upper = np.maximum(g_lo, g_hi)
     elif node.op == "exp":
         node.lower = np.exp(parents[0].lower)
         node.upper = np.exp(parents[0].upper)

@@ -13,8 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["relu_relaxation", "tanh_relaxation", "exp_relaxation",
-           "reciprocal_relaxation", "rsqrt_relaxation", "gelu_relaxation",
-           "mul_relaxation",
+           "reciprocal_relaxation", "rsqrt_relaxation", "mul_relaxation",
            "unary_relaxation"]
 
 _POINT_TOL = 1e-12
@@ -144,43 +143,11 @@ _UNARY = {
 }
 
 
-def gelu_relaxation(lower, upper, n_grid=64):
-    """Sampled parallel-slope band for GELU (chord slope, grid extrema).
-
-    Mirrors the zonotope transformer's construction: the band slope is the
-    chord slope, the offsets come from the extrema of ``gelu(t) - lam*t``
-    on a grid, widened by the maximal curvature error between grid points
-    (|gelu''| <= ~1.13).
-    """
-    from scipy.stats import norm as _norm
-
-    point = (upper - lower) <= _POINT_TOL
-
-    def g(t):
-        return t * _norm.cdf(t)
-
-    width = np.maximum(upper - lower, _POINT_TOL)
-    lam = (g(upper) - g(lower)) / width
-    offsets = np.linspace(0.0, 1.0, n_grid)
-    grid = lower[None] + offsets.reshape(-1, *([1] * lower.ndim)) * width
-    gaps = g(grid) - lam * grid
-    safety = 1.13 / 8.0 * (width / (n_grid - 1)) ** 2
-    b_l = gaps.min(axis=0) - safety
-    b_u = gaps.max(axis=0) + safety
-    a_l = np.where(point, 0.0, lam)
-    a_u = np.where(point, 0.0, lam)
-    b_l = np.where(point, g(lower), b_l)
-    b_u = np.where(point, g(upper), b_u)
-    return a_l, b_l, a_u, b_u
-
-
 def unary_relaxation(op, lower, upper, params=None):
     """Dispatch to the relaxation of a unary graph op."""
     if op == "rsqrt":
         return rsqrt_relaxation(lower, upper,
                                 shift=(params or {}).get("shift", 0.0))
-    if op == "gelu":
-        return gelu_relaxation(lower, upper)
     return _UNARY[op](lower, upper)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..autograd import softmax, concatenate
-from .layers import Module, Linear
+from .layers import INIT_STD, Module, Linear
 
 __all__ = ["AttentionHead", "MultiHeadSelfAttention"]
 
@@ -21,27 +21,26 @@ class AttentionHead(Module):
     """One head's query/key/value projections (parameters only: the
     multi-head forward runs every head, and the verifiers read them)."""
 
-    def __init__(self, embed_dim, d_k, d_v, rng=None, init_std=0.1):
+    def __init__(self, embed_dim, d_k, d_v, rng=None):
         rng = rng or np.random.default_rng(0)
         self.d_k = d_k
-        self.w_q = Linear(embed_dim, d_k, rng=rng, init_std=init_std)
-        self.w_k = Linear(embed_dim, d_k, rng=rng, init_std=init_std)
-        self.w_v = Linear(embed_dim, d_v, rng=rng, init_std=init_std)
+        self.w_q = Linear(embed_dim, d_k, rng=rng, init_std=INIT_STD)
+        self.w_k = Linear(embed_dim, d_k, rng=rng, init_std=INIT_STD)
+        self.w_v = Linear(embed_dim, d_v, rng=rng, init_std=INIT_STD)
 
 
 class MultiHeadSelfAttention(Module):
     """``A`` attention heads followed by the output projection ``W_0``."""
 
-    def __init__(self, embed_dim, n_heads, rng=None, init_std=0.1):
+    def __init__(self, embed_dim, n_heads, rng=None):
         if embed_dim % n_heads != 0:
             raise ValueError("embed_dim must be divisible by n_heads")
         rng = rng or np.random.default_rng(0)
         d = embed_dim // n_heads
         self.n_heads = n_heads
-        self.heads = [AttentionHead(embed_dim, d, d, rng=rng,
-                                    init_std=init_std)
+        self.heads = [AttentionHead(embed_dim, d, d, rng=rng)
                       for _ in range(n_heads)]
-        self.w_o = Linear(n_heads * d, embed_dim, rng=rng, init_std=init_std)
+        self.w_o = Linear(n_heads * d, embed_dim, rng=rng, init_std=INIT_STD)
 
     def forward(self, x):
         """``x``: (..., N, E); returns (..., N, E). Leading axes stack

@@ -14,6 +14,9 @@ from ..autograd import Tensor, embedding_lookup
 
 __all__ = ["Module", "Linear", "Embedding", "LayerNorm"]
 
+# Weight std of every Transformer linear map (see :class:`Linear`).
+INIT_STD = 0.1
+
 
 class Module:
     """Minimal module base: parameter collection and train/eval flags."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..autograd import Tensor, no_grad
-from .layers import Module, Linear
+from .layers import INIT_STD, Module, Linear
 from .transformer import TransformerLayer
 
 __all__ = ["patchify", "VisionTransformerClassifier"]
@@ -38,8 +38,7 @@ class VisionTransformerClassifier(Module):
     """Patch-embedding Transformer classifier (App. A.3 architecture)."""
 
     def __init__(self, image_size=14, patch_size=7, embed_dim=32, n_heads=4,
-                 hidden_dim=64, n_layers=1, n_classes=10, seed=0,
-                 divide_by_std=False, init_std=0.1):
+                 hidden_dim=64, n_layers=1, n_classes=10, seed=0):
         rng = np.random.default_rng(seed)
         if image_size % patch_size:
             raise ValueError("image_size must be divisible by patch_size")
@@ -52,17 +51,16 @@ class VisionTransformerClassifier(Module):
         self.n_classes = n_classes
         self.n_patches = (image_size // patch_size) ** 2
         self.patch_proj = Linear(patch_size * patch_size, embed_dim, rng=rng,
-                                 init_std=init_std)
+                                 init_std=INIT_STD)
         self.position_embedding = Tensor(
             rng.normal(0.0, 0.1, size=(self.n_patches, embed_dim)),
             requires_grad=True)
         self.layers = [TransformerLayer(embed_dim, n_heads, hidden_dim,
-                                        rng=rng, divide_by_std=divide_by_std,
-                                        init_std=init_std)
+                                        rng=rng)
                        for _ in range(n_layers)]
-        self.pool = Linear(embed_dim, embed_dim, rng=rng, init_std=init_std)
+        self.pool = Linear(embed_dim, embed_dim, rng=rng, init_std=INIT_STD)
         self.classifier = Linear(embed_dim, n_classes, rng=rng,
-                                 init_std=init_std)
+                                 init_std=INIT_STD)
 
     def embed(self, image):
         """Patch + positional embeddings as an (n_patches, E) tensor."""

@@ -37,6 +37,17 @@ __all__ = ["TokenBucket", "AdmissionController", "QOS_RUNGS",
            "degrade_query", "rung_for_query"]
 
 
+def check_bucket_parameters(rate, burst):
+    """Raise ValueError unless ``rate >= 0`` and ``burst >= 1``.
+
+    A burst below one token never holds the token a request costs, so such
+    a bucket would refuse every request forever.
+    """
+    if not (rate >= 0 and burst >= 1):
+        raise ValueError(f"rate must be >= 0 and burst >= 1, got "
+                         f"rate={rate!r}, burst={burst!r}")
+
+
 class TokenBucket:
     """Continuous-refill token bucket (one token per admitted request).
 
@@ -46,8 +57,7 @@ class TokenBucket:
     """
 
     def __init__(self, rate, burst, now=0.0):
-        if rate < 0 or burst <= 0:
-            raise ValueError("rate must be >= 0 and burst >= 1")
+        check_bucket_parameters(rate, burst)
         self.rate = float(rate)
         self.burst = float(burst)
         self._tokens = float(burst)

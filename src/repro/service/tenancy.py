@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .admission import TokenBucket
+from .admission import TokenBucket, check_bucket_parameters
 
 __all__ = ["TenantPolicy", "TenantRegistry"]
 
@@ -28,6 +28,12 @@ class TenantPolicy:
 
     rate: float = 50.0
     burst: int = 20
+
+    def __post_init__(self):
+        # Checked here rather than when the lazily built bucket meets the
+        # tenant's first submission, so a bad policy fails the service's
+        # construction instead of answering every submission with a 500.
+        check_bucket_parameters(self.rate, self.burst)
 
 
 class TenantRegistry:

@@ -39,9 +39,9 @@ A *span* is a plain JSON-serializable dict with the fields
 ``layer``      transformer-layer index the op ran in (``n_layers`` marks
                the classifier head, None outside a propagation),
 ``op``         op kind: ``affine``, ``relu``, ``tanh``, ``exp``,
-               ``reciprocal``, ``rsqrt``, ``sigmoid``, ``gelu``,
-               ``dot-fast``, ``dot-precise``, ``multiply-*``, ``softmax``,
-               ``softmax-sum-refine``, ``reduce`` — or an *event* kind:
+               ``reciprocal``, ``rsqrt``, ``dot-fast``, ``dot-precise``,
+               ``multiply-*``, ``softmax``, ``softmax-sum-refine``,
+               ``reduce`` — or an *event* kind:
                ``guard-trip``, ``degradation-hop``, ``fault-injected``,
 ``seconds``    wall time of the application (0.0 for events),
 ``width_mean`` / ``width_max``

@@ -146,13 +146,8 @@ def propagate_attention(z, attention, config, dot_config):
 
 
 def propagate_feed_forward(z, ffn):
-    """Position-wise FFN: affine -> activation -> affine."""
-    hidden = propagate_linear(z, ffn.fc1)
-    if getattr(ffn, "activation", "relu") == "gelu":
-        from ..zonotope import gelu
-        hidden = gelu(hidden)
-    else:
-        hidden = relu(hidden)
+    """Position-wise FFN: affine -> ReLU -> affine."""
+    hidden = relu(propagate_linear(z, ffn.fc1))
     return propagate_linear(hidden, ffn.fc2)
 
 

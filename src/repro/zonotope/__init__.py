@@ -5,7 +5,7 @@ from .numeric import (PROPAGATION_ERRSTATE, propagation_errstate,
                       under_propagation_errstate)
 from .storage import EpsTail
 from . import elementwise
-from .elementwise import relu, tanh, exp, reciprocal, rsqrt, sigmoid, gelu
+from .elementwise import relu, tanh, exp, reciprocal, rsqrt
 from .fused import fused_layer_norm
 from .dotproduct import zonotope_matmul, zonotope_multiply, DotProductConfig
 from .softmax import softmax
@@ -20,7 +20,7 @@ __all__ = [
     "PROPAGATION_ERRSTATE", "propagation_errstate",
     "under_propagation_errstate",
     "EpsTail", "elementwise", "relu", "tanh", "exp", "reciprocal", "rsqrt",
-    "sigmoid", "gelu", "fused_layer_norm",
+    "fused_layer_norm",
     "zonotope_matmul", "zonotope_multiply", "DotProductConfig",
     "softmax", "EpsRewrite", "apply_eps_rewrites", "refine_softmax_rows",
     "minimize_coefficient_mass",

@@ -33,8 +33,7 @@ import numpy as np
 from ..trace import traced
 from .numeric import under_propagation_errstate
 
-__all__ = ["relu", "tanh", "exp", "reciprocal", "rsqrt", "sigmoid",
-           "gelu", "affine_response"]
+__all__ = ["relu", "tanh", "exp", "reciprocal", "rsqrt", "affine_response"]
 
 # Degenerate-interval threshold: below this width the variable is treated as
 # a point and mapped exactly.
@@ -226,68 +225,3 @@ def rsqrt(x, shift=0.0, assume_nonnegative=False):
     t_min = upper / 3.0 * (1.0 + _EPS_SHIFT)
     return _convex_decreasing_response(shifted, f, fprime, t_crit, t_min,
                                        lower, upper)
-
-
-@traced("sigmoid")
-@under_propagation_errstate
-def sigmoid(x):
-    """Sigmoid transformer (s-shaped, parallel-slope band).
-
-    Not used by the paper's architecture but provided for BERT-family
-    variants. Same construction as tanh: with
-    ``lam = min(s'(l), s'(u))`` the gap ``s(x) - lam*x`` is monotone on
-    [l, u] (s' is unimodal with its maximum at 0), so the band between the
-    endpoint gaps is sound.
-    """
-    lower, upper = x.bounds()
-    point = (upper - lower) <= _POINT_TOL
-
-    def s(t):
-        return 1.0 / (1.0 + np.exp(-t))
-
-    sl, su = s(lower), s(upper)
-    lam = np.minimum(sl * (1.0 - sl), su * (1.0 - su))
-    mu = 0.5 * (su + sl - lam * (upper + lower))
-    beta = 0.5 * (su - sl - lam * (upper - lower))
-    lam = np.where(point, 0.0, lam)
-    mu = np.where(point, s(x.center), mu)
-    beta = np.where(point, 0.0, beta)
-    return affine_response(x, lam, mu, beta)
-
-
-@traced("gelu")
-@under_propagation_errstate
-def gelu(x, n_grid=64):
-    """GELU transformer via a sampled parallel-slope band.
-
-    GELU(t) = t * Phi(t) is neither convex nor s-shaped, so instead of a
-    closed-form optimum the band slope is the chord slope and the offsets
-    come from the extrema of ``gelu(t) - lam*t`` evaluated on a dense grid
-    (the function is smooth and the grid is refined around the interval,
-    with an explicit safety margin covering the maximal second-derivative
-    error between grid points). Supports BERT-style FFNs.
-    """
-    from scipy.stats import norm as _norm
-
-    lower, upper = x.bounds()
-    point = (upper - lower) <= _POINT_TOL
-
-    def g(t):
-        return t * _norm.cdf(t)
-
-    width = np.maximum(upper - lower, _POINT_TOL)
-    lam = (g(upper) - g(lower)) / width
-    # Evaluate the gap on a grid; |gelu''| <= ~1.13 bounds the sampling
-    # error by 1.13/8 * h^2 per cell.
-    offsets = np.linspace(0.0, 1.0, n_grid)
-    grid = lower[None] + offsets.reshape(-1, *([1] * lower.ndim)) * width
-    gaps = g(grid) - lam * grid
-    safety = 1.13 / 8.0 * (width / (n_grid - 1)) ** 2
-    gap_min = gaps.min(axis=0) - safety
-    gap_max = gaps.max(axis=0) + safety
-    mu = 0.5 * (gap_max + gap_min)
-    beta = 0.5 * (gap_max - gap_min)
-    lam = np.where(point, 0.0, lam)
-    mu = np.where(point, g(x.center), mu)
-    beta = np.where(point, 0.0, beta)
-    return affine_response(x, lam, mu, beta)

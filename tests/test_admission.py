@@ -16,9 +16,9 @@ import pytest
 
 from repro.scheduler.queries import CertQuery, verifier_config_items
 from repro.scheduler.worker import execute_query
-from repro.service import (AdmissionController, ServiceConfig, TenantPolicy,
-                           TokenBucket, degrade_query, parse_submission,
-                           rung_for_query)
+from repro.service import (AdmissionController, CertService, ServiceConfig,
+                           TenantPolicy, TokenBucket, degrade_query,
+                           parse_submission, rung_for_query)
 from repro.verify import DeepTVerifier, IBPVerifier, VerifierConfig
 from tests.service_utils import (FAST_CONFIG, make_sentences, serving_held,
                                  submission)
@@ -83,6 +83,23 @@ class TestTokenBucket:
             TokenBucket(rate=-1.0, burst=5)
         with pytest.raises(ValueError):
             TokenBucket(rate=1.0, burst=0)
+        # A bucket that can never hold one whole token admits nothing.
+        with pytest.raises(ValueError, match="burst >= 1"):
+            TokenBucket(rate=1.0, burst=0.5)
+
+
+class TestTenantPolicy:
+    @pytest.mark.parametrize("rate,burst", [(-1.0, 5), (1.0, 0),
+                                            (1.0, 0.5), (float("nan"), 5)])
+    def test_invalid_policy_rejected(self, rate, burst):
+        with pytest.raises(ValueError, match="burst >= 1"):
+            TenantPolicy(rate=rate, burst=burst)
+
+    def test_service_rejects_bad_default_burst_at_construction(self,
+                                                               tiny_model):
+        """Fails when the service is built, not at the first submission."""
+        with pytest.raises(ValueError, match="burst >= 1"):
+            CertService(tiny_model, ServiceConfig(default_burst=0))
 
 
 class TestAdmissionController:

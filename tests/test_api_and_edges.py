@@ -1,5 +1,9 @@
 """API surface checks and assorted edge cases across modules."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -31,6 +35,43 @@ class TestPackageSurface:
     def test_cli_rejects_unknown_experiment(self):
         from repro.experiments.__main__ import main
         assert main(["999"]) == 1
+
+    def test_certification_path_loads_no_scipy(self):
+        """Only Table 10's LP solver needs scipy, and it imports it on
+        use: the packages and every query verifier run without it (its
+        import would add to every start-up)."""
+        script = (
+            "import sys\n"
+            "import repro.experiments, repro.service\n"
+            "from repro.nn import TransformerClassifier\n"
+            "from repro.scheduler.queries import (CertQuery,\n"
+            "    verifier_config_items)\n"
+            "from repro.scheduler.worker import execute_query\n"
+            "from repro.verify import FAST, PRECISE\n"
+            "model = TransformerClassifier(20, embed_dim=8, n_heads=2,\n"
+            "    hidden_dim=8, n_layers=1, max_len=8, seed=0)\n"
+            "deept_fast = verifier_config_items(FAST(noise_symbol_cap=16))\n"
+            "deept_precise = verifier_config_items(\n"
+            "    PRECISE(noise_symbol_cap=16))\n"
+            "for verifier, config in (('deept', deept_fast),\n"
+            "                         ('deept', deept_precise),\n"
+            "                         ('crown', (('backsub_depth', 2),)),\n"
+            "                         ('ibp', deept_fast)):\n"
+            "    query = CertQuery(verifier=verifier, model_hash='m',\n"
+            "        corpus_fingerprint='c', sentence=(0, 3, 5), position=1,\n"
+            "        p=2.0, config=config, n_iterations=2)\n"
+            "    radius = execute_query(model, query)[0]\n"
+            "    assert radius >= 0.0, (verifier, radius)\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + ([os.environ["PYTHONPATH"]]
+                     if os.environ.get("PYTHONPATH") else [])))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestZonotopeEdges:

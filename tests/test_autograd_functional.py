@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.autograd import (Tensor, softmax, log_softmax, cross_entropy,
-                            concatenate, stack, embedding_lookup, pad_stack)
+                            concatenate, stack, embedding_lookup)
 
 from tests.gradcheck import check_grad
 
@@ -95,13 +95,3 @@ class TestEmbedding:
         np.testing.assert_allclose(table.grad[2], np.full(4, 2.0))
         np.testing.assert_allclose(table.grad[0], np.full(4, 1.0))
         np.testing.assert_allclose(table.grad[1], np.zeros(4))
-
-
-class TestPadStack:
-    def test_shapes_and_mask(self, rng):
-        seqs = [rng.normal(size=(2, 3)), rng.normal(size=(4, 3))]
-        out, mask = pad_stack(seqs)
-        assert out.shape == (2, 4, 3)
-        assert mask.sum() == 6
-        np.testing.assert_allclose(out[0, 2:], 0.0)
-        np.testing.assert_allclose(out[1], seqs[1])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor
-from repro.autograd.optim import Optimizer, SGD, Adam
+from repro.autograd.optim import Optimizer, Adam
 
 
 def quadratic_step(param, optimizer):
@@ -14,39 +14,6 @@ def quadratic_step(param, optimizer):
     loss.backward()
     optimizer.step()
     return loss.item()
-
-
-class TestSGD:
-    def test_converges_on_quadratic(self):
-        x = Tensor(np.zeros(4), requires_grad=True)
-        opt = SGD([x], lr=0.1)
-        for _ in range(200):
-            quadratic_step(x, opt)
-        np.testing.assert_allclose(x.data, np.full(4, 3.0), atol=1e-3)
-
-    def test_momentum_accelerates(self):
-        def run(momentum):
-            x = Tensor(np.zeros(2), requires_grad=True)
-            opt = SGD([x], lr=0.02, momentum=momentum)
-            for _ in range(50):
-                loss = quadratic_step(x, opt)
-            return loss
-
-        assert run(0.9) < run(0.0)
-
-    def test_weight_decay_shrinks_solution(self):
-        x = Tensor(np.zeros(2), requires_grad=True)
-        opt = SGD([x], lr=0.1, weight_decay=1.0)
-        for _ in range(400):
-            quadratic_step(x, opt)
-        assert np.all(x.data < 3.0)  # decay pulls below the optimum
-        assert np.all(x.data > 1.0)
-
-    def test_skips_params_without_grad(self):
-        x = Tensor(np.zeros(2), requires_grad=True)
-        opt = SGD([x], lr=0.1)
-        opt.step()  # no backward happened; must not crash
-        np.testing.assert_allclose(x.data, 0.0)
 
 
 class TestAdam:
@@ -81,11 +48,17 @@ class TestAdam:
             quadratic_step(x, opt)
         assert np.all(x.data < 3.0)
 
+    def test_skips_params_without_grad(self):
+        x = Tensor(np.zeros(2), requires_grad=True)
+        opt = Adam([x], lr=0.1)
+        opt.step()  # no backward happened; must not crash
+        np.testing.assert_allclose(x.data, 0.0)
+
 
 class TestOptimizerBase:
     def test_empty_params_rejected(self):
         with pytest.raises(ValueError):
-            SGD([], lr=0.1)
+            Adam([], lr=0.1)
 
     def test_step_abstract(self):
         x = Tensor(np.zeros(1), requires_grad=True)
@@ -94,7 +67,7 @@ class TestOptimizerBase:
 
     def test_zero_grad_clears(self):
         x = Tensor(np.zeros(2), requires_grad=True)
-        opt = SGD([x], lr=0.1)
+        opt = Adam([x], lr=0.1)
         ((x - 1.0) ** 2).sum().backward()
         assert x.grad is not None
         opt.zero_grad()

@@ -95,9 +95,6 @@ class TestElementwise:
         check_grad(lambda x: x.log().sum(),
                    rng.uniform(0.5, 2.0, size=(3,)))
 
-    def test_sigmoid_grad(self, rng):
-        check_grad(lambda x: x.sigmoid().sum(), rng.normal(size=(3,)))
-
     def test_sqrt_grad(self, rng):
         check_grad(lambda x: x.sqrt().sum(),
                    rng.uniform(0.5, 2.0, size=(3,)))

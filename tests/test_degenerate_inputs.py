@@ -2,16 +2,14 @@
 token, zero radius, point intervals, empty synonym sets) must flow through
 the full pipeline and produce a *sound* answer — never an exception."""
 
-import math
-
 import numpy as np
 import pytest
 
 from repro.nlp import build_synonym_attack
 from repro.verify import (DeepTVerifier, FAST, synonym_attack_region,
                           word_perturbation_region)
-from repro.zonotope import (MultiNormZonotope, exp, gelu, reciprocal, relu,
-                            rsqrt, sigmoid, tanh)
+from repro.zonotope import (MultiNormZonotope, exp, reciprocal, relu, rsqrt,
+                            tanh)
 
 CONFIG = FAST(noise_symbol_cap=64)
 
@@ -75,9 +73,6 @@ class TestPointIntervalTransformers:
         (relu, lambda x: np.maximum(x, 0.0), [-1.5, -0.0, 0.0, 2.0]),
         (tanh, np.tanh, [-3.0, 0.0, 0.5]),
         (exp, np.exp, [-2.0, 0.0, 1.5]),
-        (sigmoid, lambda x: 1.0 / (1.0 + np.exp(-x)), [-4.0, 0.0, 4.0]),
-        (gelu, lambda x: x * 0.5 * (1.0 + np.vectorize(math.erf)(
-            x / np.sqrt(2.0))), [-2.0, 0.0, 1.0]),
         (reciprocal, lambda x: 1.0 / x, [0.25, 1.0, 8.0]),
         (rsqrt, lambda x: 1.0 / np.sqrt(x), [0.25, 1.0, 8.0]),
     ]

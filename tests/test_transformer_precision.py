@@ -1,66 +1,9 @@
-"""GELU support in the CROWN baseline + quantitative precision checks."""
+"""Quantitative precision checks of the minimal-area abstract transformers."""
 
 import numpy as np
 import pytest
-from scipy.stats import norm
 
-from repro.baselines import CrownVerifier, LpBallInputRegion
-from repro.baselines.graph import Graph, interval_propagate
-from repro.baselines.relaxations import gelu_relaxation
-from repro.nn import TransformerClassifier, train_transformer
 from repro.zonotope import MultiNormZonotope, relu, tanh
-
-from tests.conftest import sample_lp_ball
-
-
-def gelu_fn(x):
-    return x * norm.cdf(x)
-
-
-class TestGeluRelaxation:
-    def test_planes_bound_function(self, rng):
-        lower = rng.uniform(-3, 1, 40)
-        upper = lower + rng.uniform(0.01, 3, 40)
-        a_l, b_l, a_u, b_u = gelu_relaxation(lower, upper)
-        xs = lower + (upper - lower) * rng.uniform(0, 1, (300, 40))
-        values = gelu_fn(xs)
-        assert np.all(a_l * xs + b_l <= values + 1e-9)
-        assert np.all(a_u * xs + b_u >= values - 1e-9)
-
-    def test_gelu_ibp_covers_dip(self, rng):
-        graph = Graph()
-        x = graph.input((3,))
-        out = graph.unary("gelu", x)
-        center = np.array([-0.75, 2.0, -3.0])
-        region = LpBallInputRegion(center, 0.5, np.inf)
-        interval_propagate(graph, *region.interval())
-        for _ in range(200):
-            v = center + rng.uniform(-0.5, 0.5, 3)
-            y = gelu_fn(v)
-            assert np.all(y >= out.lower - 1e-9)
-            assert np.all(y <= out.upper + 1e-9)
-
-    def test_crown_verifies_gelu_network(self, tiny_corpus, rng):
-        model = TransformerClassifier(len(tiny_corpus.vocab), embed_dim=8,
-                                      n_heads=2, hidden_dim=8, n_layers=1,
-                                      max_len=16, seed=9,
-                                      activation="gelu")
-        train_transformer(model, tiny_corpus.train_sequences,
-                          tiny_corpus.train_labels, epochs=4, lr=2e-3)
-        sequence = tiny_corpus.test_sequences[0]
-        emb = model.embed_array(sequence)
-        mask = np.zeros(emb.shape, dtype=bool)
-        mask[1] = True
-        region = LpBallInputRegion(emb, 0.02, 2, mask)
-        true = model.predict(sequence)
-        margin = CrownVerifier(model, backsub_depth=30) \
-            .margin_lower_bound(region, true)
-        for _ in range(100):
-            delta = sample_lp_ball(rng, emb.shape[1], 2, 0.02)
-            perturbed = emb.copy()
-            perturbed[1] += delta
-            out = model.logits_from_embedding_array(perturbed)
-            assert margin <= out[true] - out[1 - true] + 1e-7
 
 
 class TestQuantitativePrecision:
