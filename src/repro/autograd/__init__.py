@@ -5,11 +5,11 @@ from .functional import (
     softmax, log_softmax, cross_entropy, concatenate, stack,
     embedding_lookup,
 )
-from .optim import Optimizer, Adam
+from .optim import Adam
 
 __all__ = [
     "Tensor", "as_tensor", "no_grad", "is_grad_enabled",
     "softmax", "log_softmax", "cross_entropy", "concatenate", "stack",
     "embedding_lookup",
-    "Optimizer", "Adam",
+    "Adam",
 ]

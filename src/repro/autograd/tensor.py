@@ -108,10 +108,6 @@ class Tensor:
         """Return the underlying ndarray (no copy)."""
         return self.data
 
-    def detach(self):
-        """Return a tensor sharing data but cut from the graph."""
-        return Tensor(self.data)
-
     def zero_grad(self):
         self.grad = None
 

@@ -21,9 +21,6 @@ bounds, which keeps the reciprocal's positivity precondition robust.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..verify.guards import certified_from_margin
@@ -115,14 +112,6 @@ class BoxInputRegion:
         base = _masked_dot(coeffs, self.center)
         spread = _masked_dot(np.abs(coeffs), self.radii)
         return base - spread, base + spread
-
-
-@dataclass
-class CrownStats:
-    """Bookkeeping for the scaling comparisons (Tables 1-5)."""
-
-    backsub_nodes: int = 0
-    seconds: float = 0.0
 
 
 class _BacksubEngine:
@@ -287,7 +276,6 @@ class CrownVerifier:
     def __init__(self, model, backsub_depth=30):
         self.model = model
         self.backsub_depth = backsub_depth
-        self.stats = CrownStats()
 
     # ---------------------------------------------------------------- bounds
     def _bound_all(self, graph, region):
@@ -313,7 +301,6 @@ class CrownVerifier:
                                           np.vstack([identity, -identity]))
             lower = stacked[: node.size]
             upper = -stacked[node.size:]
-            self.stats.backsub_nodes += 1
             node.lower = np.maximum(node.lower, lower.reshape(node.shape))
             node.upper = np.minimum(node.upper, upper.reshape(node.shape))
             # Numerical guard: keep lower <= upper.
@@ -327,7 +314,6 @@ class CrownVerifier:
     def margin_lower_bound(self, region, true_label, n_tokens=None,
                            n_classes=None):
         """Certified lower bound of min_other (y_true - y_other)."""
-        start = time.perf_counter()
         n_tokens = n_tokens or region.center.shape[0]
         graph, _, logits = build_transformer_graph(self.model, n_tokens)
         self._bound_all(graph, region)
@@ -351,9 +337,7 @@ class CrownVerifier:
         interval_margins = [
             logits_lower[true_label] - logits_upper[other]
             for other in range(n_classes) if other != true_label]
-        best = max(float(lower.min()), float(min(interval_margins)))
-        self.stats.seconds += time.perf_counter() - start
-        return best
+        return max(float(lower.min()), float(min(interval_margins)))
 
     # ----------------------------------------------------------- public API
     def certify_region(self, region, true_label):

@@ -19,37 +19,32 @@ INIT_STD = 0.1
 
 
 class Module:
-    """Minimal module base: parameter collection and train/eval flags."""
+    """Minimal module base: one walk of the tensor tree, and the forward."""
+
+    def _named_tensors(self, prefix=""):
+        """Yield ``(key, tensor)`` for every trainable tensor, depth first
+        in attribute order; the keys are the state-dict (archive) keys.
+        A shared tensor is yielded once per place it hangs."""
+        for name, value in self.__dict__.items():
+            if isinstance(value, (list, tuple)):
+                members = [(f"{prefix}{name}.{i}", item)
+                           for i, item in enumerate(value)]
+            else:
+                members = [(prefix + name, value)]
+            for key, member in members:
+                if isinstance(member, Module):
+                    yield from member._named_tensors(key + ".")
+                elif isinstance(member, Tensor) and member.requires_grad:
+                    yield key, member
 
     def parameters(self):
         """Yield all trainable tensors, recursively and deduplicated
         (shared submodules and tied tensors are visited once)."""
-        yield from self._collect_parameters(set())
-
-    def _collect_parameters(self, seen):
-        for value in self.__dict__.values():
-            if isinstance(value, Tensor) and value.requires_grad:
-                if id(value) not in seen:
-                    seen.add(id(value))
-                    yield value
-            elif isinstance(value, Module):
-                if id(value) not in seen:
-                    seen.add(id(value))
-                    yield from value._collect_parameters(seen)
-            elif isinstance(value, (list, tuple)):
-                for item in value:
-                    if isinstance(item, Module):
-                        if id(item) not in seen:
-                            seen.add(id(item))
-                            yield from item._collect_parameters(seen)
-                    elif isinstance(item, Tensor) and item.requires_grad:
-                        if id(item) not in seen:
-                            seen.add(id(item))
-                            yield item
-
-    def n_parameters(self):
-        """Total number of scalar parameters."""
-        return sum(p.size for p in self.parameters())
+        seen = set()
+        for _, tensor in self._named_tensors():
+            if id(tensor) not in seen:
+                seen.add(id(tensor))
+                yield tensor
 
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
@@ -59,51 +54,17 @@ class Module:
 
     def state_dict(self):
         """Flat name -> ndarray mapping of all parameters (for caching)."""
-        state = {}
-
-        def collect(obj, prefix):
-            for name, value in obj.__dict__.items():
-                key = f"{prefix}{name}"
-                if isinstance(value, Tensor) and value.requires_grad:
-                    state[key] = value.data
-                elif isinstance(value, Module):
-                    collect(value, key + ".")
-                elif isinstance(value, (list, tuple)):
-                    for i, item in enumerate(value):
-                        if isinstance(item, Module):
-                            collect(item, f"{key}.{i}.")
-                        elif isinstance(item, Tensor) and item.requires_grad:
-                            state[f"{key}.{i}"] = item.data
-
-        collect(self, "")
-        return state
+        return {key: tensor.data for key, tensor in self._named_tensors()}
 
     def load_state_dict(self, state):
         """Inverse of :meth:`state_dict` (shapes must match exactly)."""
-
-        def check_and_copy(tensor, key):
+        for key, tensor in self._named_tensors():
             loaded = np.asarray(state[key])
             if loaded.shape != tensor.data.shape:
                 raise ValueError(
                     f"shape mismatch for {key}: expected "
                     f"{tensor.data.shape}, got {loaded.shape}")
             tensor.data[...] = loaded
-
-        def assign(obj, prefix):
-            for name, value in obj.__dict__.items():
-                key = f"{prefix}{name}"
-                if isinstance(value, Tensor) and value.requires_grad:
-                    check_and_copy(value, key)
-                elif isinstance(value, Module):
-                    assign(value, key + ".")
-                elif isinstance(value, (list, tuple)):
-                    for i, item in enumerate(value):
-                        if isinstance(item, Module):
-                            assign(item, f"{key}.{i}.")
-                        elif isinstance(item, Tensor) and item.requires_grad:
-                            check_and_copy(item, f"{key}.{i}")
-
-        assign(self, "")
 
 
 def _kaiming(rng, fan_in, shape):
@@ -163,10 +124,11 @@ class LayerNorm(Module):
     layer normalization. Table 7 compares the two.
     """
 
-    def __init__(self, dim, divide_by_std=False, eps=1e-6):
+    eps = 1e-6  # added to the variance before the square root
+
+    def __init__(self, dim, divide_by_std=False):
         self.dim = dim
         self.divide_by_std = divide_by_std
-        self.eps = eps
         self.gamma = Tensor(np.ones(dim), requires_grad=True)
         self.beta = Tensor(np.zeros(dim), requires_grad=True)
 

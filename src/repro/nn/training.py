@@ -1,4 +1,5 @@
-"""Training loops for the classifiers.
+"""Training of the classifiers: one Adam loop, :func:`_fit`, fed each
+trainer's minibatch loss.
 
 The paper trains its Transformers from scratch on SST/Yelp; we do the same
 on the synthetic corpora. The Table 8/9 network comes from
@@ -19,14 +20,31 @@ __all__ = ["train_transformer", "train_transformer_certified",
            "train_vision_transformer", "evaluate_vision_transformer"]
 
 
-def _batches(n, batch_size, rng):
-    order = rng.permutation(n)
-    for start in range(0, n, batch_size):
-        yield order[start:start + batch_size]
+def _fit(model, n_examples, batch_loss, epochs, lr, batch_size, seed,
+         clip_norm=None):
+    """The one training loop: Adam over seeded shuffled minibatches.
+
+    ``batch_loss(idx, epoch)`` is the loss tensor of the examples ``idx``.
+    Returns the per-epoch mean loss.
+    """
+    optimizer = Adam(model.parameters(), lr=lr, clip_norm=clip_norm)
+    rng = np.random.default_rng(seed)
+    history = []
+    for epoch in range(epochs):
+        total_loss = 0.0
+        order = rng.permutation(n_examples)
+        for start in range(0, n_examples, batch_size):
+            idx = order[start:start + batch_size]
+            optimizer.zero_grad()
+            loss = batch_loss(idx, epoch)
+            loss.backward()
+            optimizer.step()
+            total_loss += loss.item() * len(idx)
+        history.append(total_loss / n_examples)
+    return history
 
 
-def train_transformer(model, sequences, labels, epochs=10, lr=1e-3,
-                      batch_size=16, seed=0, verbose=False):
+def train_transformer(model, sequences, labels, epochs=10, lr=1e-3, seed=0):
     """Train a :class:`TransformerClassifier` on token-id sequences.
 
     Parameters
@@ -37,24 +55,11 @@ def train_transformer(model, sequences, labels, epochs=10, lr=1e-3,
         Array of 0/1 labels.
     """
     labels = np.asarray(labels)
-    optimizer = Adam(model.parameters(), lr=lr)
-    rng = np.random.default_rng(seed)
-    history = []
-    for epoch in range(epochs):
-        total_loss, count = 0.0, 0
-        for idx in _batches(len(sequences), batch_size, rng):
-            optimizer.zero_grad()
-            loss = cross_entropy(
-                model.forward_batch([sequences[i] for i in idx]),
-                labels[idx])
-            loss.backward()
-            optimizer.step()
-            total_loss += loss.item() * len(idx)
-            count += len(idx)
-        history.append(total_loss / count)
-        if verbose:
-            print(f"epoch {epoch + 1}/{epochs}: loss={history[-1]:.4f}")
-    return history
+    return _fit(model, len(sequences),
+                lambda idx, epoch: cross_entropy(
+                    model.forward_batch([sequences[i] for i in idx]),
+                    labels[idx]),
+                epochs, lr, batch_size=16, seed=seed)
 
 
 def _count_correct(model, embeddings, labels):
@@ -80,28 +85,14 @@ def evaluate_transformer(model, sequences, labels):
     return correct / len(sequences)
 
 
-def train_mlp(model, inputs, labels, epochs=20, lr=1e-3, batch_size=32,
-              seed=0, verbose=False):
+def train_mlp(model, inputs, labels, epochs=20, lr=1e-3, seed=0):
     """Train an :class:`MLPClassifier` on a (n, d) feature matrix."""
     inputs = np.asarray(inputs, dtype=np.float64)
     labels = np.asarray(labels)
-    optimizer = Adam(model.parameters(), lr=lr)
-    rng = np.random.default_rng(seed)
-    history = []
-    for epoch in range(epochs):
-        total_loss, count = 0.0, 0
-        for idx in _batches(len(inputs), batch_size, rng):
-            optimizer.zero_grad()
-            logits = model.forward(Tensor(inputs[idx]))
-            loss = cross_entropy(logits, labels[idx])
-            loss.backward()
-            optimizer.step()
-            total_loss += loss.item() * len(idx)
-            count += len(idx)
-        history.append(total_loss / count)
-        if verbose:
-            print(f"epoch {epoch + 1}/{epochs}: loss={history[-1]:.4f}")
-    return history
+    return _fit(model, len(inputs),
+                lambda idx, epoch: cross_entropy(
+                    model.forward(Tensor(inputs[idx])), labels[idx]),
+                epochs, lr, batch_size=32, seed=seed)
 
 
 def evaluate_mlp(model, inputs, labels):
@@ -110,26 +101,14 @@ def evaluate_mlp(model, inputs, labels):
 
 
 def train_vision_transformer(model, images, labels, epochs=5, lr=1e-3,
-                             batch_size=16, seed=0, verbose=False):
+                             seed=0):
     """Train a :class:`VisionTransformerClassifier` on (n, H, W) images."""
     labels = np.asarray(labels)
-    optimizer = Adam(model.parameters(), lr=lr)
-    rng = np.random.default_rng(seed)
-    history = []
-    for epoch in range(epochs):
-        total_loss, count = 0.0, 0
-        for idx in _batches(len(images), batch_size, rng):
-            optimizer.zero_grad()
-            logits = stack([model.forward(images[i]) for i in idx], axis=0)
-            loss = cross_entropy(logits, labels[idx])
-            loss.backward()
-            optimizer.step()
-            total_loss += loss.item() * len(idx)
-            count += len(idx)
-        history.append(total_loss / count)
-        if verbose:
-            print(f"epoch {epoch + 1}/{epochs}: loss={history[-1]:.4f}")
-    return history
+    return _fit(model, len(images),
+                lambda idx, epoch: cross_entropy(
+                    stack([model.forward(images[i]) for i in idx], axis=0),
+                    labels[idx]),
+                epochs, lr, batch_size=16, seed=seed)
 
 
 def evaluate_vision_transformer(model, images, labels):
@@ -141,8 +120,7 @@ def evaluate_vision_transformer(model, images, labels):
 
 def train_transformer_certified(model, sequences, labels, radius_fn,
                                 epochs=16, warmup_epochs=4, lr=1e-3,
-                                batch_size=16, kappa=0.5, seed=0,
-                                verbose=False):
+                                kappa=0.5, seed=0):
     """IBP certified training (stand-in for Xu et al., used for Table 8).
 
     After ``warmup_epochs`` of clean training, the loss becomes
@@ -161,38 +139,27 @@ def train_transformer_certified(model, sequences, labels, radius_fn,
     from .ibp import ibp_forward, worst_case_logits
 
     labels = np.asarray(labels)
-    optimizer = Adam(model.parameters(), lr=lr, clip_norm=5.0)
-    rng = np.random.default_rng(seed)
-    history = []
     ramp_epochs = max(epochs - warmup_epochs, 1)
-    for epoch in range(epochs):
+
+    def batch_loss(idx, epoch):
         ramp = min(max(epoch - warmup_epochs + 1, 0) / ramp_epochs, 1.0)
-        total_loss, count = 0.0, 0
-        for idx in _batches(len(sequences), batch_size, rng):
-            optimizer.zero_grad()
-            clean_logits, worst_logits = [], []
-            for i in idx:
-                emb = model.embed(sequences[i])
-                clean_logits.append(model.forward_from_embeddings(emb))
-                if ramp > 0:
-                    if callable(radius_fn):
-                        radius = radius_fn(sequences[i])
-                    else:
-                        radius = np.full(emb.shape, float(radius_fn))
-                    interval = ibp_forward(model, emb, ramp * radius)
-                    worst_logits.append(
-                        worst_case_logits(interval, int(labels[i])))
-            loss = cross_entropy(stack(clean_logits, axis=0), labels[idx])
-            if worst_logits:
-                robust = cross_entropy(stack(worst_logits, axis=0),
-                                       labels[idx])
-                loss = kappa * loss + (1.0 - kappa) * robust
-            loss.backward()
-            optimizer.step()
-            total_loss += loss.item() * len(idx)
-            count += len(idx)
-        history.append(total_loss / count)
-        if verbose:
-            print(f"epoch {epoch + 1}/{epochs}: loss={history[-1]:.4f} "
-                  f"(ramp={ramp:.2f})")
-    return history
+        clean_logits, worst_logits = [], []
+        for i in idx:
+            emb = model.embed(sequences[i])
+            clean_logits.append(model.forward_from_embeddings(emb))
+            if ramp > 0:
+                if callable(radius_fn):
+                    radius = radius_fn(sequences[i])
+                else:
+                    radius = np.full(emb.shape, float(radius_fn))
+                interval = ibp_forward(model, emb, ramp * radius)
+                worst_logits.append(
+                    worst_case_logits(interval, int(labels[i])))
+        loss = cross_entropy(stack(clean_logits, axis=0), labels[idx])
+        if worst_logits:
+            robust = cross_entropy(stack(worst_logits, axis=0), labels[idx])
+            loss = kappa * loss + (1.0 - kappa) * robust
+        return loss
+
+    return _fit(model, len(sequences), batch_loss, epochs, lr,
+                batch_size=16, seed=seed, clip_norm=5.0)

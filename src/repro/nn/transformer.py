@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..autograd import Tensor, stack
+from ..autograd import Tensor, no_grad, stack
 from .layers import INIT_STD, Module, Linear, Embedding, LayerNorm
 from .attention import MultiHeadSelfAttention
 
-__all__ = ["FeedForward", "TransformerLayer", "TransformerClassifier"]
+__all__ = ["FeedForward", "TransformerLayer", "EncoderClassifier",
+           "TransformerClassifier"]
 
 
 class FeedForward(Module):
@@ -47,7 +48,46 @@ class TransformerLayer(Module):
         return x
 
 
-class TransformerClassifier(Module):
+class EncoderClassifier(Module):
+    """The head both Transformer classifiers share: encoder layers,
+    pooling of the first output embedding, tanh layer, linear classifier.
+
+    A subclass sets ``layers``, ``pool`` and ``classifier`` and defines
+    ``embed(x)`` (one input to its (N, E) embedding tensor) and
+    ``embed_array(x)`` (the same as an ndarray).
+    """
+
+    def forward_from_embeddings(self, embeddings):
+        """Run the network from (..., N, E) embeddings to (..., C) logits.
+
+        This is the part of the network the verifier abstracts: perturbation
+        regions live in embedding space (threat models T1 and T2). Leading
+        axes stack same-length inputs (one forward scores them all); a
+        2-D input is one input.
+        """
+        x = embeddings
+        for layer in self.layers:
+            x = layer(x)
+        pooled = self.pool(x[..., 0, :]).tanh()
+        return self.classifier(pooled)
+
+    def forward(self, x):
+        """Logits (C,) for one input."""
+        return self.forward_from_embeddings(self.embed(x))
+
+    def predict(self, x):
+        """Predicted class for one input; no graph is recorded."""
+        with no_grad():
+            logits = self.forward(x)
+        return int(np.argmax(logits.data))
+
+    def logits_from_embedding_array(self, embeddings):
+        """Concrete logits (ndarray) from an (N, E) embedding ndarray."""
+        with no_grad():
+            return self.forward_from_embeddings(Tensor(embeddings)).data
+
+
+class TransformerClassifier(EncoderClassifier):
     """The full binary sequence classifier of Figure 2.
 
     Parameters
@@ -105,39 +145,6 @@ class TransformerClassifier(Module):
         return (self.token_embedding.weight.data[token_ids]
                 + self.position_embedding.data[: len(token_ids)])
 
-    # --------------------------------------------------------------- forward
-    def forward_from_embeddings(self, embeddings):
-        """Run the network from (..., N, E) embeddings to (..., 2) logits.
-
-        This is the part of the network the verifier abstracts: perturbation
-        regions live in embedding space (threat models T1 and T2). Leading
-        axes stack same-length sequences (one forward scores them all); a
-        2-D input is one sequence.
-        """
-        x = embeddings
-        for layer in self.layers:
-            x = layer(x)
-        pooled = self.pool(x[..., 0, :]).tanh()
-        return self.classifier(pooled)
-
-    def forward(self, token_ids):
-        """Logits (2,) for one token-id sequence."""
-        return self.forward_from_embeddings(self.embed(token_ids))
-
     def forward_batch(self, sequences):
         """Logits (batch, 2) for a list of token-id sequences."""
         return stack([self.forward(seq) for seq in sequences], axis=0)
-
-    def predict(self, token_ids):
-        """Predicted class (0/1) for one sequence; no graph is recorded."""
-        from ..autograd import no_grad
-        with no_grad():
-            logits = self.forward(token_ids)
-        return int(np.argmax(logits.data))
-
-    def logits_from_embedding_array(self, embeddings):
-        """Concrete logits (ndarray) from an (N, E) embedding ndarray."""
-        from ..autograd import no_grad
-        with no_grad():
-            logits = self.forward_from_embeddings(Tensor(embeddings))
-        return logits.data

@@ -11,8 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..autograd import Tensor, no_grad
-from .layers import INIT_STD, Module, Linear
-from .transformer import TransformerLayer
+from .layers import INIT_STD, Linear
+from .transformer import EncoderClassifier, TransformerLayer
 
 __all__ = ["patchify", "VisionTransformerClassifier"]
 
@@ -34,7 +34,7 @@ def patchify(image, patch_size):
     return patches
 
 
-class VisionTransformerClassifier(Module):
+class VisionTransformerClassifier(EncoderClassifier):
     """Patch-embedding Transformer classifier (App. A.3 architecture)."""
 
     def __init__(self, image_size=14, patch_size=7, embed_dim=32, n_heads=4,
@@ -71,23 +71,3 @@ class VisionTransformerClassifier(Module):
         """Concrete (n_patches, E) embedding ndarray."""
         with no_grad():
             return self.embed(image).data
-
-    def forward_from_embeddings(self, embeddings):
-        """(..., n_patches, E) embeddings to (..., n_classes) logits."""
-        x = embeddings
-        for layer in self.layers:
-            x = layer(x)
-        pooled = self.pool(x[..., 0, :]).tanh()
-        return self.classifier(pooled)
-
-    def forward(self, image):
-        return self.forward_from_embeddings(self.embed(image))
-
-    def predict(self, image):
-        with no_grad():
-            logits = self.forward(image)
-        return int(np.argmax(logits.data))
-
-    def logits_from_embedding_array(self, embeddings):
-        with no_grad():
-            return self.forward_from_embeddings(Tensor(embeddings)).data

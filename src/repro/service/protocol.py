@@ -153,10 +153,11 @@ def parse_submission(payload, model_hash):
     if verifier not in ("deept", "crown", "ibp"):
         raise BadRequest(f"unknown verifier {verifier!r}")
     if verifier == "crown":
-        try:
-            depth = int(payload.get("backsub_depth", 10))
-        except (TypeError, ValueError):
-            raise BadRequest("backsub_depth must be an integer")
+        depth = payload.get("backsub_depth", 10)
+        if not (isinstance(depth, int) and not isinstance(depth, bool)
+                and depth >= 0):
+            raise BadRequest(f"backsub_depth must be a non-negative "
+                             f"integer, got {depth!r}")
         config_items = (("backsub_depth", depth),)
     else:
         overrides = payload.get("config") or {}

@@ -207,14 +207,10 @@ class IBPVerifier:
     rewritten to ``verifier="ibp"`` and answered with pure interval
     propagation — still sound (IBP over-approximates every rung above it,
     so it can lose certifications but never invent one), just looser.
-    ``config`` is accepted and ignored so the rewritten query's
-    :class:`~repro.verify.config.VerifierConfig` payload round-trips
-    through :func:`~repro.scheduler.worker.execute_query` unchanged.
     """
 
-    def __init__(self, model, config=None):
+    def __init__(self, model):
         self.model = model
-        self.config = config
 
     def certify_region(self, region, true_label):
         return ibp_certify_region(self.model, region, true_label)

@@ -1,10 +1,10 @@
-"""Unit tests for the optimizers (repro.autograd.optim)."""
+"""Unit tests for the optimizer (repro.autograd.optim)."""
 
 import numpy as np
 import pytest
 
 from repro.autograd import Tensor
-from repro.autograd.optim import Optimizer, Adam
+from repro.autograd.optim import Adam
 
 
 def quadratic_step(param, optimizer):
@@ -41,13 +41,6 @@ class TestAdam:
         opt.step()
         assert np.linalg.norm(x.grad) <= 1.0 + 1e-9
 
-    def test_weight_decay(self):
-        x = Tensor(np.full(2, 5.0), requires_grad=True)
-        opt = Adam([x], lr=0.05, weight_decay=5.0)
-        for _ in range(300):
-            quadratic_step(x, opt)
-        assert np.all(x.data < 3.0)
-
     def test_skips_params_without_grad(self):
         x = Tensor(np.zeros(2), requires_grad=True)
         opt = Adam([x], lr=0.1)
@@ -59,11 +52,6 @@ class TestOptimizerBase:
     def test_empty_params_rejected(self):
         with pytest.raises(ValueError):
             Adam([], lr=0.1)
-
-    def test_step_abstract(self):
-        x = Tensor(np.zeros(1), requires_grad=True)
-        with pytest.raises(NotImplementedError):
-            Optimizer([x]).step()
 
     def test_zero_grad_clears(self):
         x = Tensor(np.zeros(2), requires_grad=True)

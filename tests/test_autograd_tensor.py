@@ -185,10 +185,6 @@ class TestGraphMechanics:
         assert not out.requires_grad
         assert is_grad_enabled()
 
-    def test_detach(self, rng):
-        x = Tensor(rng.normal(size=(3,)), requires_grad=True)
-        assert not x.detach().requires_grad
-
     def test_zero_grad(self, rng):
         x = Tensor(rng.normal(size=(3,)), requires_grad=True)
         (x * 2.0).sum().backward()

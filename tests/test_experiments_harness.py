@@ -90,6 +90,33 @@ class TestModelCacheRecovery:
             assert not load_cached_state(model, path)
         assert not os.path.exists(path)  # bad file deleted
 
+    @pytest.mark.parametrize("stale, error", [("missing-key", "KeyError"),
+                                              ("wrong-shape", "ValueError")])
+    def test_load_cached_state_rejects_stale_archives(self, tmp_path, stale,
+                                                      error):
+        """A readable archive from another model: a missing parameter
+        (``KeyError``) or a wrong-shaped one (``ValueError``) is discarded
+        like a corrupt file."""
+        from repro.nn import TransformerClassifier
+
+        def build():
+            return TransformerClassifier(20, embed_dim=8, n_heads=2,
+                                         hidden_dim=8, n_layers=1,
+                                         max_len=12)
+
+        state = build().state_dict()
+        key = "layers.0.norm2.beta"
+        if stale == "missing-key":
+            del state[key]
+        else:
+            state[key] = np.zeros(9)
+        path = str(tmp_path / "stale.npz")
+        np.savez(path, **state)
+        with pytest.warns(UserWarning,
+                          match=f"corrupt model cache .*{error}"):
+            assert not load_cached_state(build(), path)
+        assert not os.path.exists(path)
+
     def test_get_transformer_recovers_from_garbage_cache(self, tmp_path,
                                                          monkeypatch):
         cache_dir = tmp_path / "cache"
@@ -108,9 +135,9 @@ class TestModelCacheRecovery:
         with pytest.warns(UserWarning, match="corrupt model cache"):
             recovered, _, _ = get_transformer("sst-small", n_layers=1,
                                               scale=self.SCALE)
-        # Training is seeded, so the retrained weights match the originals.
+        # Training is seeded, so the retrained weights are the originals.
         for key, value in reference.items():
-            np.testing.assert_allclose(recovered.state_dict()[key], value)
+            np.testing.assert_array_equal(recovered.state_dict()[key], value)
         # The rewritten cache is a valid archive again.
         with np.load(path) as archive:
             assert set(archive.files) == set(reference)

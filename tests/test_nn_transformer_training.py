@@ -6,9 +6,9 @@ import pytest
 from repro.autograd import Tensor, no_grad
 from repro.nn import (TransformerClassifier, MLPClassifier,
                       VisionTransformerClassifier, patchify,
-                      train_transformer, evaluate_transformer, train_mlp,
-                      evaluate_mlp, train_vision_transformer,
-                      evaluate_vision_transformer)
+                      train_transformer, train_transformer_certified,
+                      evaluate_transformer, train_mlp, evaluate_mlp,
+                      train_vision_transformer, evaluate_vision_transformer)
 
 
 def _assert_rows_match(model, embeddings):
@@ -198,3 +198,57 @@ class TestVisionTransformer:
     def test_image_size_validation(self):
         with pytest.raises(ValueError):
             VisionTransformerClassifier(image_size=10, patch_size=4)
+
+
+class TestSeededTraining:
+    """Training is bitwise deterministic per seed: the model cache and the
+    re-saved archives rely on a seeded retrain giving the same weights."""
+
+    @staticmethod
+    def _trainers(tiny_corpus, digit_data):
+        from repro.data import make_digit_dataset
+        sequences = tiny_corpus.train_sequences[:32]
+        labels = tiny_corpus.train_labels[:32]
+        features, digit_labels = digit_data
+        images, image_labels = make_digit_dataset(
+            n_per_class=4, size=8, classes=(0, 1, 7), seed=0)
+
+        def transformer():
+            return TransformerClassifier(len(tiny_corpus.vocab), embed_dim=8,
+                                         n_heads=2, hidden_dim=8, n_layers=1,
+                                         max_len=16, seed=3)
+
+        return {
+            "transformer": (transformer, lambda m: train_transformer(
+                m, sequences, labels, epochs=2, lr=2e-3, seed=4)),
+            "certified": (transformer, lambda m: train_transformer_certified(
+                m, sequences[:16], labels[:16], 0.01, epochs=2,
+                warmup_epochs=1, seed=4)),
+            "mlp": (lambda: MLPClassifier(features.shape[1], [6], seed=3),
+                    lambda m: train_mlp(m, features, digit_labels, epochs=2,
+                                        lr=2e-3, seed=4)),
+            "vision": (lambda: VisionTransformerClassifier(
+                image_size=8, patch_size=4, embed_dim=8, n_heads=2,
+                hidden_dim=16, n_layers=1, seed=3),
+                lambda m: train_vision_transformer(
+                    m, images, image_labels, epochs=2, lr=2e-3, seed=4)),
+        }
+
+    @pytest.mark.parametrize("trainer", ["transformer", "certified", "mlp",
+                                         "vision"])
+    def test_two_runs_from_one_seed_are_bitwise_equal(
+            self, trainer, tiny_corpus, digit_data):
+        build, train = self._trainers(tiny_corpus, digit_data)[trainer]
+        runs = []
+        for _ in range(2):
+            model = build()
+            history = train(model)
+            runs.append((history, model.state_dict()))
+        (history, first), (history_again, second) = runs
+        assert history == history_again
+        assert list(first) == list(second)
+        for key, value in first.items():
+            np.testing.assert_array_equal(value, second[key])
+        fresh = build().state_dict()
+        assert any(not np.array_equal(value, fresh[key])
+                   for key, value in first.items())

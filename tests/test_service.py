@@ -135,6 +135,22 @@ class TestLifecycle:
         self._assert_refused(tiny_model, submission(sentences[0],
                                                     config=config))
 
+    @pytest.mark.parametrize("depth", [-5, 12.7, True, "12"],
+                             ids=["negative", "fractional", "bool", "string"])
+    def test_malformed_backsub_depths_are_typed_400s(self, tiny_model,
+                                                     sentences, depth):
+        """A CROWN ``backsub_depth`` must be a non-negative integer, as a
+        symbol cap must: truncated, -5 would run as depth 0 and 12.7 as
+        12, each under a key of its own."""
+        self._assert_refused(tiny_model, submission(
+            sentences[0], verifier="crown", backsub_depth=depth))
+
+    @pytest.mark.parametrize("depth", [0, 10])
+    def test_backsub_depth_reaches_the_query_key(self, sentences, depth):
+        query, _ = parse_submission(submission(
+            sentences[0], verifier="crown", backsub_depth=depth), "hash")
+        assert query.config == (("backsub_depth", depth),)
+
     @staticmethod
     def _assert_refused(tiny_model, payload):
         async def main():
